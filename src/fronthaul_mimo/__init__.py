@@ -8,7 +8,6 @@ from .errors import (
     ConfigValueError,
     InfeasibleError,
     InsufficientTrialsError,
-    PilotExcessTooSmallError,
     PilotOverheadError,
     SweepPointError,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "LinkBudget",
     "McBlock",
     "OptimizationResult",
-    "PilotExcessTooSmallError",
     "PilotMatrix",
     "PilotOverheadError",
     "PowerDelayProfile",

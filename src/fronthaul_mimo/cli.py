@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import dataclasses
+import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,6 +34,7 @@ from .sysmodel import (
     SystemConfig,
     reference_snr_from_power,
     reference_snr_to_power,
+    require_finite,
 )
 
 CSV_VERSION = "fhmimo-sweep-csv v1"
@@ -71,41 +73,11 @@ CSV_COLUMNS = (
 SWEEP_AXES = ("b", "B_w", "M", "s", "theta", "snr_db")
 BIND_MODES = ("none", "antennas", "bandwidth")
 
-_INT_KEYS = {"K", "N", "L", "M", "b", "trials", "seed"}
-_FLOAT_KEYS = {
-    "C_f",
-    "theta",
-    "N_0",
-    "P_max",
-    "gamma_ref_db",
-    "X_int",
-    "cell_radius_km",
-    "pathloss_intercept_db",
-    "pathloss_slope",
-    "B_w",
-}
-_STR_KEYS = {"sweep_axis", "bind", "mc_mode"}
-_LIST_KEYS = {"sweep_values"}
-_SYSTEM_KEYS = {
-    "K",
-    "C_f",
-    "N",
-    "L",
-    "theta",
-    "N_0",
-    "P_max",
-    "X_int",
-    "cell_radius_km",
-    "pathloss_intercept_db",
-    "pathloss_slope",
-}
-KNOWN_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS | _LIST_KEYS | {"gamma_ref_db"}
-
 _POSITIVE_KEYS = {"K", "C_f", "N", "L", "theta", "N_0", "P_max", "X_int",
                   "cell_radius_km", "B_w", "M", "b"}
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class SweepSpec:
     """One sweep: the axis, its grid, the fixed design anchors, and MC knobs."""
 
@@ -120,6 +92,7 @@ class SweepSpec:
     mc_mode: str = "pqn"
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.bind not in BIND_MODES:
             raise ConfigValueError(f"bind must be one of {BIND_MODES}, got {self.bind!r}")
         if self.mc_mode not in montecarlo.QUANTIZE_MODES:
@@ -147,18 +120,32 @@ class SweepSpec:
             )
 
 
+def _parse_grid(text: str) -> tuple:
+    values = tuple(float(v) for v in text.split(",") if v.strip())
+    if not values:
+        raise ValueError("empty list")
+    return values
+
+
+# Config keys are the dataclass fields, parsed by their annotation.  The two
+# grid fields carry a ``sweep_`` prefix; gamma_ref_db sets P_max.
+_SYSTEM_FIELDS = {f.name: f for f in dataclasses.fields(SystemConfig)}
+_SPEC_FIELDS = {
+    ("sweep_" + f.name if f.name in ("axis", "values") else f.name): f
+    for f in dataclasses.fields(SweepSpec)
+}
+_PARSERS = {"int": int, "float": float, "str": str, "tuple": _parse_grid}
+_KEY_PARSERS = {
+    key: _PARSERS[f.type.split(" |")[0]]
+    for key, f in {**_SYSTEM_FIELDS, **_SPEC_FIELDS}.items()
+}
+_KEY_PARSERS["gamma_ref_db"] = float
+KNOWN_KEYS = set(_KEY_PARSERS)
+
+
 def _parse_scalar(key: str, text: str, lineno: int):
     try:
-        if key in _INT_KEYS:
-            return int(text)
-        if key in _FLOAT_KEYS or key == "gamma_ref_db":
-            return float(text)
-        if key in _LIST_KEYS:
-            values = tuple(float(v) for v in text.split(",") if v.strip())
-            if not values:
-                raise ValueError("empty list")
-            return values
-        return text
+        return _KEY_PARSERS[key](text)
     except ValueError as exc:
         raise ConfigSyntaxError(
             f"cannot parse value for key '{key}' (line {lineno}): {text!r}"
@@ -200,24 +187,14 @@ def parse_config_text(text: str, source: str = "<config>") -> tuple[SystemConfig
             f"(lines {raw['P_max'][1]} and {raw['gamma_ref_db'][1]})"
         )
 
-    system_kwargs = {k: v for k, (v, _) in raw.items() if k in _SYSTEM_KEYS}
+    system_kwargs = {k: v for k, (v, _) in raw.items() if k in _SYSTEM_FIELDS}
     if "P_max" not in system_kwargs:
         gamma_db = raw.get("gamma_ref_db", (15.0, 0))[0]
         config = SystemConfig.from_reference_snr(gamma_db, **system_kwargs)
     else:
         config = SystemConfig(**system_kwargs)
 
-    spec = SweepSpec(
-        axis=raw.get("sweep_axis", (None, 0))[0],
-        values=raw.get("sweep_values", ((), 0))[0],
-        bind=raw.get("bind", ("none", 0))[0],
-        B_w=raw.get("B_w", (None, 0))[0],
-        M=raw.get("M", (None, 0))[0],
-        b=raw.get("b", (None, 0))[0],
-        trials=raw.get("trials", (0, 0))[0],
-        seed=raw.get("seed", (0, 0))[0],
-        mc_mode=raw.get("mc_mode", ("pqn", 0))[0],
-    )
+    spec = SweepSpec(**{f.name: raw[key][0] for key, f in _SPEC_FIELDS.items() if key in raw})
     return config, spec
 
 
@@ -229,12 +206,13 @@ def parse_config(path: str) -> tuple[SystemConfig, SweepSpec]:
 def effective_config_text(config: SystemConfig, spec: SweepSpec) -> str:
     """Echo of every effective key, written alongside sweep outputs."""
     lines = [f"# effective configuration ({CSV_VERSION})"]
-    for key in sorted(_SYSTEM_KEYS):
+    for key in sorted(_SYSTEM_FIELDS):
         lines.append(f"{key} = {getattr(config, key)!r}")
     lines.append(f"gamma_ref_db = {reference_snr_from_power(config)!r}")
     lines.append(f"N_p = {config.n_pilot}")
-    for key in ("axis", "bind", "B_w", "M", "b", "trials", "seed", "mc_mode"):
-        lines.append(f"sweep_{key} = {getattr(spec, key)!r}")
+    for f in dataclasses.fields(SweepSpec):
+        if f.name != "values":
+            lines.append(f"sweep_{f.name} = {getattr(spec, f.name)!r}")
     lines.append(f"sweep_values = {','.join(repr(v) for v in spec.values)}")
     return "\n".join(lines) + "\n"
 
@@ -273,14 +251,15 @@ def _point_design(
         m = int(value)
     elif spec.axis == "s":
         s = float(value)
-        b_w = config.C_f * s
-        m = max(1, int(round(1.0 / s)))
     elif spec.axis == "theta":
         cfg = config.replace(theta=float(value))
     elif spec.axis == "snr_db":
         cfg = config.replace(P_max=reference_snr_to_power(config, float(value)))
     if b is None:
         b = 1
+    if s is not None:
+        b_w = optimizer.curve_bandwidth(cfg, s, b)
+        m = max(1, int(round(1.0 / s)))
     if spec.bind == "antennas":
         if b_w is None:
             raise ConfigValueError("bind=antennas needs a bandwidth (key B_w)")
@@ -385,76 +364,41 @@ def run_sweep(
 
 _BASE = dict(K=20, C_f=500e9, N=2000, L=10, theta=1.0, X_int=1.0)
 _BITS = tuple(float(b) for b in range(1, 13))
+_SNRS = tuple({"snr_db": snr} for snr in (0.0, 15.0, 30.0))
+_AT_200_MHZ = dict(axis="b", values=_BITS, bind="antennas", B_w=200e6)
 
-
-def _cfg(snr_db: float = 15.0, **overrides) -> SystemConfig:
-    fields = dict(_BASE)
-    fields.update(overrides)
-    return SystemConfig.from_reference_snr(snr_db, **fields)
-
-
-def _preset_fig2(trials, seed):
-    spec = SweepSpec(axis="b", values=_BITS, bind="antennas", B_w=200e6,
-                     trials=trials, seed=seed)
-    return [(_cfg(), spec)]
-
-
-def _preset_fig3(trials, seed):
-    spec = SweepSpec(axis="b", values=_BITS, bind="antennas", B_w=200e6)
-    return [(_cfg(), spec)]
-
-
-def _preset_fig4(trials, seed):
-    spec = SweepSpec(axis="b", values=_BITS, bind="bandwidth", M=200,
-                     trials=trials, seed=seed)
-    return [(_cfg(), spec)]
-
-
-def _preset_fig5(trials, seed):
+# name -> (config overrides, one config per curve; the sweep).  Curve i runs
+# its Monte Carlo at seed + i; fig3 pins trials to 0 (closed form only).
+_PRESET_TABLE = {
+    "fig2": (({},), _AT_200_MHZ),
+    "fig3": (({},), dict(_AT_200_MHZ, trials=0, seed=0)),
+    "fig4": (({},), dict(axis="b", values=_BITS, bind="bandwidth", M=200)),
     # Calibrated reproduction of the interior optimum on the constraint
     # curve: 50 Gbit/s fronthaul with a 4-sigma converter interval places the
     # one-bit optimum near M* ~ 250, B_w* ~ 200 MHz.
-    values = tuple(np.logspace(math.log10(2e-4), math.log10(0.1), 200))
-    spec = SweepSpec(axis="s", values=values, b=1, trials=trials, seed=seed)
-    return [(_cfg(C_f=50e9, X_int=4.0), spec)]
-
-
-def _preset_fig6(trials, seed):
-    out = []
-    for i, snr in enumerate((0.0, 15.0, 30.0)):
-        spec = SweepSpec(axis="b", values=_BITS, bind="antennas", B_w=200e6,
-                         trials=trials, seed=seed + i)
-        out.append((_cfg(snr), spec))
-    return out
-
-
-def _preset_fig7(trials, seed):
-    out = []
-    for i, snr in enumerate((0.0, 15.0, 30.0)):
-        spec = SweepSpec(axis="b", values=_BITS, bind="bandwidth", M=1000,
-                         trials=trials, seed=seed + i)
-        out.append((_cfg(snr), spec))
-    return out
-
-
-def _preset_fig8(trials, seed):
-    values = tuple(np.logspace(-4, -1, 200))
-    out = []
-    for i, theta in enumerate((1.0, 2.0, 4.0, 8.0)):
-        spec = SweepSpec(axis="s", values=values, b=1, trials=trials, seed=seed + i)
-        out.append((_cfg(theta=theta), spec))
-    return out
-
-
-PRESETS = {
-    "fig2": _preset_fig2,
-    "fig3": _preset_fig3,
-    "fig4": _preset_fig4,
-    "fig5": _preset_fig5,
-    "fig6": _preset_fig6,
-    "fig7": _preset_fig7,
-    "fig8": _preset_fig8,
+    "fig5": (
+        ({"C_f": 50e9, "X_int": 4.0},),
+        dict(axis="s", values=tuple(np.logspace(math.log10(2e-4), math.log10(0.1), 200)), b=1),
+    ),
+    "fig6": (_SNRS, _AT_200_MHZ),
+    "fig7": (_SNRS, dict(axis="b", values=_BITS, bind="bandwidth", M=1000)),
+    "fig8": (
+        tuple({"theta": theta} for theta in (1.0, 2.0, 4.0, 8.0)),
+        dict(axis="s", values=tuple(np.logspace(-4, -1, 200)), b=1),
+    ),
 }
+
+
+def _preset(curves, sweep, trials, seed) -> list[tuple[SystemConfig, SweepSpec]]:
+    out = []
+    for i, overrides in enumerate(curves):
+        fields = {**_BASE, **overrides}
+        config = SystemConfig.from_reference_snr(fields.pop("snr_db", 15.0), **fields)
+        out.append((config, SweepSpec(**{"trials": trials, "seed": seed + i, **sweep})))
+    return out
+
+
+PRESETS = {name: functools.partial(_preset, *row) for name, row in _PRESET_TABLE.items()}
 
 
 def run_preset(name: str, trials: int = 0, seed: int = 0, threads: int = 1) -> list[dict]:
@@ -482,7 +426,7 @@ def optimize_report(config: SystemConfig, b_max: int = optimizer.DEFAULT_B_MAX) 
         "relaxed": {
             "s": result.relaxed_s,
             "M": 1.0 / result.relaxed_s,
-            "B_w_hz": config.C_f * result.relaxed_s,
+            "B_w_hz": optimizer.curve_bandwidth(config, result.relaxed_s, result.best.b),
             "rate_bps": result.relaxed_rate_bps,
         },
         "fixed_one_bit": result.fixed_one_bit,
@@ -531,7 +475,8 @@ def mc_validate_report(
                     "mode": mode,
                     "closed_form_bps": closed.rate_bps,
                     "mc_bps": mc.rate_bps,
-                    "stderr_bps": mc.stderr_bps,
+                    # undefined below two batches of trials
+                    "stderr_bps": mc.stderr_bps if math.isfinite(mc.stderr_bps) else None,
                     "rel_err": abs(mc.rate_bps - closed.rate_bps) / closed.rate_bps,
                     "clip_rate": mc.clip_rate,
                 }
@@ -598,21 +543,8 @@ def _load(args) -> tuple[SystemConfig, SweepSpec]:
         config, spec = parse_config(args.config)
     else:
         config, spec = parse_config_text("")
-    changes = {}
-    if getattr(args, "seed", None) is not None:
-        changes["seed"] = args.seed
-    if getattr(args, "trials", None) is not None:
-        changes["trials"] = args.trials
-    if changes:
-        spec = SweepSpec(
-            **{
-                **{k: getattr(spec, k) for k in (
-                    "axis", "values", "bind", "B_w", "M", "b", "trials", "seed", "mc_mode"
-                )},
-                **changes,
-            }
-        )
-    return config, spec
+    changes = {k: getattr(args, k) for k in ("seed", "trials") if getattr(args, k) is not None}
+    return config, dataclasses.replace(spec, **changes)
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -623,10 +555,24 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _emit_json(report: dict, out_path: str | None) -> None:
+    try:
+        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise ConfigValueError(f"non-finite result: {exc}") from exc
+    _emit(text + "\n", out_path)
+
+
 def _anchor_design(spec: SweepSpec, args) -> DesignPoint:
-    b_w = getattr(args, "bw", None) or spec.B_w
-    m = getattr(args, "m", None) or spec.M
-    b = getattr(args, "b", None) or spec.b or 1
+    """Design point from the flags, falling back to the config's anchors."""
+
+    def pick(flag: str, anchor):
+        value = getattr(args, flag, None)
+        return anchor if value is None else value
+
+    b_w, m, b = pick("bw", spec.B_w), pick("m", spec.M), pick("b", spec.b)
+    if b is None:
+        b = 1
     if b_w is None or m is None:
         raise ConfigSyntaxError("a design point needs B_w and M (config keys or flags)")
     return DesignPoint(B_w=b_w, M=m, b=b)
@@ -638,11 +584,11 @@ def main(argv=None) -> int:
         if args.command == "rate":
             config, spec = _load(args)
             report = rate_report(config, _anchor_design(spec, args))
-            _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
+            _emit_json(report, args.out)
         elif args.command == "optimize":
             config, _ = _load(args)
             report = optimize_report(config, b_max=args.b_max)
-            _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
+            _emit_json(report, args.out)
         elif args.command == "sweep":
             config, spec = _load(args)
             rows = run_sweep(config, spec, threads=args.threads)
@@ -663,7 +609,7 @@ def main(argv=None) -> int:
                 seed=spec.seed,
                 modes=modes,
             )
-            _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
+            _emit_json(report, args.out)
         elif args.command == "preset":
             rows = run_preset(args.name, trials=args.trials, seed=args.seed,
                               threads=args.threads)

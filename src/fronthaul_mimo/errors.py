@@ -21,10 +21,6 @@ class InfeasibleError(ValueError):
     """No design satisfies the fronthaul constraint."""
 
 
-class PilotExcessTooSmallError(ValueError):
-    """A closed-form shortcut requires pilot excess factor >= 1."""
-
-
 class InsufficientTrialsError(RuntimeError):
     """Monte Carlo estimate too noisy at the requested trial count."""
 

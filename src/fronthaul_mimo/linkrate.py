@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ConfigValueError
 from .sysmodel import DesignPoint, SystemConfig, link_budget
 
@@ -37,24 +35,6 @@ def estimation_quality(config: SystemConfig, design: DesignPoint) -> float:
     budget = link_budget(config, design.B_w, design.b)
     ti = config.theta_eff * budget.I_total
     return ti / (ti + config.N_0 + budget.P_rx * budget.E)
-
-
-def estimation_quality_tapwise(
-    config: SystemConfig, design: DesignPoint, sigma2: np.ndarray
-) -> float:
-    """c computed by summing per-tap LMMSE qualities d[l]*sigma2[l].
-
-    Supports arbitrary power delay profiles; for the uniform profile this
-    equals the closed form of estimation_quality.
-    """
-    sigma2 = np.asarray(sigma2, dtype=float)
-    if sigma2.ndim != 1 or sigma2.size != config.L:
-        raise ConfigValueError(f"power delay profile must have L={config.L} taps")
-    budget = link_budget(config, design.B_w, design.b)
-    rx = budget.P / design.B_w
-    sig = rx * config.n_pilot * budget.mu * sigma2
-    d = sig / (sig + budget.E + budget.mu * config.N_0)
-    return float(np.sum(d * sigma2))
 
 
 def sinqr(config: SystemConfig, design: DesignPoint) -> float:

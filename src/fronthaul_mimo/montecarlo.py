@@ -29,6 +29,7 @@ from .sysmodel import DesignPoint, SystemConfig, link_budget
 _LN2 = math.log(2.0)
 
 QUANTIZE_MODES = ("uniform", "pqn")
+N_BATCHES = 10  # trial batches behind the standard error
 
 
 @dataclass(frozen=True)
@@ -54,33 +55,17 @@ class PowerDelayProfile:
         return self.sigma2.size
 
 
-@dataclass(frozen=True)
-class ChannelRealization:
-    """Small-scale taps h[m, k, l] with per-user large-scale gains beta[k]."""
-
-    h: np.ndarray
-    beta: np.ndarray
-
-    @property
-    def g(self) -> np.ndarray:
-        """Composite taps sqrt(beta_k) * h[m, k, l]."""
-        return np.sqrt(self.beta)[None, :, None] * self.h
-
-
 def draw_channel(
     rng: np.random.Generator,
     n_antennas: int,
     n_users: int,
     pdp: PowerDelayProfile,
-    beta: np.ndarray | None = None,
-) -> ChannelRealization:
-    """Draw i.i.d. circular Gaussian taps with the profile's per-tap variance."""
+) -> np.ndarray:
+    """Draw i.i.d. circular Gaussian taps h[m, k, l] with the profile's
+    per-tap variance."""
     shape = (n_antennas, n_users, pdp.n_taps)
     scale = np.sqrt(pdp.sigma2 / 2.0)[None, None, :]
-    h = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    if beta is None:
-        beta = np.ones(n_users)
-    return ChannelRealization(h=h, beta=np.asarray(beta, dtype=float))
+    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
 def _zadoff_chu(length: int, root: int = 1) -> np.ndarray:
@@ -96,29 +81,6 @@ class PilotMatrix:
 
     phi: np.ndarray
     n_taps: int
-
-    @property
-    def n_users(self) -> int:
-        return self.phi.shape[0]
-
-    @property
-    def length(self) -> int:
-        return self.phi.shape[1]
-
-    def correlations(self) -> np.ndarray:
-        """C[k, i, l] = sum_n phi_k[n] * conj(phi_i[(n+l) mod N_p])."""
-        out = np.empty((self.n_users, self.n_users, self.n_taps), dtype=complex)
-        for lag in range(self.n_taps):
-            shifted = np.roll(self.phi, -lag, axis=1)
-            out[:, :, lag] = self.phi @ shifted.conj().T
-        return out
-
-    def max_orthogonality_defect(self) -> float:
-        """Largest deviation from the ideal correlation pattern, absolute."""
-        corr = self.correlations()
-        target = np.zeros_like(corr)
-        target[np.arange(self.n_users), np.arange(self.n_users), 0] = self.length
-        return float(np.max(np.abs(corr - target)))
 
 
 def generate_pilots(n_users: int, n_taps: int, n_pilot: int) -> PilotMatrix:
@@ -219,18 +181,6 @@ def mrc_combine(y_q: np.ndarray, h_hat: np.ndarray, n_data: int) -> np.ndarray:
     return np.einsum("mkv,mv->kv", h_freq.conj(), y_freq)
 
 
-def mrc_combine_time(y_q: np.ndarray, h_hat: np.ndarray, n_data: int) -> np.ndarray:
-    """Time-domain FIR realization of the same combiner, returned in the
-    frequency domain for comparison.  O(N^2); intended for validation."""
-    h_freq = np.fft.fft(h_hat, n=n_data, axis=2)
-    w_time = np.fft.ifft(h_freq.conj(), axis=2)  # (M, K, N_d)
-    n = np.arange(n_data)
-    idx = (n[None, :] - n[:, None]) % n_data  # [l, n] -> (n - l) mod N_d
-    y_shift = y_q[:, idx]  # (M, L=N_d, N_d)
-    x_time = np.einsum("mkl,mln->kn", w_time, y_shift)
-    return np.fft.fft(x_time, axis=1) / math.sqrt(n_data)
-
-
 @dataclass
 class McBlock:
     """One simulated transmission block (pilot phase + data phase)."""
@@ -272,8 +222,7 @@ def simulate_block(
     amp = math.sqrt(budget.P / design.B_w)
     noise_std = math.sqrt(config.N_0 / 2.0)
 
-    chan = draw_channel(rng, m_ant, k_users, pdp)
-    h = chan.h
+    h = draw_channel(rng, m_ant, k_users, pdp)
 
     # pilot phase: cyclic convolution of each user's taps with its sequence
     phi_shift = np.stack(
@@ -348,7 +297,6 @@ def empirical_rate(
     trials: int,
     seed,
     mode: str = "pqn",
-    n_batches: int = 10,
     stability_bound: float | None = 0.25,
 ) -> EmpiricalRate:
     """Empirical per-user rate from the use-and-then-forget sample statistic.
@@ -372,7 +320,7 @@ def empirical_rate(
     pilots = generate_pilots(config.K, config.L, config.n_pilot)
     pdp = PowerDelayProfile.uniform(config.L)
 
-    n_batches = max(1, min(n_batches, trials))
+    n_batches = min(N_BATCHES, trials)
     s1 = np.zeros(n_batches, dtype=complex)
     s2 = np.zeros(n_batches)
     n_obs = np.zeros(n_batches, dtype=np.int64)
@@ -392,22 +340,18 @@ def empirical_rate(
     prelog = design.B_w * config.n_data / config.N
     rate = prelog * math.log1p(gamma) / _LN2
 
-    if trials >= 2 and n_batches >= 2:
-        batch_rates = np.array(
-            [
-                prelog * math.log1p(_gamma_from_moments(s1[i], s2[i], int(n_obs[i]))) / _LN2
-                for i in range(n_batches)
-                if n_obs[i] > 0
-            ]
-        )
-        batch_rates = batch_rates[np.isfinite(batch_rates)]  # single-trial batches
-        # at high SINR can land on a non-finite ratio estimate
-        if batch_rates.size >= 2:
-            stderr = float(np.std(batch_rates, ddof=1) / math.sqrt(batch_rates.size))
-        else:
-            stderr = math.nan
+    # single-trial batches at high SINR can land on a non-finite ratio estimate
+    batch_rates = np.array(
+        [
+            prelog * math.log1p(_gamma_from_moments(s1[i], s2[i], int(n_obs[i]))) / _LN2
+            for i in range(n_batches)
+        ]
+    )
+    batch_rates = batch_rates[np.isfinite(batch_rates)]
+    if batch_rates.size >= 2:
+        stderr = float(np.std(batch_rates, ddof=1) / math.sqrt(batch_rates.size))
     else:
-        stderr = math.nan
+        stderr = math.nan  # undefined below two finite batches, e.g. at one trial
 
     if (
         stability_bound is not None

@@ -1,9 +1,9 @@
 """Fronthaul-constrained rate maximization over (B_w, M, b).
 
 The optimum always sits on the constraint curve B_w*M*b = C_f (rate is
-strictly increasing in M at fixed B_w and b), so the search space reduces
-to the auxiliary variable s in (1/C_f, 1] with M = 1/s and B_w = C_f*s at
-b fixed.  R(s) is unimodal in s, concave through the ascent to its
+strictly increasing in M at fixed B_w and b), so at b fixed the search
+space reduces to the auxiliary variable s in [b/C_f, 1] with M = 1/s and
+B_w = (C_f/b)*s.  R(s) is unimodal in s, concave through the ascent to its
 maximizer (convex only in the far noise-limited decay), so the maximizer
 is found by bisection on the sign of the closed-form derivative, then
 refined over the nearest integer antenna counts.
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InfeasibleError, PilotExcessTooSmallError
+from .errors import InfeasibleError
 from .linkrate import RateBreakdown, achievable_rate
 from .sysmodel import (
     DesignPoint,
@@ -29,6 +29,7 @@ _LN2 = math.log(2.0)
 
 DEFAULT_B_MAX = 12
 S_TOLERANCE = 1e-10
+M_NEIGHBORHOOD = 2  # integer antenna counts tried on each side of 1/s*
 
 
 def _threshold_parts(b: int, x_int: float) -> tuple[float, float]:
@@ -53,17 +54,6 @@ def threshold_f(b: int, x_int: float = 1.0) -> float:
     return num / den
 
 
-def threshold_f_alt(b: int, x_int: float = 1.0) -> float:
-    """Algebraically equivalent rearrangement of threshold_f, kept as an
-    independent cross-check of the implementation."""
-    al = b / (b + 1.0)
-    sq = math.sqrt(al)
-    e = quantization_distortion_variance(b, x_int)
-    num = sq * (1.0 + e) - al * (1.0 + e / 4.0)
-    den = (1.0 + e / 4.0) - sq * (1.0 + e)
-    return num / den
-
-
 def interference_noise_ratio(config: SystemConfig, B_w: float) -> float:
     """Total interference over noise, K*P/(B_w*N_0)."""
     budget = link_budget(config, B_w, 1)
@@ -85,53 +75,6 @@ def bandwidth_condition(config: SystemConfig, design: DesignPoint) -> bool:
     return interference_noise_ratio(config, design.B_w) > num / den
 
 
-def best_fixed_bandwidth_design(config: SystemConfig, B_w: float) -> DesignPoint:
-    """Best (M, b) for a fixed bandwidth: one-bit ADCs on every antenna the
-    fronthaul can carry.
-
-    Requires pilot excess >= 1; the caller falls back to an exhaustive bit
-    search otherwise.
-    """
-    if config.theta < 1.0:
-        raise PilotExcessTooSmallError(
-            f"fixed-bandwidth shortcut needs theta >= 1, got theta={config.theta}"
-        )
-    m = int(math.floor(config.C_f / B_w))
-    if m < 1:
-        raise InfeasibleError(
-            f"no antenna fits: C_f={config.C_f} below one bit at B_w={B_w}"
-        )
-    return DesignPoint(B_w=B_w, M=m, b=1)
-
-
-@dataclass(frozen=True)
-class FixedAntennasCandidate:
-    """Candidate optimum for a fixed antenna count, plus whether the
-    sufficient bandwidth condition certifies it along the whole trajectory."""
-
-    design: DesignPoint
-    applicable: bool
-
-
-def best_fixed_antennas_design(
-    config: SystemConfig, M: int, b_max: int = DEFAULT_B_MAX
-) -> FixedAntennasCandidate:
-    """Candidate best (B_w, b) for a fixed antenna count: one-bit ADCs at
-    B_w = C_f/M.
-
-    The candidate is certified (``applicable``) only when the bandwidth
-    condition holds at every step of the constraint trajectory
-    B_w(b) = C_f/(M*b); the condition is sufficient, not necessary, so an
-    uncertified candidate may still be optimal.
-    """
-    candidate = DesignPoint(B_w=config.C_f / M, M=M, b=1)
-    applicable = all(
-        bandwidth_condition(config, DesignPoint(B_w=config.C_f / (M * b), M=M, b=b))
-        for b in range(1, b_max)
-    )
-    return FixedAntennasCandidate(design=candidate, applicable=applicable)
-
-
 @dataclass(frozen=True)
 class SearchState:
     """One point of the s-parameterized search, with the derivative pieces."""
@@ -146,21 +89,43 @@ class SearchState:
     b: int
 
 
-def _s_domain_check(config: SystemConfig, s) -> None:
-    s = np.asarray(s, dtype=float)
-    if np.any(s <= 1.0 / config.C_f) or np.any(s > 1.0):
-        raise ValueError(f"s must lie in (1/C_f, 1] = ({1.0 / config.C_f}, 1]")
+def _curve_slope(config: SystemConfig, b: int) -> float:
+    """dB_w/ds on the constraint curve.
+
+    At resolution b the cap B_w*M*b = C_f is the curve M = 1/s,
+    B_w = (C_f/b)*s over s in [b/C_f, 1]; every relaxed quantity in this
+    module reads the curve, and its domain, through this slope.
+    """
+    return config.C_f / b
+
+
+def _s_domain_check(config: SystemConfig, s, b: int) -> None:
+    lo = 1.0 / _curve_slope(config, b)
+    if isinstance(s, float):  # compared in Python: numpy costs ~10x on one value
+        low = high = s
+    else:
+        arr = np.asarray(s, dtype=float)
+        low, high = arr.min(), arr.max()
+    if low < lo or high > 1.0:
+        raise ValueError(f"s must lie in [b/C_f, 1] = [{lo}, 1] at b={b}")
+
+
+def curve_bandwidth(config: SystemConfig, s: float, b: int) -> float:
+    """Bandwidth of the relaxed design at s on the constraint curve (M = 1/s)."""
+    _s_domain_check(config, s, b)
+    return _curve_slope(config, b) * float(s)
 
 
 def _omega_terms(config: SystemConfig, s, b: int):
     """omega(s), its derivative, and tau(theta, s) for the constraint curve."""
+    slope = _curve_slope(config, b)
     p = config.P_max * config.beta_edge
     kp = config.K * p
     e = quantization_distortion_variance(b, config.X_int)
     one = 1.0 + e
     te = config.theta_eff
-    u = kp + config.C_f * config.N_0 * s
-    u_dot = config.C_f * config.N_0
+    u = kp + slope * config.N_0 * s
+    u_dot = slope * config.N_0
     tau = (te - 1.0) * kp * one * u
     denom = one * u * ((te - 1.0) * kp + one * u)  # = tau + (1+E)^2 u^2
     denom_dot = one * u_dot * ((te - 1.0) * kp + 2.0 * one * u)
@@ -171,42 +136,42 @@ def _omega_terms(config: SystemConfig, s, b: int):
     return omega, omega_dot, tau
 
 
-def _upsilon(config: SystemConfig) -> float:
-    return config.n_data * config.C_f / (config.N * _LN2)
+def _upsilon(config: SystemConfig, b: int) -> float:
+    return config.n_data * _curve_slope(config, b) / (config.N * _LN2)
 
 
 def rate_of_s(config: SystemConfig, s, b: int):
-    """Per-user rate (bit/s) on the constraint curve M=1/s, B_w=C_f*s.
+    """Per-user rate (bit/s) on the constraint curve M=1/s, B_w=(C_f/b)*s.
 
     Pure evaluation; accepts a scalar or an array of s values.
     """
-    _s_domain_check(config, s)
+    _s_domain_check(config, s, b)
     s = np.asarray(s, dtype=float)
     omega, _, _ = _omega_terms(config, s, b)
-    out = _upsilon(config) * s * np.log1p(omega)
+    out = _upsilon(config, b) * s * np.log1p(omega)
     return float(out) if out.ndim == 0 else out
 
 
 def rate_of_s_derivative(config: SystemConfig, s, b: int):
     """Closed-form dR/ds; its sign gives the ascent direction."""
-    _s_domain_check(config, s)
+    _s_domain_check(config, s, b)
     s = np.asarray(s, dtype=float)
     omega, omega_dot, _ = _omega_terms(config, s, b)
-    out = _upsilon(config) * (np.log1p(omega) + s * omega_dot / (1.0 + omega))
+    out = _upsilon(config, b) * (np.log1p(omega) + s * omega_dot / (1.0 + omega))
     return float(out) if out.ndim == 0 else out
 
 
 def search_state(config: SystemConfig, s: float, b: int) -> SearchState:
-    _s_domain_check(config, s)
+    bw_bar = curve_bandwidth(config, s, b)
     omega, omega_dot, tau = _omega_terms(config, float(s), b)
     return SearchState(
         s=float(s),
-        upsilon=_upsilon(config),
+        upsilon=_upsilon(config, b),
         tau=float(tau),
         omega=float(omega),
         omega_dot=float(omega_dot),
         m_bar=1.0 / float(s),
-        bw_bar=config.C_f * float(s),
+        bw_bar=bw_bar,
         b=b,
     )
 
@@ -218,8 +183,8 @@ def maximize_over_s(config: SystemConfig, b: int) -> SearchState:
     Returns the boundary point when the derivative never changes sign.
     Absolute tolerance 1e-10 in s.
     """
-    lo = (1.0 / config.C_f) * (1.0 + 1e-9)
     hi = 1.0
+    lo = min(hi, (1.0 / _curve_slope(config, b)) * (1.0 + 1e-9))
     d_lo = rate_of_s_derivative(config, lo, b)
     d_hi = rate_of_s_derivative(config, hi, b)
     if d_lo <= 0.0 and d_hi <= 0.0:
@@ -291,11 +256,7 @@ class OptimizationResult:
     fixed_one_bit: bool = False
 
 
-def optimize_full(
-    config: SystemConfig,
-    b_max: int = DEFAULT_B_MAX,
-    m_neighborhood: int = 2,
-) -> OptimizationResult:
+def optimize_full(config: SystemConfig, b_max: int = DEFAULT_B_MAX) -> OptimizationResult:
     """Global maximization of the per-user rate subject to B_w*M*b <= C_f.
 
     Fixes b = 1 when that is provably optimal, otherwise exhausts
@@ -318,8 +279,8 @@ def optimize_full(
             continue
         st = maximize_over_s(config, b)
         m_center = st.m_bar
-        m_lo = max(1, int(math.floor(m_center)) - m_neighborhood)
-        m_hi = min(int(math.floor(config.C_f / b)), int(math.ceil(m_center)) + m_neighborhood)
+        m_lo = max(1, int(math.floor(m_center)) - M_NEIGHBORHOOD)
+        m_hi = min(int(math.floor(config.C_f / b)), int(math.ceil(m_center)) + M_NEIGHBORHOOD)
         for m in range(m_lo, m_hi + 1):
             design = DesignPoint(B_w=config.C_f / (m * b), M=m, b=b)
             breakdown = achievable_rate(config, design)

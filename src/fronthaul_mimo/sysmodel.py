@@ -23,13 +23,26 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ConfigValueError, PilotOverheadError
 
 PATHLOSS_INTERCEPT_DB = -130.0
 PATHLOSS_SLOPE = 37.6
 REFERENCE_BANDWIDTH_HZ = 1e6
+FEASIBILITY_REL_TOL = 1e-9
+
+
+def require_finite(obj) -> None:
+    """Reject NaN and infinite numbers in a dataclass's fields, including
+    the entries of tuple fields."""
+    # getattr, not vars(): materializing __dict__ slows every later attribute read
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, (int, float)):
+            finite = math.isfinite(value)
+        else:
+            finite = not isinstance(value, tuple) or all(map(math.isfinite, value))
+        if not finite:
+            raise ConfigValueError(f"{f.name} must be finite, got {f.name}={value}")
 
 
 def quantization_distortion_variance(b: int, x_int: float = 1.0) -> float:
@@ -84,6 +97,7 @@ class SystemConfig:
     pathloss_slope: float = PATHLOSS_SLOPE
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.K < 1 or int(self.K) != self.K:
             raise ConfigValueError(f"K must be a positive integer, got K={self.K}")
         if self.C_f <= 0:
@@ -130,23 +144,14 @@ class SystemConfig:
             self.cell_radius_km, self.pathloss_intercept_db, self.pathloss_slope
         )
 
-    def beta(self, d_km: float) -> float:
-        return pathloss_linear(d_km, self.pathloss_intercept_db, self.pathloss_slope)
-
     def replace(self, **changes) -> "SystemConfig":
         return dataclasses.replace(self, **changes)
 
     @classmethod
     def from_reference_snr(cls, gamma_ref_db: float = 15.0, **fields) -> "SystemConfig":
         """Build a config with P_max set from a cell-edge reference SNR in dB."""
-        radius = fields.get("cell_radius_km", cls.cell_radius_km)
-        intercept = fields.get("pathloss_intercept_db", cls.pathloss_intercept_db)
-        slope = fields.get("pathloss_slope", cls.pathloss_slope)
-        noise = fields.get("N_0", cls.N_0)
-        beta_edge = pathloss_linear(radius, intercept, slope)
-        gamma_lin = 10.0 ** (gamma_ref_db / 10.0)
-        fields["P_max"] = gamma_lin * REFERENCE_BANDWIDTH_HZ * noise / beta_edge
-        return cls(**fields)
+        config = cls(**fields)
+        return config.replace(P_max=reference_snr_to_power(config, gamma_ref_db))
 
 
 @dataclass(frozen=True)
@@ -158,11 +163,12 @@ class DesignPoint:
     b: int
 
     def __post_init__(self) -> None:
-        if self.B_w <= 0:
-            raise ConfigValueError(f"B_w must be positive, got B_w={self.B_w}")
-        if self.M < 1 or int(self.M) != self.M:
+        # inline checks, not require_finite: a design is built per evaluated point
+        if not (math.isfinite(self.B_w) and self.B_w > 0):
+            raise ConfigValueError(f"B_w must be positive and finite, got B_w={self.B_w}")
+        if not math.isfinite(self.M) or self.M < 1 or int(self.M) != self.M:
             raise ConfigValueError(f"M must be a positive integer, got M={self.M}")
-        if self.b < 1 or int(self.b) != self.b:
+        if not math.isfinite(self.b) or self.b < 1 or int(self.b) != self.b:
             raise ConfigValueError(f"b must be a positive integer, got b={self.b}")
 
     @property
@@ -170,8 +176,8 @@ class DesignPoint:
         """Fronthaul bit rate B_w * M * b consumed by this design."""
         return self.B_w * self.M * self.b
 
-    def is_feasible(self, c_f: float, rel_tol: float = 1e-9) -> bool:
-        return self.fronthaul_load <= c_f * (1.0 + rel_tol)
+    def is_feasible(self, c_f: float) -> bool:
+        return self.fronthaul_load <= c_f * (1.0 + FEASIBILITY_REL_TOL)
 
 
 @dataclass(frozen=True)
@@ -195,6 +201,8 @@ class LinkBudget:
 
 def reference_snr_to_power(config: SystemConfig, gamma_ref_db: float) -> float:
     """P_max such that the cell-edge SNR in 1 MHz equals gamma_ref_db."""
+    if not math.isfinite(gamma_ref_db):
+        raise ConfigValueError(f"gamma_ref_db must be finite, got {gamma_ref_db}")
     gamma_lin = 10.0 ** (gamma_ref_db / 10.0)
     return gamma_lin * REFERENCE_BANDWIDTH_HZ * config.N_0 / config.beta_edge
 
@@ -203,41 +211,6 @@ def reference_snr_from_power(config: SystemConfig) -> float:
     """Inverse of reference_snr_to_power: recover the reference SNR in dB."""
     gamma_lin = config.P_max * config.beta_edge / (REFERENCE_BANDWIDTH_HZ * config.N_0)
     return 10.0 * math.log10(gamma_lin)
-
-
-def channel_inversion_power(config: SystemConfig, B_w: float, beta_k: float) -> float:
-    """Transmit power of a user with large-scale gain beta_k.
-
-    Statistical channel inversion referenced to the cell edge: the edge user
-    transmits at P_max/B_w and everyone is received at the same per-sample
-    power P_max*beta_edge/B_w.  Users with beta_k below the edge gain would
-    need more than P_max and are rejected.
-    """
-    if B_w <= 0:
-        raise ConfigValueError(f"B_w must be positive, got B_w={B_w}")
-    beta_min = config.beta_edge
-    if beta_k < beta_min:
-        raise ConfigValueError(
-            f"beta_k={beta_k} below the cell-edge gain {beta_min}; "
-            "user outside the serviced cell"
-        )
-    return config.P_max * beta_min / (B_w * beta_k)
-
-
-def draw_user_betas(
-    config: SystemConfig,
-    rng: np.random.Generator,
-    n_users: int | None = None,
-    min_distance_km: float = 0.01,
-) -> np.ndarray:
-    """Large-scale gains of users dropped uniformly on the cell disk.
-
-    A minimum distance (default 10 m) keeps the path loss bounded.
-    """
-    k = config.K if n_users is None else n_users
-    lo = (min_distance_km / config.cell_radius_km) ** 2
-    d_km = config.cell_radius_km * np.sqrt(rng.uniform(lo, 1.0, size=k))
-    return np.array([config.beta(d) for d in d_km])
 
 
 def link_budget(config: SystemConfig, B_w: float, b: int) -> LinkBudget:

@@ -1,6 +1,14 @@
+import math
+
+import numpy as np
 import pytest
 
-from fronthaul_mimo.sysmodel import SystemConfig
+from fronthaul_mimo.sysmodel import (
+    DesignPoint,
+    SystemConfig,
+    link_budget,
+    quantization_distortion_variance,
+)
 
 
 @pytest.fixture
@@ -20,3 +28,59 @@ def exact_gain_config(**overrides) -> SystemConfig:
     )
     fields.update(overrides)
     return SystemConfig(**fields)
+
+
+# --- independent references the tests compare the package against ----------
+
+
+def threshold_f_alt(b: int, x_int: float = 1.0) -> float:
+    """Algebraically equivalent rearrangement of optimizer.threshold_f."""
+    al = b / (b + 1.0)
+    sq = math.sqrt(al)
+    e = quantization_distortion_variance(b, x_int)
+    num = sq * (1.0 + e) - al * (1.0 + e / 4.0)
+    den = (1.0 + e / 4.0) - sq * (1.0 + e)
+    return num / den
+
+
+def estimation_quality_tapwise(
+    config: SystemConfig, design: DesignPoint, sigma2: np.ndarray
+) -> float:
+    """c as the sum of per-tap LMMSE qualities d[l]*sigma2[l], for any power
+    delay profile; equals linkrate.estimation_quality for the uniform one."""
+    sigma2 = np.asarray(sigma2, dtype=float)
+    budget = link_budget(config, design.B_w, design.b)
+    rx = budget.P / design.B_w
+    sig = rx * config.n_pilot * budget.mu * sigma2
+    d = sig / (sig + budget.E + budget.mu * config.N_0)
+    return float(np.sum(d * sigma2))
+
+
+def mrc_combine_time(y_q: np.ndarray, h_hat: np.ndarray, n_data: int) -> np.ndarray:
+    """Time-domain FIR realization of montecarlo.mrc_combine, returned in the
+    frequency domain for comparison.  O(N^2)."""
+    h_freq = np.fft.fft(h_hat, n=n_data, axis=2)
+    w_time = np.fft.ifft(h_freq.conj(), axis=2)  # (M, K, N_d)
+    n = np.arange(n_data)
+    idx = (n[None, :] - n[:, None]) % n_data  # [l, n] -> (n - l) mod N_d
+    y_shift = y_q[:, idx]  # (M, L=N_d, N_d)
+    x_time = np.einsum("mkl,mln->kn", w_time, y_shift)
+    return np.fft.fft(x_time, axis=1) / math.sqrt(n_data)
+
+
+def pilot_correlations(phi: np.ndarray, n_taps: int) -> np.ndarray:
+    """C[k, i, l] = sum_n phi_k[n] * conj(phi_i[(n+l) mod N_p])."""
+    n_users = phi.shape[0]
+    out = np.empty((n_users, n_users, n_taps), dtype=complex)
+    for lag in range(n_taps):
+        out[:, :, lag] = phi @ np.roll(phi, -lag, axis=1).conj().T
+    return out
+
+
+def max_orthogonality_defect(phi: np.ndarray, n_taps: int) -> float:
+    """Largest deviation of the pilot correlations from the ideal pattern."""
+    corr = pilot_correlations(phi, n_taps)
+    target = np.zeros_like(corr)
+    k = np.arange(phi.shape[0])
+    target[k, k, 0] = phi.shape[1]
+    return float(np.max(np.abs(corr - target)))

@@ -23,9 +23,10 @@ from fronthaul_mimo.optimizer import (
     rate_of_s,
     rate_of_s_derivative,
     threshold_f,
-    threshold_f_alt,
 )
 from fronthaul_mimo.sysmodel import DesignPoint, SystemConfig
+
+from conftest import threshold_f_alt
 
 
 def report(name: str, ok: bool, detail: str = "") -> None:

@@ -20,6 +20,20 @@ def write_config(tmp_path, text, name="run.cfg"):
     path.write_text(text, encoding="utf-8")
     return str(path)
 
+
+def strict_json(text):
+    """Parse one JSON document, refusing the NaN and Infinity tokens."""
+    def refuse(token):
+        raise ValueError(f"non-JSON token {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def assert_model_error(code, out):
+    assert code == 2
+    assert out.count("\n") == 1
+    assert strict_json(out)["error"] == "model"
+
 class TestParseConfig:
     def test_empty_gives_defaults(self):
         config, spec = parse_config_text("")
@@ -149,6 +163,15 @@ class TestMainRate:
         assert out["rate_bps"] > 0
         assert out["fronthaul_load_bps"] == pytest.approx(5e11)
 
+    def test_non_finite_input_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "gamma_ref_db = nan\n")
+        for argv in (
+            ["rate", "--config", cfg, "--bw", "2e8", "--m", "64"],
+            ["rate", "--bw", "inf", "--m", "64"],
+            ["rate", "--bw", "1e-300", "--m", "64"],  # finite, but the rate is not
+        ):
+            assert_model_error(main(argv), capsys.readouterr().out)
+
 class TestMainOptimize:
     def test_report_fields(self, capsys):
         code = main(["optimize"])
@@ -163,6 +186,12 @@ class TestMainOptimize:
         code = main(["optimize", "--config", cfg])
         assert code == 2
         assert json.loads(capsys.readouterr().out)["error"] == "model"
+        # a zero flag is a given value, not a missing one
+        for argv in (
+            ["rate", "--bw", "0", "--m", "64"],
+            ["rate", "--bw", "2e8", "--m", "64", "--b", "0"],
+        ):
+            assert_model_error(main(argv), capsys.readouterr().out)
 
     def test_doubling_capacity_raises_rate(self, tmp_path, capsys):
         cfg1 = write_config(tmp_path, "C_f = 100e9\n", "a.cfg")
@@ -246,3 +275,12 @@ class TestMcValidate:
         assert len(out["points"]) == 2
         for point in out["points"]:
             assert point["rel_err"] < 0.2
+
+    def test_single_trial_stderr_is_null(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "K = 2\nL = 2\nN = 128\nX_int = 2.5\nB_w = 1e8\nM = 16\n")
+        code = main(["mc-validate", "--config", cfg, "--bits", "1", "--mode", "pqn",
+                     "--trials", "1"])
+        assert code == 0
+        (point,) = strict_json(capsys.readouterr().out)["points"]
+        assert point["stderr_bps"] is None
+        assert point["mc_bps"] > 0

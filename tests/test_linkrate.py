@@ -7,11 +7,13 @@ from fronthaul_mimo.errors import PilotOverheadError
 from fronthaul_mimo.linkrate import (
     achievable_rate,
     estimation_quality,
-    estimation_quality_tapwise,
     rate_from_sinqr,
     sinqr,
 )
+from fronthaul_mimo.montecarlo import lmmse_estimate
 from fronthaul_mimo.sysmodel import DesignPoint, SystemConfig, link_budget
+
+from conftest import estimation_quality_tapwise
 
 
 def random_setup(rng):
@@ -71,8 +73,12 @@ class TestEstimationQuality:
         cfg = SystemConfig.from_reference_snr(15.0, L=4)
         design = DesignPoint(B_w=1e8, M=64, b=2)
         exponential = np.exp(-0.5 * np.arange(4.0))
-        c = estimation_quality_tapwise(cfg, design, exponential / exponential.sum())
+        profile = exponential / exponential.sum()
+        c = estimation_quality_tapwise(cfg, design, profile)
         assert 0.0 < c < 1.0
+        # the simulator's per-tap LMMSE qualities give the same c
+        _, d = lmmse_estimate(np.zeros((1, 1, cfg.L), complex), cfg, design, profile)
+        assert float(np.sum(d * profile)) == pytest.approx(c, rel=1e-12)
 
 
 class TestSinqr:

@@ -11,11 +11,12 @@ from fronthaul_mimo.montecarlo import (
     lmmse_estimate,
     midrise_quantize,
     mrc_combine,
-    mrc_combine_time,
     quantize_block,
     simulate_block,
 )
 from fronthaul_mimo.sysmodel import DesignPoint, SystemConfig
+
+from conftest import max_orthogonality_defect, mrc_combine_time, pilot_correlations
 
 
 def small_config(**overrides):
@@ -37,8 +38,8 @@ class TestPowerDelayProfile:
     def test_empirical_tap_variance(self):
         rng = np.random.default_rng(0)
         pdp = PowerDelayProfile(np.array([0.5, 0.3, 0.2]))
-        chan = draw_channel(rng, 500, 200, pdp)  # 1e5 draws per tap
-        emp = np.mean(np.abs(chan.h) ** 2, axis=(0, 1))
+        h = draw_channel(rng, 500, 200, pdp)  # 1e5 draws per tap
+        emp = np.mean(np.abs(h) ** 2, axis=(0, 1))
         assert np.all(np.abs(emp / pdp.sigma2 - 1.0) < 0.03)
 
 
@@ -50,7 +51,7 @@ class TestPilots:
 
     def test_two_users_two_taps(self):
         pm = generate_pilots(2, 2, 4)
-        corr = pm.correlations()
+        corr = pilot_correlations(pm.phi, pm.n_taps)
         assert corr[0, 0, 0] == pytest.approx(4.0, abs=1e-12)
         assert corr[1, 1, 0] == pytest.approx(4.0, abs=1e-12)
         assert abs(corr[0, 1, 0]) < 1e-12
@@ -64,7 +65,8 @@ class TestPilots:
             l = int(rng.integers(1, 7))
             theta = float(rng.uniform(1.0, 3.0))
             n_p = max(k * l, int(np.floor(theta * k * l + 0.5)))
-            assert generate_pilots(k, l, n_p).max_orthogonality_defect() < 1e-9
+            pm = generate_pilots(k, l, n_p)
+            assert max_orthogonality_defect(pm.phi, pm.n_taps) < 1e-9
 
     def test_too_short_rejected(self):
         with pytest.raises(ConfigValueError):

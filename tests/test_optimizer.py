@@ -3,14 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from fronthaul_mimo.errors import InfeasibleError, PilotExcessTooSmallError
+from fronthaul_mimo.cli import SweepSpec, run_sweep
+from fronthaul_mimo.errors import InfeasibleError, SweepPointError
 from fronthaul_mimo.linkrate import achievable_rate
 from fronthaul_mimo.optimizer import (
     antenna_condition,
     bandwidth_condition,
     interference_noise_ratio,
-    best_fixed_bandwidth_design,
-    best_fixed_antennas_design,
     maximize_over_s,
     optimize_full,
     pade_bandwidth_condition,
@@ -19,11 +18,27 @@ from fronthaul_mimo.optimizer import (
     search_state,
     one_bit_always_optimal,
     threshold_f,
-    threshold_f_alt,
 )
 from fronthaul_mimo.sysmodel import DesignPoint, SystemConfig
 
-from conftest import exact_gain_config
+from conftest import exact_gain_config, threshold_f_alt
+
+
+def best_bits_at_bandwidth(cfg: SystemConfig, b_w: float) -> int:
+    """Brute force over b with every antenna the fronthaul carries at B_w."""
+    rates = {
+        b: achievable_rate(
+            cfg, DesignPoint(B_w=b_w, M=int(cfg.C_f // (b_w * b)), b=b)
+        ).rate_bps
+        for b in range(1, 13)
+        if cfg.C_f // (b_w * b) >= 1
+    }
+    return max(rates, key=rates.get)
+
+
+def antenna_trajectory(cfg: SystemConfig, m: int) -> list[DesignPoint]:
+    """Designs at fixed M on the cap, B_w = C_f/(M*b), for b = 1..12."""
+    return [DesignPoint(B_w=cfg.C_f / (m * b), M=m, b=b) for b in range(1, 13)]
 
 
 class TestThresholdFunction:
@@ -85,11 +100,11 @@ class TestBandwidthCondition:
 class TestFixedBandwidthOptimum:
     def test_reference_scenario(self):
         cfg = SystemConfig.from_reference_snr(15.0, K=20, C_f=500e9)
-        best = best_fixed_bandwidth_design(cfg, 2e8)
-        assert best.M == 2500
-        assert best.b == 1
+        assert best_bits_at_bandwidth(cfg, 2e8) == 1
+        assert int(cfg.C_f // 2e8) == 2500
 
     def test_brute_force_agreement(self):
+        # one bit on every antenna the fronthaul carries wins at a fixed B_w
         rng = np.random.default_rng(5)
         for _ in range(20):
             cfg = SystemConfig.from_reference_snr(
@@ -99,64 +114,54 @@ class TestFixedBandwidthOptimum:
                 N=4000,
             )
             b_w = 10.0 ** float(rng.uniform(7, 9.3))
-            shortcut = best_fixed_bandwidth_design(cfg, b_w)
-            rates = {
-                b: achievable_rate(
-                    cfg, DesignPoint(B_w=b_w, M=int(cfg.C_f // (b_w * b)), b=b)
-                ).rate_bps
-                for b in range(1, 13)
-                if cfg.C_f // (b_w * b) >= 1
-            }
-            assert max(rates, key=rates.get) == 1
-            assert shortcut.b == 1
+            assert best_bits_at_bandwidth(cfg, b_w) == 1
 
     def test_infeasible_when_no_antenna_fits(self):
-        cfg = SystemConfig(C_f=1e6)
-        with pytest.raises(InfeasibleError):
-            best_fixed_bandwidth_design(cfg, 2e6)
+        # the program's fixed-bandwidth path: a sweep with M bound to the cap
+        spec = SweepSpec(axis="b", values=(1.0,), bind="antennas", B_w=2e6)
+        with pytest.raises(SweepPointError, match="no antenna fits"):
+            run_sweep(SystemConfig(C_f=1e6), spec)
 
     def test_small_pilot_excess_rejected(self):
-        cfg = SystemConfig(theta=0.5)
-        with pytest.raises(PilotExcessTooSmallError):
-            best_fixed_bandwidth_design(cfg, 1e8)
+        # below unit pilot excess the search may not fix b = 1 outright, even
+        # where the certificate holds at theta = 1
+        res = optimize_full(SystemConfig.from_reference_snr(30.0, K=20, C_f=50e9, theta=0.5))
+        assert not res.fixed_one_bit
+        assert {d.b for d, _ in res.trace} == set(range(1, 13))
 
 
 class TestFixedAntennasOptimum:
     def test_reference_scenario_candidate(self):
         cfg = SystemConfig.from_reference_snr(15.0, K=20, C_f=500e9)
-        out = best_fixed_antennas_design(cfg, 200)
-        assert out.design.b == 1
-        assert out.design.B_w == pytest.approx(2.5e9, rel=1e-12)
+        one_bit = antenna_trajectory(cfg, 200)[0]
+        assert one_bit.B_w == pytest.approx(2.5e9, rel=1e-12)
         # I/N_0 = 0.253 at 2.5 GHz sits below the one-bit threshold, so the
         # sufficient condition cannot certify this candidate.
-        assert not out.applicable
+        assert not bandwidth_condition(cfg, one_bit)
 
     def test_low_snr_not_applicable(self):
         cfg = SystemConfig.from_reference_snr(-10.0, K=20, C_f=500e9)
-        assert not best_fixed_antennas_design(cfg, 200).applicable
+        assert not all(bandwidth_condition(cfg, d) for d in antenna_trajectory(cfg, 200))
 
     def test_brute_force_agreement_when_certified(self):
+        # one bit wins at M = 20000 where the condition certifies the whole
+        # trajectory
         cfg = SystemConfig.from_reference_snr(15.0, K=20, C_f=500e9)
-        out = best_fixed_antennas_design(cfg, 20000)
-        assert out.applicable
-        rates = {
-            b: achievable_rate(
-                cfg, DesignPoint(B_w=cfg.C_f / (20000 * b), M=20000, b=b)
-            ).rate_bps
-            for b in range(1, 13)
-        }
-        assert max(rates, key=rates.get) == 1
-        assert out.design.b == 1
+        trajectory = antenna_trajectory(cfg, 20000)
+        assert all(bandwidth_condition(cfg, d) for d in trajectory)
+        rates = [achievable_rate(cfg, d).rate_bps for d in trajectory]
+        assert max(range(len(rates)), key=rates.__getitem__) == 0
 
 
 class TestRateOfS:
     def test_matches_linkrate_at_integer_antennas(self, base_config):
-        for m in (3, 17, 100, 381, 2500, 40000):
-            s = 1.0 / m
-            direct = achievable_rate(
-                base_config, DesignPoint(B_w=base_config.C_f * s, M=m, b=2)
-            ).rate_bps
-            assert rate_of_s(base_config, s, 2) == pytest.approx(direct, rel=1e-10)
+        for b in (1, 2, 3):
+            for m in (3, 17, 100, 381, 2500, 40000):
+                s = 1.0 / m
+                direct = achievable_rate(
+                    base_config, DesignPoint(B_w=base_config.C_f * s / b, M=m, b=b)
+                ).rate_bps
+                assert rate_of_s(base_config, s, b) == pytest.approx(direct, rel=1e-10)
 
     def test_vanishes_at_lower_boundary(self, base_config):
         tiny = rate_of_s(base_config, 2.0 / base_config.C_f, 1)
@@ -175,9 +180,10 @@ class TestRateOfS:
             rate_of_s(base_config, 1.5, 1)
 
     def test_constraint_product_invariant(self, base_config):
-        for s in (1e-6, 1e-3, 0.3, 1.0):
-            st = search_state(base_config, s, 1)
-            assert st.m_bar * st.bw_bar == pytest.approx(base_config.C_f, rel=1e-12)
+        for b in (1, 3):
+            for s in (1e-6, 1e-3, 0.3, 1.0):
+                st = search_state(base_config, s, b)
+                assert st.m_bar * st.bw_bar * b == pytest.approx(base_config.C_f, rel=1e-12)
 
 
 class TestDerivative:
@@ -247,7 +253,7 @@ class TestSufficientConditions:
             s = 10.0 ** float(rng.uniform(-8, -0.01))
             b = int(rng.integers(1, 5))
             m = max(1, int(round(1.0 / s)))
-            design = DesignPoint(B_w=base_config.C_f * s, M=m, b=b)
+            design = DesignPoint(B_w=base_config.C_f * s / b, M=m, b=b)
             if pade_bandwidth_condition(base_config, design):
                 checked += 1
                 assert rate_of_s_derivative(base_config, s, b) > 0.0
@@ -274,7 +280,7 @@ class TestSufficientConditions:
             s = 10.0 ** float(rng.uniform(-8, -0.01))
             b = int(rng.integers(1, 5))
             m = max(1, int(round(1.0 / s)))
-            design = DesignPoint(B_w=base_config.C_f * s, M=m, b=b)
+            design = DesignPoint(B_w=base_config.C_f * s / b, M=m, b=b)
             if antenna_condition(base_config, design):
                 checked += 1
                 assert rate_of_s_derivative(base_config, s, b) < 0.0
@@ -312,16 +318,18 @@ class TestOptimizeFull:
         assert 1 < res.best.M
         assert res.best.B_w < base_config.C_f
 
-    def test_beats_lattice(self, base_config):
-        res = optimize_full(base_config)
-        s_grid = np.logspace(math.log10(2.0 / base_config.C_f), 0, 200)
+    @pytest.mark.parametrize("x_int", [1.0, 4.0])
+    def test_beats_lattice(self, base_config, x_int):
+        # at X_int = 4 the optimum has b > 1, where the relaxed search must
+        # follow the b-bit constraint curve to land near the lattice optimum
+        cfg = base_config.replace(X_int=x_int)
+        res = optimize_full(cfg)
+        s_grid = np.logspace(math.log10(2.0 / cfg.C_f), 0, 200)
         for b in range(1, 13):
             for s in s_grid:
                 m = max(1, int(round(1.0 / s)))
-                d = DesignPoint(B_w=base_config.C_f / (m * b), M=m, b=b)
-                assert achievable_rate(base_config, d).rate_bps <= res.rate.rate_bps * (
-                    1 + 1e-9
-                )
+                d = DesignPoint(B_w=cfg.C_f / (m * b), M=m, b=b)
+                assert achievable_rate(cfg, d).rate_bps <= res.rate.rate_bps * (1 + 1e-9)
 
     def test_more_fronthaul_more_rate(self, base_config):
         r1 = optimize_full(base_config).rate.rate_bps
@@ -331,6 +339,12 @@ class TestOptimizeFull:
     def test_infeasible_capacity(self):
         with pytest.raises(InfeasibleError):
             optimize_full(SystemConfig(C_f=0.5))
+
+    def test_single_point_capacity(self):
+        # C_f = 1 leaves one design, s = 1 at both ends of the curve's domain
+        res = optimize_full(SystemConfig(C_f=1.0))
+        assert res.best == DesignPoint(B_w=1.0, M=1, b=1)
+        assert res.relaxed_s == 1.0
 
     def test_trace_and_relaxed_reported(self, base_config):
         res = optimize_full(base_config)

@@ -7,8 +7,6 @@ from fronthaul_mimo.errors import ConfigValueError, PilotOverheadError
 from fronthaul_mimo.sysmodel import (
     DesignPoint,
     SystemConfig,
-    channel_inversion_power,
-    draw_user_betas,
     link_budget,
     pathloss_linear,
     quantization_distortion_variance,
@@ -95,6 +93,12 @@ class TestSystemConfig:
         for field, value in [("C_f", 0.0), ("N_0", -1.0), ("P_max", 0.0), ("X_int", 0.0)]:
             with pytest.raises(ConfigValueError):
                 SystemConfig(**{field: value})
+        for field in ("C_f", "theta", "P_max", "pathloss_slope"):
+            for value in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ConfigValueError, match="finite"):
+                    SystemConfig(**{field: value})
+        with pytest.raises(ConfigValueError, match="finite"):
+            SystemConfig.from_reference_snr(math.nan)
 
 
 class TestReferenceSnr:
@@ -111,30 +115,6 @@ class TestReferenceSnr:
         cfg = SystemConfig.from_reference_snr(15.0)
         # oracle: 10**1.5 * 1e6
         assert cfg.P_max * cfg.beta_edge / cfg.N_0 == pytest.approx(31.6228e6, rel=1e-4)
-
-
-class TestChannelInversion:
-    def test_edge_user_at_full_power(self, base_config):
-        b_w = 1e8
-        p = channel_inversion_power(base_config, b_w, base_config.beta_edge)
-        assert p == pytest.approx(base_config.P_max / b_w, rel=1e-14)
-
-    def test_double_gain_halves_power(self, base_config):
-        b_w = 1e8
-        p = channel_inversion_power(base_config, b_w, 2.0 * base_config.beta_edge)
-        assert p == pytest.approx(base_config.P_max / (2.0 * b_w), rel=1e-14)
-
-    def test_uniform_drop_equal_received_power(self, base_config):
-        rng = np.random.default_rng(42)
-        betas = draw_user_betas(base_config, rng)
-        received = np.array(
-            [b * channel_inversion_power(base_config, 2e8, b) for b in betas]
-        )
-        assert received.max() / received.min() - 1.0 < 1e-12
-
-    def test_rejects_user_beyond_edge(self, base_config):
-        with pytest.raises(ConfigValueError):
-            channel_inversion_power(base_config, 1e8, 0.5 * base_config.beta_edge)
 
 
 class TestLinkBudget:
@@ -163,3 +143,7 @@ class TestLinkBudget:
         assert d.fronthaul_load == pytest.approx(5e11, rel=1e-15)
         assert d.is_feasible(5e11)
         assert not d.is_feasible(4.9e11)
+        for field in ("B_w", "M", "b"):
+            for value in (math.nan, math.inf):
+                with pytest.raises(ConfigValueError, match=f"{field} must be"):
+                    DesignPoint(**{"B_w": 2e8, "M": 2500, "b": 1, field: value})
