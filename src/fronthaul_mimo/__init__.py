@@ -7,7 +7,6 @@ from .errors import (
     ConfigSyntaxError,
     ConfigValueError,
     InfeasibleError,
-    InsufficientTrialsError,
     PilotOverheadError,
     SweepPointError,
 )
@@ -23,7 +22,6 @@ from .montecarlo import (
 )
 from .optimizer import (
     OptimizationResult,
-    SearchState,
     maximize_over_s,
     optimize_full,
     rate_of_s,
@@ -45,7 +43,6 @@ __all__ = [
     "DesignPoint",
     "EmpiricalRate",
     "InfeasibleError",
-    "InsufficientTrialsError",
     "LinkBudget",
     "McBlock",
     "OptimizationResult",
@@ -53,7 +50,6 @@ __all__ = [
     "PilotOverheadError",
     "PowerDelayProfile",
     "RateBreakdown",
-    "SearchState",
     "SweepPointError",
     "SystemConfig",
     "achievable_rate",

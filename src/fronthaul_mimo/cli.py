@@ -325,9 +325,7 @@ def _evaluate_point(
     }
     if spec.trials:
         seq = np.random.SeedSequence(entropy=spec.seed, spawn_key=(index,))
-        mc = montecarlo.empirical_rate(
-            cfg, design, spec.trials, seq, mode=spec.mc_mode, stability_bound=None
-        )
+        mc = montecarlo.empirical_rate(cfg, design, spec.trials, seq, mode=spec.mc_mode)
         row["mc_rate_bps"] = mc.rate_bps
         row["mc_stderr_bps"] = mc.stderr_bps
         row["clip_rate"] = mc.clip_rate
@@ -466,9 +464,7 @@ def mc_validate_report(
         for mode in modes:
             mode_key = montecarlo.QUANTIZE_MODES.index(mode)
             seq = np.random.SeedSequence(entropy=seed, spawn_key=(b, mode_key))
-            mc = montecarlo.empirical_rate(
-                config, design, trials, seq, mode=mode, stability_bound=None
-            )
+            mc = montecarlo.empirical_rate(config, design, trials, seq, mode=mode)
             points.append(
                 {
                     "b": b,
@@ -599,7 +595,12 @@ def main(argv=None) -> int:
         elif args.command == "mc-validate":
             config, spec = _load(args)
             anchor = _anchor_design(spec, args)
-            bits = tuple(int(v) for v in args.bits.split(","))
+            try:
+                bits = tuple(int(v) for v in args.bits.split(","))
+            except ValueError:
+                raise ConfigSyntaxError(
+                    f"--bits must be a comma list of integers, got {args.bits!r}"
+                ) from None
             modes = ("pqn", "uniform") if args.mode == "both" else (args.mode,)
             report = mc_validate_report(
                 config,

@@ -21,9 +21,5 @@ class InfeasibleError(ValueError):
     """No design satisfies the fronthaul constraint."""
 
 
-class InsufficientTrialsError(RuntimeError):
-    """Monte Carlo estimate too noisy at the requested trial count."""
-
-
 class SweepPointError(RuntimeError):
     """A sweep grid point failed; carries the grid context in the message."""

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InfeasibleError
+from .errors import ConfigValueError, InfeasibleError
 from .linkrate import RateBreakdown, achievable_rate
 from .sysmodel import (
     DesignPoint,
@@ -75,20 +75,6 @@ def bandwidth_condition(config: SystemConfig, design: DesignPoint) -> bool:
     return interference_noise_ratio(config, design.B_w) > num / den
 
 
-@dataclass(frozen=True)
-class SearchState:
-    """One point of the s-parameterized search, with the derivative pieces."""
-
-    s: float
-    upsilon: float
-    tau: float
-    omega: float
-    omega_dot: float
-    m_bar: float
-    bw_bar: float
-    b: int
-
-
 def _curve_slope(config: SystemConfig, b: int) -> float:
     """dB_w/ds on the constraint curve.
 
@@ -117,7 +103,7 @@ def curve_bandwidth(config: SystemConfig, s: float, b: int) -> float:
 
 
 def _omega_terms(config: SystemConfig, s, b: int):
-    """omega(s), its derivative, and tau(theta, s) for the constraint curve."""
+    """omega(s) and its derivative on the constraint curve."""
     slope = _curve_slope(config, b)
     p = config.P_max * config.beta_edge
     kp = config.K * p
@@ -126,14 +112,14 @@ def _omega_terms(config: SystemConfig, s, b: int):
     te = config.theta_eff
     u = kp + slope * config.N_0 * s
     u_dot = slope * config.N_0
-    tau = (te - 1.0) * kp * one * u
-    denom = one * u * ((te - 1.0) * kp + one * u)  # = tau + (1+E)^2 u^2
+    # tau(theta, s) + (1+E)^2 u^2, with tau = (theta_eff - 1) KP (1+E) u
+    denom = one * u * ((te - 1.0) * kp + one * u)
     denom_dot = one * u_dot * ((te - 1.0) * kp + 2.0 * one * u)
     a = p * p * config.n_pilot / config.L
     g = s * denom
     omega = a / g
-    omega_dot = -a * (denom + s * denom_dot) / (g * g)
-    return omega, omega_dot, tau
+    omega_dot = -omega * (denom + s * denom_dot) / g  # not a/g^2: g^2 overflows
+    return omega, omega_dot
 
 
 def _upsilon(config: SystemConfig, b: int) -> float:
@@ -147,7 +133,7 @@ def rate_of_s(config: SystemConfig, s, b: int):
     """
     _s_domain_check(config, s, b)
     s = np.asarray(s, dtype=float)
-    omega, _, _ = _omega_terms(config, s, b)
+    omega, _ = _omega_terms(config, s, b)
     out = _upsilon(config, b) * s * np.log1p(omega)
     return float(out) if out.ndim == 0 else out
 
@@ -156,48 +142,46 @@ def rate_of_s_derivative(config: SystemConfig, s, b: int):
     """Closed-form dR/ds; its sign gives the ascent direction."""
     _s_domain_check(config, s, b)
     s = np.asarray(s, dtype=float)
-    omega, omega_dot, _ = _omega_terms(config, s, b)
+    omega, omega_dot = _omega_terms(config, s, b)
     out = _upsilon(config, b) * (np.log1p(omega) + s * omega_dot / (1.0 + omega))
     return float(out) if out.ndim == 0 else out
 
 
-def search_state(config: SystemConfig, s: float, b: int) -> SearchState:
-    bw_bar = curve_bandwidth(config, s, b)
-    omega, omega_dot, tau = _omega_terms(config, float(s), b)
-    return SearchState(
-        s=float(s),
-        upsilon=_upsilon(config, b),
-        tau=float(tau),
-        omega=float(omega),
-        omega_dot=float(omega_dot),
-        m_bar=1.0 / float(s),
-        bw_bar=bw_bar,
-        b=b,
-    )
+def _finite_derivative(config: SystemConfig, s: float, b: int) -> float:
+    d = rate_of_s_derivative(config, s, b)
+    if not math.isfinite(d):
+        raise ConfigValueError(
+            f"dR/ds at s={s}, b={b} is not finite: C_f={config.C_f} is beyond "
+            "the float range of the constraint-curve search"
+        )
+    return d
 
 
-def maximize_over_s(config: SystemConfig, b: int) -> SearchState:
-    """Maximizer of R(s) by bisection on the derivative sign, valid because
-    the derivative changes sign exactly once.
+def maximize_over_s(config: SystemConfig, b: int) -> float:
+    """Maximizer s* of R(s) by bisection on the derivative sign, valid
+    because the derivative changes sign exactly once.
 
     Returns the boundary point when the derivative never changes sign.
-    Absolute tolerance 1e-10 in s.
+    Absolute tolerance 1e-10 in s.  Raises ConfigValueError when the
+    derivative overflows, which only a capacity C_f far beyond any physical
+    fronthaul causes.
     """
     hi = 1.0
     lo = min(hi, (1.0 / _curve_slope(config, b)) * (1.0 + 1e-9))
-    d_lo = rate_of_s_derivative(config, lo, b)
-    d_hi = rate_of_s_derivative(config, hi, b)
-    if d_lo <= 0.0 and d_hi <= 0.0:
-        return search_state(config, lo, b)
-    if d_lo >= 0.0 and d_hi >= 0.0:
-        return search_state(config, hi, b)
-    while hi - lo > S_TOLERANCE:
-        mid = 0.5 * (lo + hi)
-        if rate_of_s_derivative(config, mid, b) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return search_state(config, 0.5 * (lo + hi), b)
+    with np.errstate(all="ignore"):  # an overflow is reported as one error below
+        d_lo = _finite_derivative(config, lo, b)
+        d_hi = _finite_derivative(config, hi, b)
+        if d_lo <= 0.0 and d_hi <= 0.0:
+            return lo
+        if d_lo >= 0.0 and d_hi >= 0.0:
+            return hi
+        while hi - lo > S_TOLERANCE:
+            mid = 0.5 * (lo + hi)
+            if _finite_derivative(config, mid, b) > 0.0:
+                lo = mid
+            else:
+                hi = mid
+    return 0.5 * (lo + hi)
 
 
 def one_bit_always_optimal(config: SystemConfig) -> bool:
@@ -208,9 +192,10 @@ def one_bit_always_optimal(config: SystemConfig) -> bool:
     """
     if config.theta < 1.0:
         return False
-    st = maximize_over_s(config, 1)
-    m = max(1, int(round(st.m_bar)))
-    return bandwidth_condition(config, DesignPoint(B_w=st.bw_bar, M=m, b=1))
+    s = maximize_over_s(config, 1)
+    m = max(1, int(round(1.0 / s)))
+    design = DesignPoint(B_w=curve_bandwidth(config, s, 1), M=m, b=1)
+    return bandwidth_condition(config, design)
 
 
 def pade_bandwidth_condition(config: SystemConfig, design: DesignPoint) -> bool:
@@ -273,12 +258,12 @@ def optimize_full(config: SystemConfig, b_max: int = DEFAULT_B_MAX) -> Optimizat
 
     trace: list[tuple[DesignPoint, RateBreakdown]] = []
     best: tuple | None = None
-    best_state: SearchState | None = None
+    best_s = math.nan
     for b in bits:
         if config.C_f / b < 1.0:
             continue
-        st = maximize_over_s(config, b)
-        m_center = st.m_bar
+        s = maximize_over_s(config, b)
+        m_center = 1.0 / s
         m_lo = max(1, int(math.floor(m_center)) - M_NEIGHBORHOOD)
         m_hi = min(int(math.floor(config.C_f / b)), int(math.ceil(m_center)) + M_NEIGHBORHOOD)
         for m in range(m_lo, m_hi + 1):
@@ -288,19 +273,18 @@ def optimize_full(config: SystemConfig, b_max: int = DEFAULT_B_MAX) -> Optimizat
             key = (-breakdown.rate_bps, b, m)
             if best is None or key < best[0]:
                 best = (key, design, breakdown)
-                best_state = st
+                best_s = s
     if best is None:
         raise InfeasibleError("no feasible integer design on the constraint curve")
 
     _, design, breakdown = best
-    assert best_state is not None
     slack = abs(design.fronthaul_load - config.C_f)
     return OptimizationResult(
         best=design,
         rate=breakdown,
         trace=tuple(trace),
         binding=slack <= design.B_w * design.b,
-        relaxed_s=best_state.s,
-        relaxed_rate_bps=float(rate_of_s(config, best_state.s, design.b)),
+        relaxed_s=best_s,
+        relaxed_rate_bps=float(rate_of_s(config, best_s, design.b)),
         fixed_one_bit=fixed_one_bit,
     )

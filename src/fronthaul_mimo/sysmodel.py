@@ -203,7 +203,12 @@ def reference_snr_to_power(config: SystemConfig, gamma_ref_db: float) -> float:
     """P_max such that the cell-edge SNR in 1 MHz equals gamma_ref_db."""
     if not math.isfinite(gamma_ref_db):
         raise ConfigValueError(f"gamma_ref_db must be finite, got {gamma_ref_db}")
-    gamma_lin = 10.0 ** (gamma_ref_db / 10.0)
+    try:
+        gamma_lin = 10.0 ** (gamma_ref_db / 10.0)
+    except OverflowError:
+        raise ConfigValueError(
+            f"gamma_ref_db={gamma_ref_db} overflows the linear power scale"
+        ) from None
     return gamma_lin * REFERENCE_BANDWIDTH_HZ * config.N_0 / config.beta_edge
 
 

@@ -99,7 +99,7 @@ def test_constraint_curve_unimodal_and_concave_ascent():
                 [rate_of_s_derivative(cfg, s, b) for s in np.logspace(-9, 0, 500)]
             )
             assert int(np.count_nonzero(np.diff(signs))) == 1
-            s_star = maximize_over_s(cfg, b).s
+            s_star = maximize_over_s(cfg, b)
             grid = np.linspace(s_star * 1e-3, s_star, 1000)
             r = rate_of_s(cfg, grid, b)
             worst = max(worst, float(np.diff(r, 2).max() / np.abs(r).max()))
@@ -194,10 +194,11 @@ def _one_bit_interior_optimum(cfg: SystemConfig):
     grid = np.logspace(math.log10(1.5 / cfg.C_f), 0, 3000)
     signs = np.sign([rate_of_s_derivative(cfg, s, 1) for s in grid])
     sign_changes = int(np.count_nonzero(np.diff(signs)))
-    st = maximize_over_s(cfg, 1)
-    interior = 1.0 / cfg.C_f < st.s < 1.0
+    s_star = maximize_over_s(cfg, 1)
+    interior = 1.0 / cfg.C_f < s_star < 1.0
+    m_bar = int(1.0 / s_star)
     best = None
-    for m in range(max(1, int(st.m_bar) - 2), int(st.m_bar) + 3):
+    for m in range(max(1, m_bar - 2), m_bar + 3):
         d = DesignPoint(B_w=cfg.C_f / m, M=m, b=1)
         r = achievable_rate(cfg, d).rate_bps
         if best is None or r > best[0]:

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 
@@ -165,8 +166,10 @@ class TestMainRate:
 
     def test_non_finite_input_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "gamma_ref_db = nan\n")
+        huge = write_config(tmp_path, "gamma_ref_db = 4000\n", "huge.cfg")  # 10**400
         for argv in (
             ["rate", "--config", cfg, "--bw", "2e8", "--m", "64"],
+            ["rate", "--config", huge, "--bw", "2e8", "--m", "64"],
             ["rate", "--bw", "inf", "--m", "64"],
             ["rate", "--bw", "1e-300", "--m", "64"],  # finite, but the rate is not
         ):
@@ -186,6 +189,15 @@ class TestMainOptimize:
         code = main(["optimize", "--config", cfg])
         assert code == 2
         assert json.loads(capsys.readouterr().out)["error"] == "model"
+        # a capacity whose constraint-curve derivative overflows
+        huge = write_config(tmp_path, "C_f = 1e300\n", "huge.cfg")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["optimize", "--config", huge])
+        captured = capsys.readouterr()
+        assert_model_error(code, captured.out)
+        assert "C_f" in strict_json(captured.out)["detail"]
+        assert not caught and captured.err == ""
         # a zero flag is a given value, not a missing one
         for argv in (
             ["rate", "--bw", "0", "--m", "64"],
@@ -275,6 +287,11 @@ class TestMcValidate:
         assert len(out["points"]) == 2
         for point in out["points"]:
             assert point["rel_err"] < 0.2
+        # an unparsable resolution list is a usage error, not a traceback
+        code = main(["mc-validate", "--config", cfg, "--bits", "x"])
+        out = capsys.readouterr().out
+        assert code == 1 and out.count("\n") == 1
+        assert strict_json(out)["error"] == "config"
 
     def test_single_trial_stderr_is_null(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "K = 2\nL = 2\nN = 128\nX_int = 2.5\nB_w = 1e8\nM = 16\n")

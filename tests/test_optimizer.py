@@ -9,13 +9,13 @@ from fronthaul_mimo.linkrate import achievable_rate
 from fronthaul_mimo.optimizer import (
     antenna_condition,
     bandwidth_condition,
+    curve_bandwidth,
     interference_noise_ratio,
     maximize_over_s,
     optimize_full,
     pade_bandwidth_condition,
     rate_of_s,
     rate_of_s_derivative,
-    search_state,
     one_bit_always_optimal,
     threshold_f,
 )
@@ -155,23 +155,18 @@ class TestFixedAntennasOptimum:
 
 class TestRateOfS:
     def test_matches_linkrate_at_integer_antennas(self, base_config):
-        for b in (1, 2, 3):
-            for m in (3, 17, 100, 381, 2500, 40000):
-                s = 1.0 / m
-                direct = achievable_rate(
-                    base_config, DesignPoint(B_w=base_config.C_f * s / b, M=m, b=b)
-                ).rate_bps
-                assert rate_of_s(base_config, s, b) == pytest.approx(direct, rel=1e-10)
+        for theta in (1.0, 2.0):  # the pilot-excess term of omega vanishes at 1
+            cfg = base_config.replace(theta=theta)
+            for b in (1, 2, 3):
+                for m in (3, 17, 100, 381, 2500, 40000):
+                    s = 1.0 / m
+                    design = DesignPoint(B_w=cfg.C_f * s / b, M=m, b=b)
+                    direct = achievable_rate(cfg, design).rate_bps
+                    assert rate_of_s(cfg, s, b) == pytest.approx(direct, rel=1e-10)
 
     def test_vanishes_at_lower_boundary(self, base_config):
         tiny = rate_of_s(base_config, 2.0 / base_config.C_f, 1)
         assert 0.0 < tiny < 1e-6 * rate_of_s(base_config, 1e-3, 1)
-
-    def test_unit_pilot_excess_drops_tau(self, base_config):
-        st = search_state(base_config, 1e-3, 1)
-        assert st.tau == 0.0
-        st2 = search_state(base_config.replace(theta=2.0), 1e-3, 1)
-        assert st2.tau > 0.0
 
     def test_domain_error(self, base_config):
         with pytest.raises(ValueError):
@@ -182,8 +177,8 @@ class TestRateOfS:
     def test_constraint_product_invariant(self, base_config):
         for b in (1, 3):
             for s in (1e-6, 1e-3, 0.3, 1.0):
-                st = search_state(base_config, s, b)
-                assert st.m_bar * st.bw_bar * b == pytest.approx(base_config.C_f, rel=1e-12)
+                b_w = curve_bandwidth(base_config, s, b)
+                assert (1.0 / s) * b_w * b == pytest.approx(base_config.C_f, rel=1e-12)
 
 
 class TestDerivative:
@@ -208,27 +203,26 @@ class TestDerivative:
             assert changes == 1
 
     def test_stationary_at_maximizer(self, base_config):
-        st = maximize_over_s(base_config, 1)
-        scale = abs(rate_of_s_derivative(base_config, st.s * 0.5, 1))
-        assert abs(rate_of_s_derivative(base_config, st.s, 1)) < 1e-6 * scale
+        s_star = maximize_over_s(base_config, 1)
+        scale = abs(rate_of_s_derivative(base_config, s_star * 0.5, 1))
+        assert abs(rate_of_s_derivative(base_config, s_star, 1)) < 1e-6 * scale
 
 
 class TestMaximizeOverS:
     def test_boundary_when_derivative_positive_everywhere(self):
         # very high SNR and tiny fronthaul: more bandwidth always wins
         cfg = SystemConfig.from_reference_snr(60.0, K=2, L=2, C_f=1e4)
-        st = maximize_over_s(cfg, 1)
-        assert st.s == 1.0
+        assert maximize_over_s(cfg, 1) == 1.0
 
     def test_interior_optimum_reference(self, base_config):
-        st = maximize_over_s(base_config, 1)
-        assert 1.0 / base_config.C_f < st.s < 1.0
-        assert rate_of_s_derivative(base_config, st.s * 0.9, 1) > 0
-        assert rate_of_s_derivative(base_config, min(1.0, st.s * 1.1), 1) < 0
+        s_star = maximize_over_s(base_config, 1)
+        assert 1.0 / base_config.C_f < s_star < 1.0
+        assert rate_of_s_derivative(base_config, s_star * 0.9, 1) > 0
+        assert rate_of_s_derivative(base_config, min(1.0, s_star * 1.1), 1) < 0
 
     def test_pilot_excess_moves_optimum_toward_bandwidth(self, base_config):
         stars = [
-            maximize_over_s(base_config.replace(theta=t), 1).s for t in (1.0, 2.0, 4.0, 8.0)
+            maximize_over_s(base_config.replace(theta=t), 1) for t in (1.0, 2.0, 4.0, 8.0)
         ]
         assert all(a < b for a, b in zip(stars, stars[1:]))
 
@@ -361,7 +355,7 @@ class TestConcavityAndDominance:
         for b in (1, 2, 3, 4):
             for theta in (1.0, 2.0, 4.0):
                 cfg = base_config.replace(theta=theta)
-                s_star = maximize_over_s(cfg, b).s
+                s_star = maximize_over_s(cfg, b)
                 ascent = np.linspace(s_star * 1e-3, s_star, 1000)
                 r = rate_of_s(cfg, ascent, b)
                 assert np.diff(r, 2).max() <= 1e-9 * np.abs(r).max()
