@@ -9,11 +9,20 @@ multiplied by sqrt(2*mu) with mu = 1/P_rx), so X_int is the no-overload
 half-width in units of the rail standard deviation and the additive
 surrogate adds variance E per rail.  The rate statistic is scale invariant,
 and the per-tap LMMSE gains below are derived in this domain, so the
-closed-form predictions apply unchanged.
+closed-form predictions apply unchanged.  The block pipeline never forms
+the unscaled received signal: the AGC factor and the amplitude sqrt(P/B_w)
+sit in the small shift matrices and in the noise scale, and the quantizer
+works in place on the interleaved real rails of each received array.
 
 Reproducibility: each trial draws from its own counter-derived substream
 (SeedSequence spawn keyed by trial index) and aggregates are reduced in
-trial order, so results do not depend on scheduling.
+trial order, so results do not depend on scheduling.  Within a trial the
+draws come in this order: the data symbols x (K, N_d), then the
+antenna-side arrays -- channel taps (M, K, L), pilot-phase noise (M, N_p),
+pilot-phase PQN noise, data-phase noise (M, N_d), data-phase PQN noise
+(the PQN draws only in ``pqn`` mode).  Each complex array is one
+standard-normal draw into its interleaved real view, real and imaginary
+part of each entry in turn.
 """
 
 from __future__ import annotations
@@ -55,6 +64,14 @@ class PowerDelayProfile:
         return self.sigma2.size
 
 
+def _complex_normal(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """Complex array whose real and imaginary parts are i.i.d. standard
+    normal, drawn in one call into its interleaved real view."""
+    z = np.empty(shape, dtype=complex)
+    rng.standard_normal(out=z.view(np.float64))
+    return z
+
+
 def draw_channel(
     rng: np.random.Generator,
     n_antennas: int,
@@ -63,9 +80,9 @@ def draw_channel(
 ) -> np.ndarray:
     """Draw i.i.d. circular Gaussian taps h[m, k, l] with the profile's
     per-tap variance."""
-    shape = (n_antennas, n_users, pdp.n_taps)
-    scale = np.sqrt(pdp.sigma2 / 2.0)[None, None, :]
-    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    h = _complex_normal(rng, (n_antennas, n_users, pdp.n_taps))
+    h *= np.sqrt(pdp.sigma2 / 2.0)
+    return h
 
 
 @dataclass(frozen=True)
@@ -95,17 +112,47 @@ def generate_pilots(n_users: int, n_taps: int, n_pilot: int) -> PilotMatrix:
     return PilotMatrix(phi=phi, n_taps=n_taps)
 
 
+def _midrise_in_place(v: np.ndarray, b: int, x_int: float) -> int:
+    """Midrise-quantize the real array ``v`` in place; returns the clip count."""
+    step = 2.0 * x_int / (2**b)
+    top = x_int - 0.5 * step
+    n_clipped = int(np.count_nonzero(v >= x_int) + np.count_nonzero(v <= -x_int))
+    v /= step
+    np.floor(v, out=v)
+    v += 0.5
+    v *= step
+    np.clip(v, -top, top, out=v)
+    return n_clipped
+
+
 def midrise_quantize(u: np.ndarray, b: int, x_int: float) -> tuple[np.ndarray, int]:
     """Uniform midrise quantizer on a real array.
 
     Step 2*x_int/2^b over [-x_int, x_int]; inputs beyond the no-overload
     interval saturate to the outermost level and are counted as clip events.
+    Returns a new array; ``u`` is not modified.
     """
-    step = 2.0 * x_int / (2**b)
-    top = x_int - 0.5 * step
-    q = (np.floor(u / step) + 0.5) * step
-    n_clipped = int(np.count_nonzero(np.abs(u) >= x_int))
-    return np.clip(q, -top, top), n_clipped
+    q = np.array(u, dtype=np.float64)
+    return q, _midrise_in_place(q, b, x_int)
+
+
+def _quantize_rails(
+    rails: np.ndarray,
+    b: int,
+    x_int: float,
+    mode: str,
+    rng: np.random.Generator | None,
+) -> int:
+    """Quantize ADC-domain real rails in place; returns the clip count."""
+    if mode == "uniform":
+        return _midrise_in_place(rails, b, x_int)
+    if mode != "pqn":
+        raise ConfigValueError(f"mode must be one of {QUANTIZE_MODES}, got {mode!r}")
+    if rng is None:
+        raise ConfigValueError("pqn mode needs a random generator")
+    half = x_int * 2.0 ** (-b)  # uniform(-half, half) has variance E per rail
+    rails += rng.uniform(-half, half, size=rails.shape)
+    return 0
 
 
 def quantize_block(
@@ -122,21 +169,10 @@ def quantize_block(
     The AGC scales each rail to unit variance (factor sqrt(2*mu) on the
     complex sample).  ``uniform`` applies the midrise quantizer per rail;
     ``pqn`` adds independent uniform noise of variance E per rail instead.
+    Returns a new array; ``y`` is not modified.
     """
-    if mode not in QUANTIZE_MODES:
-        raise ConfigValueError(f"mode must be one of {QUANTIZE_MODES}, got {mode!r}")
-    scale = math.sqrt(2.0 * mu)
-    re = scale * y.real
-    im = scale * y.imag
-    if mode == "uniform":
-        q_re, c_re = midrise_quantize(re, b, x_int)
-        q_im, c_im = midrise_quantize(im, b, x_int)
-        return q_re + 1j * q_im, c_re + c_im
-    if rng is None:
-        raise ConfigValueError("pqn mode needs a random generator")
-    half = x_int * 2.0 ** (-b)  # uniform(-half, half) has variance E per rail
-    noise = rng.uniform(-half, half, size=(2,) + y.shape)
-    return (re + noise[0]) + 1j * (im + noise[1]), 0
+    out = np.multiply(y, math.sqrt(2.0 * mu), dtype=complex, order="C")
+    return out, _quantize_rails(out.reshape(-1).view(np.float64), b, x_int, mode, rng)
 
 
 def lmmse_estimate(
@@ -171,12 +207,63 @@ def mrc_combine(y_q: np.ndarray, h_hat: np.ndarray, n_data: int) -> np.ndarray:
 
     Computed as the L-tap matched filter in time, c[k, n] =
     sum_{m,l} conj(h_hat[m, k, l]) * y[m, (n + l) mod N_d], followed by one
-    unitary DFT of the K filter outputs; no (M, K, N_d) array is formed.
+    unitary DFT of the K filter outputs.  The sum over antennas is one
+    product for all taps, z[k, l, n] = sum_m conj(h_hat[m, k, l]) * y[m, n];
+    each tap's (K, N_d) slice is then advanced by its lag and summed.
     """
-    c = np.zeros((h_hat.shape[1], n_data), dtype=complex)
-    for lag in range(h_hat.shape[2]):
-        c += h_hat[:, :, lag].conj().T @ np.roll(y_q, -lag, axis=1)
+    m_ant, k_users, n_taps = h_hat.shape
+    z = (h_hat.reshape(m_ant, k_users * n_taps).conj().T @ y_q).reshape(
+        k_users, n_taps, n_data
+    )
+    c = z[:, 0].copy()
+    for lag in range(1, n_taps):
+        c[:, : n_data - lag] += z[:, lag, lag:]
+        c[:, n_data - lag :] += z[:, lag, :lag]
     return np.fft.fft(c, axis=1) / math.sqrt(n_data)
+
+
+@dataclass(frozen=True)
+class BlockPlan:
+    """What every block at one design point shares; ``plan_block`` builds it
+    once per ``empirical_rate`` call.
+
+    The pilot shift matrix and ``data_gain`` carry the AGC factor
+    sqrt(2*mu) and the amplitude sqrt(P/B_w), and ``noise_std`` is the
+    ADC-domain noise standard deviation per rail, so the received arrays are
+    synthesized directly in the ADC domain.
+    """
+
+    config: SystemConfig
+    design: DesignPoint
+    pdp: PowerDelayProfile
+    pilot_shift: np.ndarray  # (K*L, N_p) ADC-domain shifted pilots
+    correlator: np.ndarray  # (N_p, K*L) unit-gain pilot correlator
+    data_index: np.ndarray  # (L, N_d) gather index (n - l) mod N_d
+    data_gain: float  # ADC-domain amplitude of a standard complex normal symbol
+    noise_std: float
+
+
+def plan_block(config: SystemConfig, design: DesignPoint) -> BlockPlan:
+    """Build the shared block set-up at one design point, uniform power
+    delay profile."""
+    n_p, n_d, n_taps = config.n_pilot, config.n_data, config.L
+    phi = generate_pilots(config.K, n_taps, n_p).phi
+    # row (k, l) of the shift matrix is phi_k[(n - l) mod N_p]
+    shift = np.stack([np.roll(phi, lag, axis=1) for lag in range(n_taps)], axis=1)
+    shift = shift.reshape(config.K * n_taps, n_p)
+    budget = link_budget(config, design.B_w, design.b)
+    agc = math.sqrt(2.0 * budget.mu)
+    amp = agc * math.sqrt(budget.P / design.B_w)
+    return BlockPlan(
+        config=config,
+        design=design,
+        pdp=PowerDelayProfile.uniform(n_taps),
+        pilot_shift=amp * shift,
+        correlator=shift.conj().T / math.sqrt(n_p),
+        data_index=(np.arange(n_d)[None, :] - np.arange(n_taps)[:, None]) % n_d,
+        data_gain=amp / math.sqrt(2.0),  # the symbols are drawn with variance 2
+        noise_std=agc * math.sqrt(config.N_0 / 2.0),
+    )
 
 
 @dataclass
@@ -193,67 +280,49 @@ class McBlock:
 
 
 def simulate_block(
-    config: SystemConfig,
-    design: DesignPoint,
+    plan: BlockPlan,
     rng: np.random.Generator,
     mode: str = "pqn",
-    pilots: PilotMatrix | None = None,
-    pdp: PowerDelayProfile | None = None,
 ) -> McBlock:
-    """Simulate one coherence block at one design point.
+    """Simulate one coherence block at the plan's design point.
 
     Channel-inversion power control is folded into a common received
     amplitude sqrt(P/B_w) per user; the AGC gain is the analytic 1/P_rx.
     Both cyclic convolutions are one matrix product of the (M, K*L) taps
-    with a (K*L, N) matrix of shifted sequences, so memory grows as O(M*N).
+    with a (K*L, N) matrix of shifted sequences, added onto the ADC-domain
+    noise, so memory grows as O(M*N).  Each received array is quantized in
+    place; draw order as in the module docstring.
     """
-    n_p, n_d = config.n_pilot, config.n_data
-    m_ant, k_users, n_taps = design.M, config.K, config.L
-    if pdp is None:
-        pdp = PowerDelayProfile.uniform(n_taps)
-    if pilots is None:
-        pilots = generate_pilots(k_users, n_taps, n_p)
-    budget = link_budget(config, design.B_w, design.b)
-    amp = math.sqrt(budget.P / design.B_w)
-    noise_std = math.sqrt(config.N_0 / 2.0)
+    config, design = plan.config, plan.design
+    n_d, m_ant, k_users, n_taps = config.n_data, design.M, config.K, config.L
 
-    h = draw_channel(rng, m_ant, k_users, pdp)
+    x = _complex_normal(rng, (k_users, n_d))
+    x_freq = np.fft.fft(x, axis=1) / math.sqrt(2.0 * n_d)  # unit-power symbols
+    x *= plan.data_gain
+    h = draw_channel(rng, m_ant, k_users, plan.pdp)
     taps = h.reshape(m_ant, k_users * n_taps)
 
-    # pilot phase: row (k, l) of the shift matrix is phi_k[(n - l) mod N_p]
-    pilot_shift = np.stack(
-        [np.roll(pilots.phi, lag, axis=1) for lag in range(n_taps)], axis=1
-    ).reshape(k_users * n_taps, n_p)
-    z_p = noise_std * (
-        rng.standard_normal((m_ant, n_p)) + 1j * rng.standard_normal((m_ant, n_p))
-    )
-    y_pilot_q, clip_p = quantize_block(
-        amp * (taps @ pilot_shift) + z_p, design.b, budget.mu, config.X_int, mode, rng
-    )
-    r = (y_pilot_q @ pilot_shift.conj().T).reshape(m_ant, k_users, n_taps)
-    h_hat, _ = lmmse_estimate(r / math.sqrt(n_p), config, design, pdp.sigma2)
+    def receive(shifted: np.ndarray) -> tuple[np.ndarray, int]:
+        y = _complex_normal(rng, (m_ant, shifted.shape[1]))
+        y *= plan.noise_std
+        y += taps @ shifted
+        return y, _quantize_rails(y.view(np.float64), design.b, config.X_int, mode, rng)
 
-    # data phase: unit-power Gaussian symbols, block-circular channel
-    x = (
-        rng.standard_normal((k_users, n_d)) + 1j * rng.standard_normal((k_users, n_d))
-    ) / math.sqrt(2.0)
-    idx = (np.arange(n_d)[None, :] - np.arange(n_taps)[:, None]) % n_d
-    data_shift = x[:, idx].reshape(k_users * n_taps, n_d)  # x_k[(n - l) mod N_d]
-    z_d = noise_std * (
-        rng.standard_normal((m_ant, n_d)) + 1j * rng.standard_normal((m_ant, n_d))
-    )
-    y_data_q, clip_d = quantize_block(
-        amp * (taps @ data_shift) + z_d, design.b, budget.mu, config.X_int, mode, rng
-    )
+    y_pilot_q, clip_p = receive(plan.pilot_shift)
+    r = (y_pilot_q @ plan.correlator).reshape(m_ant, k_users, n_taps)
+    h_hat, _ = lmmse_estimate(r, config, design, plan.pdp.sigma2)
+
+    # data phase: block-circular channel, row (k, l) is x_k[(n - l) mod N_d]
+    y_data_q, clip_d = receive(x[:, plan.data_index].reshape(k_users * n_taps, n_d))
 
     return McBlock(
         h=h,
         h_hat=h_hat,
         y_data_q=y_data_q,
-        x_freq=np.fft.fft(x, axis=1) / math.sqrt(n_d),
+        x_freq=x_freq,
         x_hat_freq=mrc_combine(y_data_q, h_hat, n_d),
         n_clipped=clip_p + clip_d,
-        n_rails=2 * m_ant * (n_p + n_d),
+        n_rails=2 * m_ant * (config.n_pilot + n_d),
     )
 
 
@@ -295,8 +364,7 @@ def empirical_rate(
         raise ConfigValueError(f"trials must be >= 1, got {trials}")
     seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     children = seq.spawn(trials)
-    pilots = generate_pilots(config.K, config.L, config.n_pilot)
-    pdp = PowerDelayProfile.uniform(config.L)
+    plan = plan_block(config, design)
 
     n_batches = min(N_BATCHES, trials)
     s1 = np.zeros(n_batches, dtype=complex)
@@ -305,8 +373,7 @@ def empirical_rate(
     clipped = 0
     rails = 0
     for t in range(trials):
-        rng = np.random.default_rng(children[t])
-        block = simulate_block(config, design, rng, mode=mode, pilots=pilots, pdp=pdp)
+        block = simulate_block(plan, np.random.default_rng(children[t]), mode=mode)
         i = t * n_batches // trials
         s1[i] += np.vdot(block.x_freq, block.x_hat_freq)
         s2[i] += np.vdot(block.x_hat_freq, block.x_hat_freq).real

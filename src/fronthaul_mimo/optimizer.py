@@ -162,9 +162,10 @@ def maximize_over_s(config: SystemConfig, b: int) -> float:
     because the derivative changes sign exactly once.
 
     Returns the boundary point when the derivative never changes sign.
-    Absolute tolerance 1e-10 in s.  Raises ConfigValueError when the
-    derivative overflows, which only a capacity C_f far beyond any physical
-    fronthaul causes.
+    Stops at a width of 1e-10 in s, or of 1e-6 relative to s where that is
+    tighter, so a tiny s* (a huge capacity) still converges.  Raises
+    ConfigValueError when the derivative overflows, which only a capacity
+    C_f far beyond any physical fronthaul causes.
     """
     hi = 1.0
     lo = min(hi, (1.0 / _curve_slope(config, b)) * (1.0 + 1e-9))
@@ -175,7 +176,7 @@ def maximize_over_s(config: SystemConfig, b: int) -> float:
             return lo
         if d_lo >= 0.0 and d_hi >= 0.0:
             return hi
-        while hi - lo > S_TOLERANCE:
+        while hi - lo > min(S_TOLERANCE, 1e-6 * lo):
             mid = 0.5 * (lo + hi)
             if _finite_derivative(config, mid, b) > 0.0:
                 lo = mid

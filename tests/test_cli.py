@@ -205,6 +205,14 @@ class TestMainOptimize:
         ):
             assert_model_error(main(argv), capsys.readouterr().out)
 
+    def test_huge_capacity_converges(self, tmp_path, capsys):
+        # the optimum s* is about 1e-35, far below an absolute width of 1e-10
+        cfg = write_config(tmp_path, "C_f = 1e60\n")
+        assert main(["optimize", "--config", cfg]) == 0
+        out = strict_json(capsys.readouterr().out)
+        assert math.isfinite(out["rate_bps"]) and out["rate_bps"] > 0
+        assert out["relaxed"]["rate_bps"] >= out["rate_bps"]
+
     def test_doubling_capacity_raises_rate(self, tmp_path, capsys):
         cfg1 = write_config(tmp_path, "C_f = 100e9\n", "a.cfg")
         cfg2 = write_config(tmp_path, "C_f = 200e9\n", "b.cfg")

@@ -13,6 +13,7 @@ from fronthaul_mimo.montecarlo import (
     lmmse_estimate,
     midrise_quantize,
     mrc_combine,
+    plan_block,
     quantize_block,
     simulate_block,
 )
@@ -120,6 +121,27 @@ class TestQuantizer:
         assert n_clip == 2
         assert q[0] == -0.75 and q[3] == 0.75
 
+    def test_interleaved_rails_match_per_rail_quantizer(self):
+        rng = np.random.default_rng(7)
+        y = 1.5 * (rng.standard_normal((6, 500)) + 1j * rng.standard_normal((6, 500)))
+        mu, scale = 0.3, np.sqrt(2.0 * 0.3)
+        for b in (1, 2, 4):
+            y_q, n_clip = quantize_block(y, b, mu, 1.7, "uniform")
+            q_re, c_re = midrise_quantize(scale * y.real, b, 1.7)
+            q_im, c_im = midrise_quantize(scale * y.imag, b, 1.7)
+            assert np.array_equal(y_q.real, q_re) and np.array_equal(y_q.imag, q_im)
+            assert n_clip == c_re + c_im > 0
+
+    def test_input_left_unchanged(self):
+        rng = np.random.default_rng(8)
+        y = rng.standard_normal((4, 64)) + 1j * rng.standard_normal((4, 64))
+        before = y.copy()
+        for mode in ("uniform", "pqn"):
+            quantize_block(y, 2, 0.5, 2.5, mode, rng=np.random.default_rng(1))
+            assert np.array_equal(y, before)
+        midrise_quantize(y.real, 2, 1.0)
+        assert np.array_equal(y, before)
+
     def test_pqn_noise_variance(self):
         rng = np.random.default_rng(6)
         y = np.zeros(200000, dtype=complex)
@@ -134,13 +156,10 @@ class TestLmmse:
     def test_error_variance_matches_model(self):
         cfg = small_config(L=4)
         design = DesignPoint(B_w=50e6, M=200, b=2)
-        pdp = PowerDelayProfile.uniform(cfg.L)
-        pilots = generate_pilots(cfg.K, cfg.L, cfg.n_pilot)
+        plan = plan_block(cfg, design)
         errors = []
         for child in np.random.SeedSequence(3).spawn(25):
-            blk = simulate_block(
-                cfg, design, np.random.default_rng(child), mode="pqn", pilots=pilots, pdp=pdp
-            )
+            blk = simulate_block(plan, np.random.default_rng(child), mode="pqn")
             errors.append((blk.h - blk.h_hat).reshape(-1, cfg.L))
         eps = np.concatenate(errors)  # 10**4 realizations per tap
         _, d = lmmse_estimate(np.zeros((1, 1, cfg.L), complex), cfg, design)
@@ -151,13 +170,10 @@ class TestLmmse:
     def test_estimate_error_uncorrelated(self):
         cfg = small_config(L=4)
         design = DesignPoint(B_w=50e6, M=200, b=2)
-        pdp = PowerDelayProfile.uniform(cfg.L)
-        pilots = generate_pilots(cfg.K, cfg.L, cfg.n_pilot)
+        plan = plan_block(cfg, design)
         eps, est = [], []
         for child in np.random.SeedSequence(9).spawn(25):
-            blk = simulate_block(
-                cfg, design, np.random.default_rng(child), mode="pqn", pilots=pilots, pdp=pdp
-            )
+            blk = simulate_block(plan, np.random.default_rng(child), mode="pqn")
             eps.append((blk.h - blk.h_hat).reshape(-1, cfg.L))
             est.append(blk.h_hat.reshape(-1, cfg.L))
         eps = np.concatenate(eps)
@@ -196,22 +212,25 @@ class TestMrc:
     def test_time_and_frequency_paths_agree(self):
         cfg = small_config(L=3, N=128)
         design = DesignPoint(B_w=50e6, M=6, b=2)
-        blk = simulate_block(cfg, design, np.random.default_rng(13), mode="uniform")
+        blk = simulate_block(plan_block(cfg, design), np.random.default_rng(13), mode="uniform")
         freq = mrc_combine(blk.y_data_q, blk.h_hat, cfg.n_data)
         time = mrc_combine_time(blk.y_data_q, blk.h_hat, cfg.n_data)
         assert np.max(np.abs(freq - time)) < 1e-9
 
     def test_block_memory_below_one_antenna_user_subcarrier_array(self):
-        # paper-scale block: an (M, K, N_d) complex array alone would be 141 MB
+        # paper-scale block: the peak stays within five (M, N_d) complex arrays
         cfg = SystemConfig.from_reference_snr(15.0)
-        design = DesignPoint(B_w=cfg.C_f / 256, M=256, b=1)
-        tracemalloc.start()
-        try:
-            simulate_block(cfg, design, np.random.default_rng(0))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < design.M * cfg.K * cfg.n_data * 16
+        for m_ant in (256, 1024):
+            design = DesignPoint(B_w=cfg.C_f / m_ant, M=m_ant, b=1)
+            plan = plan_block(cfg, design)
+            for mode in ("uniform", "pqn"):
+                tracemalloc.start()
+                try:
+                    simulate_block(plan, np.random.default_rng(0), mode=mode)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak < 5 * m_ant * cfg.n_data * 16, (m_ant, mode, peak)
 
     def test_array_gain_linear_in_antennas(self):
         cfg = small_config()
