@@ -13,8 +13,6 @@ from .errors import (
 from .linkrate import RateBreakdown, achievable_rate, estimation_quality, sinqr
 from .montecarlo import (
     EmpiricalRate,
-    McBlock,
-    PilotMatrix,
     PowerDelayProfile,
     empirical_rate,
     generate_pilots,
@@ -44,9 +42,7 @@ __all__ = [
     "EmpiricalRate",
     "InfeasibleError",
     "LinkBudget",
-    "McBlock",
     "OptimizationResult",
-    "PilotMatrix",
     "PilotOverheadError",
     "PowerDelayProfile",
     "RateBreakdown",

@@ -8,11 +8,12 @@ is scaled to unit variance before quantization (the complex sample is
 multiplied by sqrt(2*mu) with mu = 1/P_rx), so X_int is the no-overload
 half-width in units of the rail standard deviation and the additive
 surrogate adds variance E per rail.  The rate statistic is scale invariant,
-and the per-tap LMMSE gains below are derived in this domain, so the
-closed-form predictions apply unchanged.  The block pipeline never forms
-the unscaled received signal: the AGC factor and the amplitude sqrt(P/B_w)
-sit in the small shift matrices and in the noise scale, and the quantizer
-works in place on the interleaved real rails of each received array.
+and the LMMSE gain below is derived in this domain, so the closed-form
+predictions apply unchanged.  The block pipeline never forms the unscaled
+received signal: the AGC factor and the amplitude sqrt(P/B_w) sit in the
+small shift matrices and in the noise scale.  Both quantizers work in place
+on real rails, a received array on its interleaved real view.  Blocks use
+the uniform power delay profile, as the closed form does.
 
 Reproducibility: each trial draws from its own counter-derived substream
 (SeedSequence spawn keyed by trial index) and aggregates are reduced in
@@ -85,17 +86,9 @@ def draw_channel(
     return h
 
 
-@dataclass(frozen=True)
-class PilotMatrix:
-    """K constant-amplitude sequences with ideal cyclic cross/auto-correlation
-    over the first L lags."""
-
-    phi: np.ndarray
-    n_taps: int
-
-
-def generate_pilots(n_users: int, n_taps: int, n_pilot: int) -> PilotMatrix:
-    """Cyclically shifted root sequence with ideal periodic autocorrelation.
+def generate_pilots(n_users: int, n_taps: int, n_pilot: int) -> np.ndarray:
+    """Cyclically shifted root sequences, shape (K, N_p), with ideal periodic
+    autocorrelation.
 
     Shift stride floor(N_p / K) >= L separates the users by more than the
     channel memory, which makes all cross-lag correlations vanish.
@@ -108,44 +101,39 @@ def generate_pilots(n_users: int, n_taps: int, n_pilot: int) -> PilotMatrix:
     phase = n * (n + 1) if n_pilot % 2 else n * n
     root = np.exp(-1j * np.pi * phase / n_pilot)
     stride = n_pilot // n_users
-    phi = np.stack([np.roll(root, -(k * stride)) for k in range(n_users)])
-    return PilotMatrix(phi=phi, n_taps=n_taps)
+    return np.stack([np.roll(root, -(k * stride)) for k in range(n_users)])
 
 
-def _midrise_in_place(v: np.ndarray, b: int, x_int: float) -> int:
-    """Midrise-quantize the real array ``v`` in place; returns the clip count."""
-    step = 2.0 * x_int / (2**b)
-    top = x_int - 0.5 * step
-    n_clipped = int(np.count_nonzero(v >= x_int) + np.count_nonzero(v <= -x_int))
-    v /= step
-    np.floor(v, out=v)
-    v += 0.5
-    v *= step
-    np.clip(v, -top, top, out=v)
-    return n_clipped
-
-
-def midrise_quantize(u: np.ndarray, b: int, x_int: float) -> tuple[np.ndarray, int]:
-    """Uniform midrise quantizer on a real array.
+def midrise_quantize(rails: np.ndarray, b: int, x_int: float) -> int:
+    """Uniform midrise quantizer, in place on a real float64 array.
 
     Step 2*x_int/2^b over [-x_int, x_int]; inputs beyond the no-overload
     interval saturate to the outermost level and are counted as clip events.
-    Returns a new array; ``u`` is not modified.
+    Returns the clip count.
     """
-    q = np.array(u, dtype=np.float64)
-    return q, _midrise_in_place(q, b, x_int)
+    step = 2.0 * x_int / (2**b)
+    top = x_int - 0.5 * step
+    n_clipped = int(np.count_nonzero(rails >= x_int) + np.count_nonzero(rails <= -x_int))
+    rails /= step
+    np.floor(rails, out=rails)
+    rails += 0.5
+    rails *= step
+    np.clip(rails, -top, top, out=rails)
+    return n_clipped
 
 
-def _quantize_rails(
-    rails: np.ndarray,
-    b: int,
-    x_int: float,
-    mode: str,
-    rng: np.random.Generator | None,
+def quantize_block(
+    rails: np.ndarray, b: int, x_int: float, mode: str, rng: np.random.Generator | None = None
 ) -> int:
-    """Quantize ADC-domain real rails in place; returns the clip count."""
+    """Quantize ADC-domain real rails in place and return the clip count.
+
+    The rails are already scaled to unit variance (a complex array passes
+    its interleaved view ``y.view(np.float64)``).  ``uniform`` applies the
+    midrise quantizer per rail; ``pqn`` adds independent uniform noise of
+    variance E per rail instead and clips nothing.
+    """
     if mode == "uniform":
-        return _midrise_in_place(rails, b, x_int)
+        return midrise_quantize(rails, b, x_int)
     if mode != "pqn":
         raise ConfigValueError(f"mode must be one of {QUANTIZE_MODES}, got {mode!r}")
     if rng is None:
@@ -155,51 +143,15 @@ def _quantize_rails(
     return 0
 
 
-def quantize_block(
-    y: np.ndarray,
-    b: int,
-    mu: float,
-    x_int: float,
-    mode: str,
-    rng: np.random.Generator | None = None,
-) -> tuple[np.ndarray, int]:
-    """Quantize a block of complex samples, returning the ADC-domain output
-    and the number of clipped real components.
-
-    The AGC scales each rail to unit variance (factor sqrt(2*mu) on the
-    complex sample).  ``uniform`` applies the midrise quantizer per rail;
-    ``pqn`` adds independent uniform noise of variance E per rail instead.
-    Returns a new array; ``y`` is not modified.
-    """
-    out = np.multiply(y, math.sqrt(2.0 * mu), dtype=complex, order="C")
-    return out, _quantize_rails(out.reshape(-1).view(np.float64), b, x_int, mode, rng)
-
-
-def lmmse_estimate(
-    r: np.ndarray,
-    config: SystemConfig,
-    design: DesignPoint,
-    sigma2: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-tap LMMSE channel estimate from pilot correlations.
-
-    Args:
-        r: correlator outputs, shape (M, K, L), in the ADC domain.
-        sigma2: power delay profile; uniform when omitted.
-
-    Returns:
-        (h_hat, d): estimates of the same shape and the per-tap quality
-        factors d[l]; the estimation error variance per tap is (1-d[l])*sigma2[l].
-    """
-    if sigma2 is None:
-        sigma2 = np.full(config.L, 1.0 / config.L)
-    sigma2 = np.asarray(sigma2, dtype=float)
+def lmmse_estimate(config: SystemConfig, design: DesignPoint) -> float:
+    """Per-tap LMMSE gain on the unit-gain pilot correlator outputs, uniform
+    power delay profile, ADC domain.  The estimates it gives have error
+    variance (1 - c) / L per tap, c = ``linkrate.estimation_quality``."""
+    sigma2 = 1.0 / config.L
     budget = link_budget(config, design.B_w, design.b)
     a2 = 2.0 * budget.mu * (budget.P / design.B_w) * config.n_pilot
     denom = a2 * sigma2 + 2.0 * budget.E + 2.0 * budget.mu * config.N_0
-    d = a2 * sigma2 / denom
-    coef = math.sqrt(a2) * sigma2 / denom
-    return coef[None, None, :] * r, d
+    return math.sqrt(a2) * sigma2 / denom
 
 
 def mrc_combine(y_q: np.ndarray, h_hat: np.ndarray, n_data: int) -> np.ndarray:
@@ -238,6 +190,7 @@ class BlockPlan:
     pdp: PowerDelayProfile
     pilot_shift: np.ndarray  # (K*L, N_p) ADC-domain shifted pilots
     correlator: np.ndarray  # (N_p, K*L) unit-gain pilot correlator
+    lmmse_gain: float  # per-tap LMMSE gain on the correlator outputs
     data_index: np.ndarray  # (L, N_d) gather index (n - l) mod N_d
     data_gain: float  # ADC-domain amplitude of a standard complex normal symbol
     noise_std: float
@@ -247,7 +200,7 @@ def plan_block(config: SystemConfig, design: DesignPoint) -> BlockPlan:
     """Build the shared block set-up at one design point, uniform power
     delay profile."""
     n_p, n_d, n_taps = config.n_pilot, config.n_data, config.L
-    phi = generate_pilots(config.K, n_taps, n_p).phi
+    phi = generate_pilots(config.K, n_taps, n_p)
     # row (k, l) of the shift matrix is phi_k[(n - l) mod N_p]
     shift = np.stack([np.roll(phi, lag, axis=1) for lag in range(n_taps)], axis=1)
     shift = shift.reshape(config.K * n_taps, n_p)
@@ -260,30 +213,16 @@ def plan_block(config: SystemConfig, design: DesignPoint) -> BlockPlan:
         pdp=PowerDelayProfile.uniform(n_taps),
         pilot_shift=amp * shift,
         correlator=shift.conj().T / math.sqrt(n_p),
+        lmmse_gain=lmmse_estimate(config, design),
         data_index=(np.arange(n_d)[None, :] - np.arange(n_taps)[:, None]) % n_d,
         data_gain=amp / math.sqrt(2.0),  # the symbols are drawn with variance 2
         noise_std=agc * math.sqrt(config.N_0 / 2.0),
     )
 
 
-@dataclass
-class McBlock:
-    """One simulated transmission block (pilot phase + data phase)."""
-
-    h: np.ndarray  # (M, K, L) channel taps
-    h_hat: np.ndarray  # (M, K, L) LMMSE tap estimates (ADC-domain scaling)
-    y_data_q: np.ndarray  # (M, N_d) quantized data samples, ADC domain
-    x_freq: np.ndarray  # (K, N_d) unitary DFT of the unit-power data symbols
-    x_hat_freq: np.ndarray  # (K, N_d) combiner outputs per subcarrier
-    n_clipped: int
-    n_rails: int
-
-
 def simulate_block(
-    plan: BlockPlan,
-    rng: np.random.Generator,
-    mode: str = "pqn",
-) -> McBlock:
+    plan: BlockPlan, rng: np.random.Generator, mode: str = "pqn"
+) -> tuple[complex, float, int]:
     """Simulate one coherence block at the plan's design point.
 
     Channel-inversion power control is folded into a common received
@@ -292,6 +231,11 @@ def simulate_block(
     with a (K*L, N) matrix of shifted sequences, added onto the ADC-domain
     noise, so memory grows as O(M*N).  Each received array is quantized in
     place; draw order as in the module docstring.
+
+    Returns the moment sums over the block's K*N_d subcarrier symbols,
+    sum(conj(x) * x_hat) and sum(|x_hat|^2) with x the unitary DFT of the
+    unit-power symbols and x_hat the combiner output, and the number of
+    clipped rails out of 2*M*(N_p + N_d).
     """
     config, design = plan.config, plan.design
     n_d, m_ant, k_users, n_taps = config.n_data, design.M, config.K, config.L
@@ -299,30 +243,25 @@ def simulate_block(
     x = _complex_normal(rng, (k_users, n_d))
     x_freq = np.fft.fft(x, axis=1) / math.sqrt(2.0 * n_d)  # unit-power symbols
     x *= plan.data_gain
-    h = draw_channel(rng, m_ant, k_users, plan.pdp)
-    taps = h.reshape(m_ant, k_users * n_taps)
+    taps = draw_channel(rng, m_ant, k_users, plan.pdp).reshape(m_ant, k_users * n_taps)
 
     def receive(shifted: np.ndarray) -> tuple[np.ndarray, int]:
         y = _complex_normal(rng, (m_ant, shifted.shape[1]))
         y *= plan.noise_std
         y += taps @ shifted
-        return y, _quantize_rails(y.view(np.float64), design.b, config.X_int, mode, rng)
+        return y, quantize_block(y.view(np.float64), design.b, config.X_int, mode, rng)
 
     y_pilot_q, clip_p = receive(plan.pilot_shift)
-    r = (y_pilot_q @ plan.correlator).reshape(m_ant, k_users, n_taps)
-    h_hat, _ = lmmse_estimate(r, config, design, plan.pdp.sigma2)
+    h_hat = (y_pilot_q @ plan.correlator).reshape(m_ant, k_users, n_taps)
+    h_hat *= plan.lmmse_gain
 
     # data phase: block-circular channel, row (k, l) is x_k[(n - l) mod N_d]
     y_data_q, clip_d = receive(x[:, plan.data_index].reshape(k_users * n_taps, n_d))
-
-    return McBlock(
-        h=h,
-        h_hat=h_hat,
-        y_data_q=y_data_q,
-        x_freq=x_freq,
-        x_hat_freq=mrc_combine(y_data_q, h_hat, n_d),
-        n_clipped=clip_p + clip_d,
-        n_rails=2 * m_ant * (config.n_pilot + n_d),
+    x_hat_freq = mrc_combine(y_data_q, h_hat, n_d)
+    return (
+        np.vdot(x_freq, x_hat_freq),
+        np.vdot(x_hat_freq, x_hat_freq).real,
+        clip_p + clip_d,
     )
 
 
@@ -369,17 +308,14 @@ def empirical_rate(
     n_batches = min(N_BATCHES, trials)
     s1 = np.zeros(n_batches, dtype=complex)
     s2 = np.zeros(n_batches)
-    n_obs = np.zeros(n_batches, dtype=np.int64)
+    batch = np.arange(trials) * n_batches // trials
     clipped = 0
-    rails = 0
-    for t in range(trials):
-        block = simulate_block(plan, np.random.default_rng(children[t]), mode=mode)
-        i = t * n_batches // trials
-        s1[i] += np.vdot(block.x_freq, block.x_hat_freq)
-        s2[i] += np.vdot(block.x_hat_freq, block.x_hat_freq).real
-        n_obs[i] += block.x_freq.size
-        clipped += block.n_clipped
-        rails += block.n_rails
+    for i, child in zip(batch, children):
+        cross, power, n_clipped = simulate_block(plan, np.random.default_rng(child), mode)
+        s1[i] += cross
+        s2[i] += power
+        clipped += n_clipped
+    n_obs = np.bincount(batch) * (config.K * config.n_data)  # symbols per batch
 
     gamma = _gamma_from_moments(s1.sum(), s2.sum(), int(n_obs.sum()))
     prelog = design.B_w * config.n_data / config.N
@@ -401,5 +337,5 @@ def empirical_rate(
         rate_bps=rate,
         stderr_bps=stderr,
         gamma=gamma,
-        clip_rate=clipped / rails if rails else 0.0,
+        clip_rate=clipped / (trials * 2 * design.M * (config.n_pilot + config.n_data)),
     )

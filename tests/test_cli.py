@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import pytest
 
+import fronthaul_mimo
 from fronthaul_mimo.cli import (
     CSV_COLUMNS,
     SweepSpec,
@@ -163,6 +167,20 @@ class TestMainRate:
         assert out["design"]["M"] == 2500
         assert out["rate_bps"] > 0
         assert out["fronthaul_load_bps"] == pytest.approx(5e11)
+
+    def test_module_entry_point(self, capsys):
+        # an uninstalled checkout runs the CLI as python -m fronthaul_mimo
+        assert main(["rate", "--bw", "2e8", "--m", "64"]) == 0
+        expected = capsys.readouterr().out
+        src = os.path.dirname(os.path.dirname(os.path.abspath(fronthaul_mimo.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        for argv, code, out in (
+            (["rate", "--bw", "2e8", "--m", "64"], 0, expected),
+            (["optimise"], 1, ""),
+        ):
+            proc = subprocess.run([sys.executable, "-m", "fronthaul_mimo", *argv],
+                                  capture_output=True, text=True, env=env)
+            assert (proc.returncode, proc.stdout) == (code, out)
 
     def test_non_finite_input_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "gamma_ref_db = nan\n")

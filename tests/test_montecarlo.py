@@ -3,14 +3,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from fronthaul_mimo import montecarlo
 from fronthaul_mimo.errors import ConfigValueError
-from fronthaul_mimo.linkrate import achievable_rate
+from fronthaul_mimo.linkrate import achievable_rate, estimation_quality
 from fronthaul_mimo.montecarlo import (
     PowerDelayProfile,
     draw_channel,
     empirical_rate,
     generate_pilots,
-    lmmse_estimate,
     midrise_quantize,
     mrc_combine,
     plan_block,
@@ -27,6 +27,22 @@ def small_config(**overrides):
     fields = dict(K=2, L=2, N=128, theta=1.0, X_int=2.5, C_f=500e9)
     fields.update(overrides)
     return SystemConfig.from_reference_snr(15.0, **fields)
+
+
+def complex_normal(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def pilot_phase(plan, rng, mode):
+    """Channel taps and their LMMSE estimates from one pilot phase, built
+    from the plan and the stages a block uses."""
+    cfg, design = plan.config, plan.design
+    h = draw_channel(rng, design.M, cfg.K, plan.pdp)
+    y = plan.noise_std * complex_normal(rng, (design.M, cfg.n_pilot))
+    y += h.reshape(design.M, -1) @ plan.pilot_shift
+    quantize_block(y.view(np.float64), design.b, cfg.X_int, mode, rng)
+    h_hat = (y @ plan.correlator).reshape(h.shape) * plan.lmmse_gain
+    return h, h_hat
 
 
 class TestPowerDelayProfile:
@@ -49,13 +65,12 @@ class TestPowerDelayProfile:
 
 class TestPilots:
     def test_single_user_single_tap(self):
-        pm = generate_pilots(1, 1, 1)
-        assert pm.phi.shape == (1, 1)
-        assert pm.phi[0, 0] == pytest.approx(1.0 + 0j, abs=1e-15)
+        phi = generate_pilots(1, 1, 1)
+        assert phi.shape == (1, 1)
+        assert phi[0, 0] == pytest.approx(1.0 + 0j, abs=1e-15)
 
     def test_two_users_two_taps(self):
-        pm = generate_pilots(2, 2, 4)
-        corr = pilot_correlations(pm.phi, pm.n_taps)
+        corr = pilot_correlations(generate_pilots(2, 2, 4), 2)
         assert corr[0, 0, 0] == pytest.approx(4.0, abs=1e-12)
         assert corr[1, 1, 0] == pytest.approx(4.0, abs=1e-12)
         assert abs(corr[0, 1, 0]) < 1e-12
@@ -69,8 +84,7 @@ class TestPilots:
             l = int(rng.integers(1, 7))
             theta = float(rng.uniform(1.0, 3.0))
             n_p = max(k * l, int(np.floor(theta * k * l + 0.5)))
-            pm = generate_pilots(k, l, n_p)
-            assert max_orthogonality_defect(pm.phi, pm.n_taps) < 1e-9
+            assert max_orthogonality_defect(generate_pilots(k, l, n_p), l) < 1e-9
 
     def test_too_short_rejected(self):
         with pytest.raises(ConfigValueError):
@@ -78,19 +92,20 @@ class TestPilots:
 
 
 class TestQuantizer:
+    # both quantizers work in place; each case quantizes a copy
     def test_high_resolution_transparent(self):
         rng = np.random.default_rng(2)
-        y = (rng.standard_normal(4000) + 1j * rng.standard_normal(4000)) * 0.2
-        mu = 1.0 / np.mean(np.abs(y) ** 2)
-        y_q, _ = quantize_block(y, 24, mu, 3.0, "uniform")
-        scaled = np.sqrt(2.0 * mu) * y
+        y = complex_normal(rng, 4000) * 0.2
+        scaled = np.sqrt(2.0 / np.mean(np.abs(y) ** 2)) * y  # unit-variance rails
+        y_q = scaled.copy()
+        quantize_block(y_q.view(np.float64), 24, 3.0, "uniform")
         keep = (np.abs(scaled.real) < 3.0) & (np.abs(scaled.imag) < 3.0)
         assert np.max(np.abs(y_q[keep] - scaled[keep])) < 1e-6
 
     def test_one_bit_two_levels(self):
         rng = np.random.default_rng(3)
-        y = rng.standard_normal(1000) + 1j * rng.standard_normal(1000)
-        y_q, _ = quantize_block(y, 1, 0.5, 1.0, "uniform")
+        y_q = complex_normal(rng, 1000)
+        quantize_block(y_q.view(np.float64), 1, 1.0, "uniform")
         assert set(np.round(np.unique(y_q.real), 12)) == {-0.5, 0.5}
         assert set(np.round(np.unique(y_q.imag), 12)) == {-0.5, 0.5}
 
@@ -98,7 +113,8 @@ class TestQuantizer:
         rng = np.random.default_rng(4)
         u = rng.uniform(-1.0, 1.0, 10**6)
         for b in (1, 3, 5):
-            q, n_clip = midrise_quantize(u, b, 1.0)
+            q = u.copy()
+            n_clip = midrise_quantize(q, b, 1.0)
             emp = np.mean((q - u) ** 2)
             model = (1.0 / 3.0) * 4.0**-b
             assert emp == pytest.approx(model, rel=0.05)
@@ -109,45 +125,35 @@ class TestQuantizer:
         u = rng.uniform(-2.0, 2.0, 10**6)
         prev = None
         for b in range(1, 8):
-            q, _ = midrise_quantize(u, b, 2.0)
+            q = u.copy()
+            midrise_quantize(q, b, 2.0)
             emp = np.mean((q - u) ** 2)
             if prev is not None:
                 assert 0.23 < emp / prev < 0.27
             prev = emp
 
     def test_clipping_counted(self):
-        u = np.array([-5.0, -0.2, 0.2, 5.0])
-        q, n_clip = midrise_quantize(u, 2, 1.0)
-        assert n_clip == 2
+        q = np.array([-5.0, -0.2, 0.2, 5.0])
+        assert midrise_quantize(q, 2, 1.0) == 2
         assert q[0] == -0.75 and q[3] == 0.75
 
     def test_interleaved_rails_match_per_rail_quantizer(self):
         rng = np.random.default_rng(7)
-        y = 1.5 * (rng.standard_normal((6, 500)) + 1j * rng.standard_normal((6, 500)))
-        mu, scale = 0.3, np.sqrt(2.0 * 0.3)
+        y = 1.5 * complex_normal(rng, (6, 500))
         for b in (1, 2, 4):
-            y_q, n_clip = quantize_block(y, b, mu, 1.7, "uniform")
-            q_re, c_re = midrise_quantize(scale * y.real, b, 1.7)
-            q_im, c_im = midrise_quantize(scale * y.imag, b, 1.7)
+            y_q, q_re, q_im = y.copy(), y.real.copy(), y.imag.copy()
+            n_clip = quantize_block(y_q.view(np.float64), b, 1.7, "uniform")
+            c_re = midrise_quantize(q_re, b, 1.7)
+            c_im = midrise_quantize(q_im, b, 1.7)
             assert np.array_equal(y_q.real, q_re) and np.array_equal(y_q.imag, q_im)
             assert n_clip == c_re + c_im > 0
 
-    def test_input_left_unchanged(self):
-        rng = np.random.default_rng(8)
-        y = rng.standard_normal((4, 64)) + 1j * rng.standard_normal((4, 64))
-        before = y.copy()
-        for mode in ("uniform", "pqn"):
-            quantize_block(y, 2, 0.5, 2.5, mode, rng=np.random.default_rng(1))
-            assert np.array_equal(y, before)
-        midrise_quantize(y.real, 2, 1.0)
-        assert np.array_equal(y, before)
-
     def test_pqn_noise_variance(self):
-        rng = np.random.default_rng(6)
-        y = np.zeros(200000, dtype=complex)
         for b in (1, 2):
-            y_q, _ = quantize_block(y, b, 0.5, 2.5, "pqn", rng=np.random.default_rng(b))
+            y_q = np.zeros(200000, dtype=complex)
+            n_clip = quantize_block(y_q.view(np.float64), b, 2.5, "pqn", np.random.default_rng(b))
             e = (2.5**2) * 4.0**-b / 3.0
+            assert n_clip == 0
             assert np.var(y_q.real) == pytest.approx(e, rel=0.02)
             assert np.var(y_q.imag) == pytest.approx(e, rel=0.02)
 
@@ -159,11 +165,10 @@ class TestLmmse:
         plan = plan_block(cfg, design)
         errors = []
         for child in np.random.SeedSequence(3).spawn(25):
-            blk = simulate_block(plan, np.random.default_rng(child), mode="pqn")
-            errors.append((blk.h - blk.h_hat).reshape(-1, cfg.L))
+            h, h_hat = pilot_phase(plan, np.random.default_rng(child), "pqn")
+            errors.append((h - h_hat).reshape(-1, cfg.L))
         eps = np.concatenate(errors)  # 10**4 realizations per tap
-        _, d = lmmse_estimate(np.zeros((1, 1, cfg.L), complex), cfg, design)
-        target = (1.0 - d) * (1.0 / cfg.L)
+        target = (1.0 - estimation_quality(cfg, design)) / cfg.L
         emp = np.mean(np.abs(eps) ** 2, axis=0)
         assert np.all(np.abs(emp / target - 1.0) < 0.03)
 
@@ -173,9 +178,9 @@ class TestLmmse:
         plan = plan_block(cfg, design)
         eps, est = [], []
         for child in np.random.SeedSequence(9).spawn(25):
-            blk = simulate_block(plan, np.random.default_rng(child), mode="pqn")
-            eps.append((blk.h - blk.h_hat).reshape(-1, cfg.L))
-            est.append(blk.h_hat.reshape(-1, cfg.L))
+            h, h_hat = pilot_phase(plan, np.random.default_rng(child), "pqn")
+            eps.append((h - h_hat).reshape(-1, cfg.L))
+            est.append(h_hat.reshape(-1, cfg.L))
         eps = np.concatenate(eps)
         est = np.concatenate(est)
         corr = np.abs(np.mean(est.conj() * eps, axis=0)) / np.sqrt(
@@ -188,9 +193,9 @@ class TestLmmse:
         gaps = []
         for theta in (10.0, 100.0, 1000.0):
             cfg = small_config(theta=theta, N=8192)
-            design = DesignPoint(B_w=50e6, M=8, b=30)
-            _, d = lmmse_estimate(np.zeros((1, 1, cfg.L), complex), cfg, design)
-            gaps.append(float(np.max(1.0 - d)))
+            plan = plan_block(cfg, DesignPoint(B_w=50e6, M=64, b=30))
+            h, h_hat = pilot_phase(plan, np.random.default_rng(12), "pqn")
+            gaps.append(float(np.mean(np.abs(h - h_hat) ** 2) * cfg.L))
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[2] < 1e-3
 
@@ -210,11 +215,12 @@ class TestMrc:
         assert np.allclose(ratio, abs(h[0, 0, 0]) ** 2, atol=1e-12)
 
     def test_time_and_frequency_paths_agree(self):
-        cfg = small_config(L=3, N=128)
-        design = DesignPoint(B_w=50e6, M=6, b=2)
-        blk = simulate_block(plan_block(cfg, design), np.random.default_rng(13), mode="uniform")
-        freq = mrc_combine(blk.y_data_q, blk.h_hat, cfg.n_data)
-        time = mrc_combine_time(blk.y_data_q, blk.h_hat, cfg.n_data)
+        rng = np.random.default_rng(13)
+        n_d = 116
+        y = complex_normal(rng, (6, n_d))
+        h_hat = complex_normal(rng, (6, 2, 3))
+        freq = mrc_combine(y, h_hat, n_d)
+        time = mrc_combine_time(y, h_hat, n_d)
         assert np.max(np.abs(freq - time)) < 1e-9
 
     def test_block_memory_below_one_antenna_user_subcarrier_array(self):
@@ -305,6 +311,26 @@ class TestEmpiricalRate:
         b = empirical_rate(cfg, design, trials=10, seed=77, mode="uniform")
         assert a.rate_bps == b.rate_bps
         assert a.gamma == b.gamma
+
+    def test_stage_calls(self, monkeypatch):
+        # the plan is built once per run; each block quantizes both of its
+        # received arrays through the public quantizer stages
+        cfg = small_config()
+        design = DesignPoint(B_w=100e6, M=8, b=2)
+        trials = 3
+        stages = {name: getattr(montecarlo, name) for name in
+                  ("quantize_block", "midrise_quantize", "lmmse_estimate", "generate_pilots")}
+        for mode, n_midrise in (("uniform", 2 * trials), ("pqn", 0)):
+            calls = dict.fromkeys(stages, 0)
+            for name, fn in stages.items():
+                def counted(*args, _name=name, _fn=fn, **kwargs):
+                    calls[_name] += 1
+                    return _fn(*args, **kwargs)
+
+                monkeypatch.setattr(montecarlo, name, counted)
+            empirical_rate(cfg, design, trials=trials, seed=4, mode=mode)
+            assert calls == {"quantize_block": 2 * trials, "midrise_quantize": n_midrise,
+                             "lmmse_estimate": 1, "generate_pilots": 1}, mode
 
     def test_rejects_bad_mode(self):
         cfg = small_config()
