@@ -346,7 +346,7 @@ def run_sweep(
         index, value = iv
         try:
             return _evaluate_point(config, spec, index, value, preset)
-        except (ConfigError, InfeasibleError, ValueError) as exc:
+        except (ConfigError, InfeasibleError, ValueError, ArithmeticError) as exc:
             raise SweepPointError(
                 f"{spec.axis}={value} (grid index {index}): {exc}"
             ) from exc
@@ -411,8 +411,14 @@ def run_preset(name: str, trials: int = 0, seed: int = 0, threads: int = 1) -> l
 # --- reports --------------------------------------------------------------
 
 
-def optimize_report(config: SystemConfig, b_max: int = optimizer.DEFAULT_B_MAX) -> dict:
-    result = optimizer.optimize_full(config, b_max=b_max)
+def _require_positive_rate(rate_bps: float) -> None:
+    if not rate_bps > 0.0:  # a rate underflows to zero only on an extreme input
+        raise ConfigValueError(f"rate_bps={rate_bps}: an input is beyond the float range")
+
+
+def optimize_report(config: SystemConfig) -> dict:
+    result = optimizer.optimize_full(config)
+    _require_positive_rate(result.rate.rate_bps)
     return {
         "best": {"B_w_hz": result.best.B_w, "M": result.best.M, "b": result.best.b},
         "rate_bps": result.rate.rate_bps,
@@ -428,12 +434,13 @@ def optimize_report(config: SystemConfig, b_max: int = optimizer.DEFAULT_B_MAX) 
             "rate_bps": result.relaxed_rate_bps,
         },
         "fixed_one_bit": result.fixed_one_bit,
-        "trace_points": len(result.trace),
+        "trace_points": result.trace_points,
     }
 
 
 def rate_report(config: SystemConfig, design: DesignPoint) -> dict:
     breakdown = achievable_rate(config, design)
+    _require_positive_rate(breakdown.rate_bps)
     return {
         "design": {"B_w_hz": design.B_w, "M": design.M, "b": design.b},
         "c": breakdown.c,
@@ -497,12 +504,12 @@ def _build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_out=True):
+    def common(p, monte_carlo=False):
         p.add_argument("--config", help="key=value config file")
-        if needs_out:
-            p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--seed", type=int, help="RNG seed override")
-        p.add_argument("--trials", type=int, help="Monte Carlo trials override")
+        p.add_argument("--out", help="output path (default: stdout)")
+        if monte_carlo:
+            p.add_argument("--seed", type=int, help="RNG seed override")
+            p.add_argument("--trials", type=int, help="Monte Carlo trials override")
 
     p_rate = sub.add_parser("rate", help="closed-form rate at one design point")
     common(p_rate)
@@ -512,14 +519,13 @@ def _build_parser() -> _Parser:
 
     p_opt = sub.add_parser("optimize", help="maximize rate under the fronthaul cap")
     common(p_opt)
-    p_opt.add_argument("--b-max", type=int, default=optimizer.DEFAULT_B_MAX)
 
     p_sweep = sub.add_parser("sweep", help="evaluate a config-defined grid to CSV")
-    common(p_sweep)
+    common(p_sweep, monte_carlo=True)
     p_sweep.add_argument("--threads", type=int, default=1)
 
     p_mc = sub.add_parser("mc-validate", help="simulator vs closed form comparison")
-    common(p_mc)
+    common(p_mc, monte_carlo=True)
     p_mc.add_argument("--bits", default="1,2,3", help="comma list of resolutions")
     p_mc.add_argument("--mode", choices=("pqn", "uniform", "both"), default="both")
     p_mc.add_argument("--bw", type=float, help="bandwidth in Hz (overrides config)")
@@ -535,11 +541,8 @@ def _build_parser() -> _Parser:
 
 
 def _load(args) -> tuple[SystemConfig, SweepSpec]:
-    if getattr(args, "config", None):
-        config, spec = parse_config(args.config)
-    else:
-        config, spec = parse_config_text("")
-    changes = {k: getattr(args, k) for k in ("seed", "trials") if getattr(args, k) is not None}
+    config, spec = parse_config(args.config) if args.config else parse_config_text("")
+    changes = {k: v for k in ("seed", "trials") if (v := getattr(args, k, None)) is not None}
     return config, dataclasses.replace(spec, **changes)
 
 
@@ -583,7 +586,7 @@ def main(argv=None) -> int:
             _emit_json(report, args.out)
         elif args.command == "optimize":
             config, _ = _load(args)
-            report = optimize_report(config, b_max=args.b_max)
+            report = optimize_report(config)
             _emit_json(report, args.out)
         elif args.command == "sweep":
             config, spec = _load(args)
@@ -606,7 +609,8 @@ def main(argv=None) -> int:
                 config,
                 anchor,
                 bits,
-                trials=spec.trials or 100,
+                # a given --trials is used as is; a config without trials runs 100
+                trials=spec.trials if args.trials is not None else spec.trials or 100,
                 seed=spec.seed,
                 modes=modes,
             )
@@ -616,13 +620,18 @@ def main(argv=None) -> int:
                               threads=args.threads)
             _emit(rows_to_csv(rows), args.out)
         return 0
-    except ConfigSyntaxError as exc:
-        sys.stdout.write(json.dumps({"error": "config", "detail": str(exc)}) + "\n")
-        return 1
-    except (ConfigValueError, InfeasibleError, SweepPointError) as exc:
-        sys.stdout.write(json.dumps({"error": "model", "detail": str(exc)}) + "\n")
-        return 2
+    except (ConfigError, InfeasibleError, SweepPointError, ArithmeticError) as exc:
+        detail = str(exc)
+        if isinstance(exc, ArithmeticError):  # a formula left the float range
+            detail = f"{type(exc).__name__}: {exc}: an input is beyond the float range"
+        error, code = ("config", 1) if isinstance(exc, ConfigSyntaxError) else ("model", 2)
+        sys.stdout.write(json.dumps({"error": error, "detail": detail}) + "\n")
+        return code
 
 
 def console_entry() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    console_entry()

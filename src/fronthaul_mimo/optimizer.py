@@ -12,7 +12,7 @@ refined over the nearest integer antenna counts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .sysmodel import (
 
 _LN2 = math.log(2.0)
 
-DEFAULT_B_MAX = 12
+B_MAX = 12
 S_TOLERANCE = 1e-10
 M_NEIGHBORHOOD = 2  # integer antenna counts tried on each side of 1/s*
 
@@ -85,24 +85,19 @@ def _curve_slope(config: SystemConfig, b: int) -> float:
     return config.C_f / b
 
 
-def _s_domain_check(config: SystemConfig, s, b: int) -> None:
+def _s_domain_check(config: SystemConfig, s: float, b: int) -> None:
     lo = 1.0 / _curve_slope(config, b)
-    if isinstance(s, float):  # compared in Python: numpy costs ~10x on one value
-        low = high = s
-    else:
-        arr = np.asarray(s, dtype=float)
-        low, high = arr.min(), arr.max()
-    if low < lo or high > 1.0:
+    if not lo <= s <= 1.0:
         raise ValueError(f"s must lie in [b/C_f, 1] = [{lo}, 1] at b={b}")
 
 
 def curve_bandwidth(config: SystemConfig, s: float, b: int) -> float:
     """Bandwidth of the relaxed design at s on the constraint curve (M = 1/s)."""
     _s_domain_check(config, s, b)
-    return _curve_slope(config, b) * float(s)
+    return _curve_slope(config, b) * s
 
 
-def _omega_terms(config: SystemConfig, s, b: int):
+def _omega_terms(config: SystemConfig, s: float, b: int) -> tuple[float, float]:
     """omega(s) and its derivative on the constraint curve."""
     slope = _curve_slope(config, b)
     p = config.P_max * config.beta_edge
@@ -126,33 +121,29 @@ def _upsilon(config: SystemConfig, b: int) -> float:
     return config.n_data * _curve_slope(config, b) / (config.N * _LN2)
 
 
-def rate_of_s(config: SystemConfig, s, b: int):
-    """Per-user rate (bit/s) on the constraint curve M=1/s, B_w=(C_f/b)*s.
-
-    Pure evaluation; accepts a scalar or an array of s values.
-    """
+def rate_of_s(config: SystemConfig, s: float, b: int) -> float:
+    """Per-user rate (bit/s) on the constraint curve M=1/s, B_w=(C_f/b)*s."""
     _s_domain_check(config, s, b)
-    s = np.asarray(s, dtype=float)
     omega, _ = _omega_terms(config, s, b)
-    out = _upsilon(config, b) * s * np.log1p(omega)
-    return float(out) if out.ndim == 0 else out
+    # numpy's log1p, not math.log1p: the two differ in the last bit on some
+    # inputs, and the reported relaxed rate would move with it
+    return _upsilon(config, b) * s * float(np.log1p(omega))
 
 
-def rate_of_s_derivative(config: SystemConfig, s, b: int):
+def rate_of_s_derivative(config: SystemConfig, s: float, b: int) -> float:
     """Closed-form dR/ds; its sign gives the ascent direction."""
     _s_domain_check(config, s, b)
-    s = np.asarray(s, dtype=float)
     omega, omega_dot = _omega_terms(config, s, b)
-    out = _upsilon(config, b) * (np.log1p(omega) + s * omega_dot / (1.0 + omega))
-    return float(out) if out.ndim == 0 else out
+    return _upsilon(config, b) * (float(np.log1p(omega)) + s * omega_dot / (1.0 + omega))
 
 
 def _finite_derivative(config: SystemConfig, s: float, b: int) -> float:
     d = rate_of_s_derivative(config, s, b)
     if not math.isfinite(d):
         raise ConfigValueError(
-            f"dR/ds at s={s}, b={b} is not finite: C_f={config.C_f} is beyond "
-            "the float range of the constraint-curve search"
+            f"dR/ds at s={s}, b={b} is not finite: C_f={config.C_f}, "
+            f"N_0={config.N_0} or P_max={config.P_max} is beyond the float range "
+            "of the constraint-curve search"
         )
     return d
 
@@ -164,24 +155,23 @@ def maximize_over_s(config: SystemConfig, b: int) -> float:
     Returns the boundary point when the derivative never changes sign.
     Stops at a width of 1e-10 in s, or of 1e-6 relative to s where that is
     tighter, so a tiny s* (a huge capacity) still converges.  Raises
-    ConfigValueError when the derivative overflows, which only a capacity
-    C_f far beyond any physical fronthaul causes.
+    ConfigValueError when the derivative is not finite, which only C_f,
+    N_0 or P_max far beyond any physical system causes.
     """
     hi = 1.0
     lo = min(hi, (1.0 / _curve_slope(config, b)) * (1.0 + 1e-9))
-    with np.errstate(all="ignore"):  # an overflow is reported as one error below
-        d_lo = _finite_derivative(config, lo, b)
-        d_hi = _finite_derivative(config, hi, b)
-        if d_lo <= 0.0 and d_hi <= 0.0:
-            return lo
-        if d_lo >= 0.0 and d_hi >= 0.0:
-            return hi
-        while hi - lo > min(S_TOLERANCE, 1e-6 * lo):
-            mid = 0.5 * (lo + hi)
-            if _finite_derivative(config, mid, b) > 0.0:
-                lo = mid
-            else:
-                hi = mid
+    d_lo = _finite_derivative(config, lo, b)
+    d_hi = _finite_derivative(config, hi, b)
+    if d_lo <= 0.0 and d_hi <= 0.0:
+        return lo
+    if d_lo >= 0.0 and d_hi >= 0.0:
+        return hi
+    while hi - lo > min(S_TOLERANCE, 1e-6 * lo):
+        mid = 0.5 * (lo + hi)
+        if _finite_derivative(config, mid, b) > 0.0:
+            lo = mid
+        else:
+            hi = mid
     return 0.5 * (lo + hi)
 
 
@@ -235,18 +225,18 @@ class OptimizationResult:
 
     best: DesignPoint
     rate: RateBreakdown
-    trace: tuple = field(repr=False, default=())
-    binding: bool = True
-    relaxed_s: float | None = None
-    relaxed_rate_bps: float | None = None
-    fixed_one_bit: bool = False
+    trace_points: int  # integer designs evaluated
+    binding: bool
+    relaxed_s: float
+    relaxed_rate_bps: float
+    fixed_one_bit: bool
 
 
-def optimize_full(config: SystemConfig, b_max: int = DEFAULT_B_MAX) -> OptimizationResult:
+def optimize_full(config: SystemConfig) -> OptimizationResult:
     """Global maximization of the per-user rate subject to B_w*M*b <= C_f.
 
     Fixes b = 1 when that is provably optimal, otherwise exhausts
-    b in {1..b_max}; each resolution gets a concave search over s followed
+    b in {1..B_MAX}; each resolution gets a concave search over s followed
     by evaluation of the nearest integer antenna counts with B_w = C_f/(M*b).
     Ties break toward fewer bits, then fewer antennas.
     """
@@ -255,9 +245,9 @@ def optimize_full(config: SystemConfig, b_max: int = DEFAULT_B_MAX) -> Optimizat
             f"fronthaul capacity C_f={config.C_f} cannot carry one antenna-bit"
         )
     fixed_one_bit = one_bit_always_optimal(config)
-    bits = (1,) if fixed_one_bit else tuple(range(1, b_max + 1))
+    bits = (1,) if fixed_one_bit else tuple(range(1, B_MAX + 1))
 
-    trace: list[tuple[DesignPoint, RateBreakdown]] = []
+    trace_points = 0
     best: tuple | None = None
     best_s = math.nan
     for b in bits:
@@ -270,7 +260,7 @@ def optimize_full(config: SystemConfig, b_max: int = DEFAULT_B_MAX) -> Optimizat
         for m in range(m_lo, m_hi + 1):
             design = DesignPoint(B_w=config.C_f / (m * b), M=m, b=b)
             breakdown = achievable_rate(config, design)
-            trace.append((design, breakdown))
+            trace_points += 1
             key = (-breakdown.rate_bps, b, m)
             if best is None or key < best[0]:
                 best = (key, design, breakdown)
@@ -283,9 +273,9 @@ def optimize_full(config: SystemConfig, b_max: int = DEFAULT_B_MAX) -> Optimizat
     return OptimizationResult(
         best=design,
         rate=breakdown,
-        trace=tuple(trace),
+        trace_points=trace_points,
         binding=slack <= design.B_w * design.b,
         relaxed_s=best_s,
-        relaxed_rate_bps=float(rate_of_s(config, best_s, design.b)),
+        relaxed_rate_bps=rate_of_s(config, best_s, design.b),
         fixed_one_bit=fixed_one_bit,
     )

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -18,7 +19,7 @@ from fronthaul_mimo.cli import (
     rows_to_csv,
 )
 from fronthaul_mimo.errors import ConfigSyntaxError, ConfigValueError
-from fronthaul_mimo.sysmodel import reference_snr_from_power
+from fronthaul_mimo.sysmodel import SystemConfig, reference_snr_from_power
 
 def write_config(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
@@ -169,18 +170,20 @@ class TestMainRate:
         assert out["fronthaul_load_bps"] == pytest.approx(5e11)
 
     def test_module_entry_point(self, capsys):
-        # an uninstalled checkout runs the CLI as python -m fronthaul_mimo
+        # an uninstalled checkout runs the CLI as python -m fronthaul_mimo or
+        # python -m fronthaul_mimo.cli
         assert main(["rate", "--bw", "2e8", "--m", "64"]) == 0
         expected = capsys.readouterr().out
         src = os.path.dirname(os.path.dirname(os.path.abspath(fronthaul_mimo.__file__)))
         env = dict(os.environ, PYTHONPATH=src)
-        for argv, code, out in (
-            (["rate", "--bw", "2e8", "--m", "64"], 0, expected),
-            (["optimise"], 1, ""),
-        ):
-            proc = subprocess.run([sys.executable, "-m", "fronthaul_mimo", *argv],
-                                  capture_output=True, text=True, env=env)
-            assert (proc.returncode, proc.stdout) == (code, out)
+        for module in ("fronthaul_mimo", "fronthaul_mimo.cli"):
+            for argv, code, out in (
+                (["rate", "--bw", "2e8", "--m", "64"], 0, expected),
+                (["optimise"], 1, ""),
+            ):
+                proc = subprocess.run([sys.executable, "-m", module, *argv],
+                                      capture_output=True, text=True, env=env)
+                assert (proc.returncode, proc.stdout) == (code, out)
 
     def test_non_finite_input_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "gamma_ref_db = nan\n")
@@ -192,6 +195,30 @@ class TestMainRate:
             ["rate", "--bw", "1e-300", "--m", "64"],  # finite, but the rate is not
         ):
             assert_model_error(main(argv), capsys.readouterr().out)
+        # every system key, from zero to beyond the float range: a finite
+        # positive rate, or one JSON error line; no traceback, warning or stderr
+        keys = [f.name for f in dataclasses.fields(SystemConfig)] + ["gamma_ref_db"]
+        values = ("0", "1e-300", "1e-30", "0.5", "3", "1e30", "1e300", "-1", "nan", "inf")
+        failures = []
+        for key in keys:
+            for value in values:
+                cfg = write_config(tmp_path, f"{key} = {value}\n", "grid.cfg")
+                for argv in (["rate", "--config", cfg, "--bw", "2e8", "--m", "64"],
+                             ["optimize", "--config", cfg]):
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")
+                        try:
+                            code = main(argv)
+                        except Exception as exc:  # a traceback, or a warning raised
+                            code = repr(exc)
+                    out, err = capsys.readouterr()
+                    if code == 0:
+                        ok = strict_json(out)["rate_bps"] > 0
+                    else:
+                        ok = code in (1, 2) and out.count("\n") == 1 and "error" in strict_json(out)
+                    if not ok or err:
+                        failures.append(f"{argv[0]} {key}={value}: exit {code} {out[:60]!r}")
+        assert not failures, failures
 
 class TestMainOptimize:
     def test_report_fields(self, capsys):
@@ -313,6 +340,9 @@ class TestMcValidate:
         assert len(out["points"]) == 2
         for point in out["points"]:
             assert point["rel_err"] < 0.2
+        # a given --trials is used as it is: zero trials is a model error
+        code = main(["mc-validate", "--config", cfg, "--bits", "1", "--trials", "0"])
+        assert_model_error(code, capsys.readouterr().out)
         # an unparsable resolution list is a usage error, not a traceback
         code = main(["mc-validate", "--config", cfg, "--bits", "x"])
         out = capsys.readouterr().out
