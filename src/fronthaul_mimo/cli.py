@@ -222,10 +222,8 @@ def _format_cell(value) -> str:
         return ""
     if isinstance(value, bool):
         return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
+    if isinstance(value, float):
+        return repr(float(value))  # np.float64 grid values print as plain floats
     return str(value)
 
 
@@ -244,11 +242,11 @@ def _point_design(
     s = None
     b_w, m, b = spec.B_w, spec.M, spec.b
     if spec.axis == "b":
-        b = int(value)
+        b = value
     elif spec.axis == "B_w":
         b_w = float(value)
     elif spec.axis == "M":
-        m = int(value)
+        m = value
     elif spec.axis == "s":
         s = float(value)
     elif spec.axis == "theta":
@@ -259,11 +257,11 @@ def _point_design(
         b = 1
     if s is not None:
         b_w = optimizer.curve_bandwidth(cfg, s, b)
-        m = max(1, int(round(1.0 / s)))
+        m = max(1, round(1.0 / s))
     if spec.bind == "antennas":
         if b_w is None:
             raise ConfigValueError("bind=antennas needs a bandwidth (key B_w)")
-        m = int(math.floor(cfg.C_f / (b_w * b)))
+        m = math.floor(cfg.C_f / (b_w * b))
         if m < 1:
             raise InfeasibleError(
                 f"no antenna fits at B_w={b_w}, b={b}, C_f={cfg.C_f}"
@@ -276,7 +274,7 @@ def _point_design(
         raise ConfigValueError(
             "sweep needs B_w and M fixed, bound to the constraint, or swept"
         )
-    return cfg, DesignPoint(B_w=float(b_w), M=int(m), b=int(b)), s
+    return cfg, DesignPoint(B_w=b_w, M=m, b=b), s
 
 
 def _evaluate_point(
@@ -293,6 +291,7 @@ def _evaluate_point(
             f"> C_f {cfg.C_f}"
         )
     breakdown = achievable_rate(cfg, design)
+    _require_positive_rate(breakdown.rate_bps)
     row = {
         "preset": preset,
         "axis": spec.axis,
@@ -346,7 +345,7 @@ def run_sweep(
         index, value = iv
         try:
             return _evaluate_point(config, spec, index, value, preset)
-        except (ConfigError, InfeasibleError, ValueError, ArithmeticError) as exc:
+        except (ValueError, ArithmeticError) as exc:
             raise SweepPointError(
                 f"{spec.axis}={value} (grid index {index}): {exc}"
             ) from exc
@@ -593,8 +592,7 @@ def main(argv=None) -> int:
             rows = run_sweep(config, spec, threads=args.threads)
             _emit(rows_to_csv(rows), args.out)
             if args.out:
-                with open(args.out + ".effective", "w", encoding="utf-8", newline="\n") as fh:
-                    fh.write(effective_config_text(config, spec))
+                _emit(effective_config_text(config, spec), args.out + ".effective")
         elif args.command == "mc-validate":
             config, spec = _load(args)
             anchor = _anchor_design(spec, args)

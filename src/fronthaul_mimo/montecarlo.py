@@ -34,9 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigValueError
+from .linkrate import rate_from_sinqr
 from .sysmodel import DesignPoint, SystemConfig, link_budget
-
-_LN2 = math.log(2.0)
 
 QUANTIZE_MODES = ("uniform", "pqn")
 N_BATCHES = 10  # trial batches behind the standard error
@@ -318,13 +317,12 @@ def empirical_rate(
     n_obs = np.bincount(batch) * (config.K * config.n_data)  # symbols per batch
 
     gamma = _gamma_from_moments(s1.sum(), s2.sum(), int(n_obs.sum()))
-    prelog = design.B_w * config.n_data / config.N
-    rate = prelog * math.log1p(gamma) / _LN2
+    rate = rate_from_sinqr(config, design.B_w, gamma)
 
     # single-trial batches at high SINR can land on a non-finite ratio estimate
     batch_rates = np.array(
         [
-            prelog * math.log1p(_gamma_from_moments(s1[i], s2[i], int(n_obs[i]))) / _LN2
+            rate_from_sinqr(config, design.B_w, _gamma_from_moments(s1[i], s2[i], int(n_obs[i])))
             for i in range(n_batches)
         ]
     )

@@ -175,17 +175,16 @@ def maximize_over_s(config: SystemConfig, b: int) -> float:
     return 0.5 * (lo + hi)
 
 
-def one_bit_always_optimal(config: SystemConfig) -> bool:
-    """Whether the global search may fix b = 1 outright.
+def one_bit_always_optimal(config: SystemConfig, s: float) -> bool:
+    """Whether the global search may stop at b = 1, given the one-bit
+    maximizer s = maximize_over_s(config, 1).
 
     Requires the requested pilot excess >= 1 and the bandwidth condition to
     hold where it matters: at the one-bit optimum on the constraint curve.
     """
     if config.theta < 1.0:
         return False
-    s = maximize_over_s(config, 1)
-    m = max(1, int(round(1.0 / s)))
-    design = DesignPoint(B_w=curve_bandwidth(config, s, 1), M=m, b=1)
+    design = DesignPoint(B_w=curve_bandwidth(config, s, 1), M=max(1, round(1.0 / s)), b=1)
     return bandwidth_condition(config, design)
 
 
@@ -235,28 +234,26 @@ class OptimizationResult:
 def optimize_full(config: SystemConfig) -> OptimizationResult:
     """Global maximization of the per-user rate subject to B_w*M*b <= C_f.
 
-    Fixes b = 1 when that is provably optimal, otherwise exhausts
-    b in {1..B_MAX}; each resolution gets a concave search over s followed
-    by evaluation of the nearest integer antenna counts with B_w = C_f/(M*b).
-    Ties break toward fewer bits, then fewer antennas.
+    Searches b = 1, 2, ... B_MAX in turn and stops after b = 1 when the
+    one-bit certificate holds there; each resolution gets a concave search
+    over s followed by evaluation of the nearest integer antenna counts with
+    B_w = C_f/(M*b).  Ties break toward fewer bits, then fewer antennas.
     """
     if config.C_f < 1.0:
         raise InfeasibleError(
             f"fronthaul capacity C_f={config.C_f} cannot carry one antenna-bit"
         )
-    fixed_one_bit = one_bit_always_optimal(config)
-    bits = (1,) if fixed_one_bit else tuple(range(1, B_MAX + 1))
-
     trace_points = 0
     best: tuple | None = None
     best_s = math.nan
-    for b in bits:
+    for b in range(1, B_MAX + 1):
         if config.C_f / b < 1.0:
-            continue
+            break
         s = maximize_over_s(config, b)
+        fixed_one_bit = b == 1 and one_bit_always_optimal(config, s)
         m_center = 1.0 / s
-        m_lo = max(1, int(math.floor(m_center)) - M_NEIGHBORHOOD)
-        m_hi = min(int(math.floor(config.C_f / b)), int(math.ceil(m_center)) + M_NEIGHBORHOOD)
+        m_lo = max(1, math.floor(m_center) - M_NEIGHBORHOOD)
+        m_hi = min(math.floor(config.C_f / b), math.ceil(m_center) + M_NEIGHBORHOOD)
         for m in range(m_lo, m_hi + 1):
             design = DesignPoint(B_w=config.C_f / (m * b), M=m, b=b)
             breakdown = achievable_rate(config, design)
@@ -265,6 +262,8 @@ def optimize_full(config: SystemConfig) -> OptimizationResult:
             if best is None or key < best[0]:
                 best = (key, design, breakdown)
                 best_s = s
+        if fixed_one_bit:
+            break
     if best is None:
         raise InfeasibleError("no feasible integer design on the constraint curve")
 

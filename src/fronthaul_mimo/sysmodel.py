@@ -170,6 +170,8 @@ class DesignPoint:
             raise ConfigValueError(f"M must be a positive integer, got M={self.M}")
         if not math.isfinite(self.b) or self.b < 1 or int(self.b) != self.b:
             raise ConfigValueError(f"b must be a positive integer, got b={self.b}")
+        object.__setattr__(self, "M", int(self.M))  # an integral float, as an int
+        object.__setattr__(self, "b", int(self.b))
 
     @property
     def fronthaul_load(self) -> float:

@@ -35,6 +35,14 @@ def strict_json(text):
     return json.loads(text, parse_constant=refuse)
 
 
+def number(cell):
+    """A CSV cell as a float; 0.0 for a text or empty cell."""
+    try:
+        return float(cell)
+    except ValueError:
+        return 0.0
+
+
 def assert_model_error(code, out):
     assert code == 2
     assert out.count("\n") == 1
@@ -101,6 +109,15 @@ class TestSweep:
         assert lines[0].startswith("#")
         assert lines[1] == ",".join(CSV_COLUMNS)
         assert len(lines) == 4
+
+    def test_fractional_grid_value_rejected(self, tmp_path, capsys):
+        # b and M are checked where the design is built, not truncated first
+        for text in ("sweep_axis = b\nsweep_values = 1.5,2.5\nbind = antennas\nB_w = 2e8\n",
+                     "sweep_axis = M\nsweep_values = 64.9,65.2\nB_w = 2e8\n"):
+            cfg = write_config(tmp_path, text)
+            code, out = main(["sweep", "--config", cfg]), capsys.readouterr().out
+            assert_model_error(code, out)
+            assert "grid index 0" in strict_json(out)["detail"]
 
 class TestPresets:
     def test_fig2_peaks_at_one_bit(self):
@@ -196,15 +213,20 @@ class TestMainRate:
         ):
             assert_model_error(main(argv), capsys.readouterr().out)
         # every system key, from zero to beyond the float range: a finite
-        # positive rate, or one JSON error line; no traceback, warning or stderr
+        # positive rate (in every sweep row, with every numeric cell finite),
+        # or one JSON error line; no traceback, warning or stderr
         keys = [f.name for f in dataclasses.fields(SystemConfig)] + ["gamma_ref_db"]
         values = ("0", "1e-300", "1e-30", "0.5", "3", "1e30", "1e300", "-1", "nan", "inf")
         failures = []
         for key in keys:
             for value in values:
                 cfg = write_config(tmp_path, f"{key} = {value}\n", "grid.cfg")
+                sweep = write_config(tmp_path, f"{key} = {value}\nsweep_axis = b\n"
+                                     "sweep_values = 1,2\nbind = antennas\nB_w = 2e8\n",
+                                     "sweep.cfg")
                 for argv in (["rate", "--config", cfg, "--bw", "2e8", "--m", "64"],
-                             ["optimize", "--config", cfg]):
+                             ["optimize", "--config", cfg],
+                             ["sweep", "--config", sweep]):
                     with warnings.catch_warnings():
                         warnings.simplefilter("error")
                         try:
@@ -212,7 +234,13 @@ class TestMainRate:
                         except Exception as exc:  # a traceback, or a warning raised
                             code = repr(exc)
                     out, err = capsys.readouterr()
-                    if code == 0:
+                    if code == 0 and argv[0] == "sweep":
+                        header, *rows = [line.split(",") for line in out.splitlines()[1:]]
+                        rows = [dict(zip(header, row)) for row in rows]
+                        ok = all(float(row["rate_bps"]) > 0
+                                 and all(math.isfinite(number(cell)) for cell in row.values())
+                                 for row in rows)
+                    elif code == 0:
                         ok = strict_json(out)["rate_bps"] > 0
                     else:
                         ok = code in (1, 2) and out.count("\n") == 1 and "error" in strict_json(out)

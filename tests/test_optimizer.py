@@ -294,15 +294,28 @@ class TestOneBitCertificate:
     def test_high_snr_unit_theta(self):
         # optimum lands where interference dominates: certificate holds
         cfg = SystemConfig.from_reference_snr(30.0, K=20, C_f=50e9)
-        assert one_bit_always_optimal(cfg)
+        assert one_bit_always_optimal(cfg, maximize_over_s(cfg, 1))
 
     def test_small_theta_false(self):
-        assert not one_bit_always_optimal(SystemConfig(theta=0.5))
+        cfg = SystemConfig(theta=0.5)
+        assert not one_bit_always_optimal(cfg, maximize_over_s(cfg, 1))
 
-    def test_certified_matches_brute_force(self):
+    def test_certified_matches_brute_force(self, monkeypatch):
+        searched = []
+
+        def spy(config, b):
+            searched.append(b)
+            return maximize_over_s(config, b)
+
+        monkeypatch.setattr(optimizer, "maximize_over_s", spy)
+        # uncertified at theta = 1: every resolution is searched, each once
+        assert not optimize_full(SystemConfig.from_reference_snr(15.0)).fixed_one_bit
+        assert searched == list(range(1, 13))
+        searched.clear()
         cfg = SystemConfig.from_reference_snr(30.0, K=20, C_f=50e9)
-        assert one_bit_always_optimal(cfg)
         best = optimize_full(cfg)
+        # the certificate reads the b = 1 search; nothing is searched twice
+        assert best.fixed_one_bit and searched == [1]
         grid = np.logspace(math.log10(1.5 / cfg.C_f), 0, 60)
         for b in range(1, 13):
             for s in grid:
