@@ -79,7 +79,11 @@ _POSITIVE_KEYS = {"K", "C_f", "N", "L", "theta", "N_0", "P_max", "X_int",
 
 @dataclasses.dataclass(frozen=True)
 class SweepSpec:
-    """One sweep: the axis, its grid, the fixed design anchors, and MC knobs."""
+    """One sweep: the axis, its grid, the fixed design anchors, and MC knobs.
+
+    ``trials`` unset means closed form only for a sweep and 100 trials for
+    ``mc-validate``; a given value is used as it is.
+    """
 
     axis: str | None = None
     values: tuple = ()
@@ -87,7 +91,7 @@ class SweepSpec:
     B_w: float | None = None
     M: int | None = None
     b: int | None = None
-    trials: int = 0
+    trials: int | None = None
     seed: int = 0
     mc_mode: str = "pqn"
 
@@ -99,10 +103,18 @@ class SweepSpec:
             raise ConfigValueError(
                 f"mc_mode must be one of {montecarlo.QUANTIZE_MODES}, got {self.mc_mode!r}"
             )
-        if self.trials < 0:
+        if self.trials is not None and self.trials < 0:
             raise ConfigValueError(f"trials must be >= 0, got {self.trials}")
         if self.seed < 0:
             raise ConfigValueError(f"seed must be >= 0, got {self.seed}")
+        # the bound variable comes from the cap; a fixed or swept value
+        # (the s axis sets both) would be overwritten without a word
+        bound = {"antennas": "M", "bandwidth": "B_w"}.get(self.bind)
+        if bound and (getattr(self, bound) is not None or self.axis in (bound, "s")):
+            raise ConfigValueError(
+                f"bind={self.bind} sets {bound} from C_f, so {bound} must not also be "
+                f"fixed or swept (sweep_axis={self.axis})"
+            )
         if self.axis is None:
             return
         if self.axis not in SWEEP_AXES:
@@ -204,16 +216,19 @@ def parse_config(path: str) -> tuple[SystemConfig, SweepSpec]:
 
 
 def effective_config_text(config: SystemConfig, spec: SweepSpec) -> str:
-    """Echo of every effective key, written alongside sweep outputs."""
-    lines = [f"# effective configuration ({CSV_VERSION})"]
-    for key in sorted(_SYSTEM_FIELDS):
-        lines.append(f"{key} = {getattr(config, key)!r}")
-    lines.append(f"gamma_ref_db = {reference_snr_from_power(config)!r}")
-    lines.append(f"N_p = {config.n_pilot}")
-    for f in dataclasses.fields(SweepSpec):
-        if f.name != "values":
-            lines.append(f"sweep_{f.name} = {getattr(spec, f.name)!r}")
-    lines.append(f"sweep_values = {','.join(repr(v) for v in spec.values)}")
+    """Echo of every effective key, written alongside sweep outputs; as a
+    config it reruns the same sweep."""
+    lines = [
+        f"# effective configuration ({CSV_VERSION})",
+        f"# gamma_ref_db = {reference_snr_from_power(config)!r}, N_p = {config.n_pilot}",
+    ]
+    for source, table in ((config, _SYSTEM_FIELDS), (spec, _SPEC_FIELDS)):
+        for key, f in table.items():
+            value = getattr(source, f.name)
+            if isinstance(value, tuple):
+                value = ",".join(map(repr, value))
+            if value is not None:
+                lines.append(f"{key} = {value}")
     return "\n".join(lines) + "\n"
 
 
@@ -235,9 +250,10 @@ def rows_to_csv(rows: list[dict]) -> str:
 
 
 def _point_design(
-    config: SystemConfig, spec: SweepSpec, value: float
+    config: SystemConfig, spec: SweepSpec, value: float | None
 ) -> tuple[SystemConfig, DesignPoint, float | None]:
-    """Resolve one grid point into a concrete (config, design, s) triple."""
+    """Resolve one grid point (or, with no grid, the spec's one point) into a
+    concrete (config, design, s) triple."""
     cfg = config
     s = None
     b_w, m, b = spec.B_w, spec.M, spec.b
@@ -258,23 +274,25 @@ def _point_design(
     if s is not None:
         b_w = optimizer.curve_bandwidth(cfg, s, b)
         m = max(1, round(1.0 / s))
-    if spec.bind == "antennas":
-        if b_w is None:
-            raise ConfigValueError("bind=antennas needs a bandwidth (key B_w)")
+    if spec.bind == "antennas" and b_w is not None:
         m = math.floor(cfg.C_f / (b_w * b))
         if m < 1:
             raise InfeasibleError(
                 f"no antenna fits at B_w={b_w}, b={b}, C_f={cfg.C_f}"
             )
-    elif spec.bind == "bandwidth":
-        if m is None:
-            raise ConfigValueError("bind=bandwidth needs an antenna count (key M)")
+    elif spec.bind == "bandwidth" and m is not None:
         b_w = cfg.C_f / (m * b)
     if b_w is None or m is None:
-        raise ConfigValueError(
-            "sweep needs B_w and M fixed, bound to the constraint, or swept"
+        raise ConfigSyntaxError(
+            "a design point needs B_w and M: fixed (config keys or flags), "
+            "swept, or bound to the constraint"
         )
-    return cfg, DesignPoint(B_w=b_w, M=m, b=b), s
+    design = DesignPoint(B_w=b_w, M=m, b=b)
+    if spec.bind != "none" and not design.is_feasible(cfg.C_f):
+        raise InfeasibleError(
+            f"constraint violated: load {design.fronthaul_load} > C_f {cfg.C_f}"
+        )
+    return cfg, design, s
 
 
 def _evaluate_point(
@@ -285,11 +303,6 @@ def _evaluate_point(
     preset: str | None,
 ) -> dict:
     cfg, design, s = _point_design(config, spec, value)
-    if spec.bind != "none" and not design.is_feasible(cfg.C_f):
-        raise InfeasibleError(
-            f"constraint violated at grid point {value}: load {design.fronthaul_load} "
-            f"> C_f {cfg.C_f}"
-        )
     breakdown = achievable_rate(cfg, design)
     _require_positive_rate(breakdown.rate_bps)
     row = {
@@ -457,20 +470,21 @@ def rate_report(config: SystemConfig, design: DesignPoint) -> dict:
 
 def mc_validate_report(
     config: SystemConfig,
-    design_anchor: DesignPoint,
+    spec: SweepSpec,
     bits: tuple[int, ...],
-    trials: int,
-    seed: int,
     modes: tuple[str, ...] = ("pqn", "uniform"),
 ) -> dict:
+    """Simulator against closed form at the spec's point, one design per b;
+    an unset ``trials`` runs 100."""
+    trials = 100 if spec.trials is None else spec.trials
     points = []
     for b in bits:
-        design = DesignPoint(B_w=design_anchor.B_w, M=design_anchor.M, b=b)
-        closed = achievable_rate(config, design)
+        cfg, design, _ = _point_design(config, dataclasses.replace(spec, b=b), None)
+        closed = achievable_rate(cfg, design)
         for mode in modes:
             mode_key = montecarlo.QUANTIZE_MODES.index(mode)
-            seq = np.random.SeedSequence(entropy=seed, spawn_key=(b, mode_key))
-            mc = montecarlo.empirical_rate(config, design, trials, seq, mode=mode)
+            seq = np.random.SeedSequence(entropy=spec.seed, spawn_key=(b, mode_key))
+            mc = montecarlo.empirical_rate(cfg, design, trials, seq, mode=mode)
             points.append(
                 {
                     "b": b,
@@ -483,7 +497,7 @@ def mc_validate_report(
                     "clip_rate": mc.clip_rate,
                 }
             )
-    return {"trials": trials, "seed": seed, "points": points}
+    return {"trials": trials, "seed": spec.seed, "points": points}
 
 
 # --- entry point ----------------------------------------------------------
@@ -539,9 +553,16 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load(args) -> tuple[SystemConfig, SweepSpec]:
+# flag -> the config key it overrides, when the flag is given
+_FLAG_KEYS = {"bw": "B_w", "m": "M", "b": "b", "seed": "seed", "trials": "trials"}
+
+
+def _load(args, **changes) -> tuple[SystemConfig, SweepSpec]:
+    """The config with every given flag applied; ``changes`` set spec fields
+    first (``rate`` and ``mc-validate`` clear the grid)."""
     config, spec = parse_config(args.config) if args.config else parse_config_text("")
-    changes = {k: v for k in ("seed", "trials") if (v := getattr(args, k, None)) is not None}
+    changes.update({key: value for flag, key in _FLAG_KEYS.items()
+                    if (value := getattr(args, flag, None)) is not None})
     return config, dataclasses.replace(spec, **changes)
 
 
@@ -561,28 +582,13 @@ def _emit_json(report: dict, out_path: str | None) -> None:
     _emit(text + "\n", out_path)
 
 
-def _anchor_design(spec: SweepSpec, args) -> DesignPoint:
-    """Design point from the flags, falling back to the config's anchors."""
-
-    def pick(flag: str, anchor):
-        value = getattr(args, flag, None)
-        return anchor if value is None else value
-
-    b_w, m, b = pick("bw", spec.B_w), pick("m", spec.M), pick("b", spec.b)
-    if b is None:
-        b = 1
-    if b_w is None or m is None:
-        raise ConfigSyntaxError("a design point needs B_w and M (config keys or flags)")
-    return DesignPoint(B_w=b_w, M=m, b=b)
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "rate":
-            config, spec = _load(args)
-            report = rate_report(config, _anchor_design(spec, args))
-            _emit_json(report, args.out)
+            config, spec = _load(args, axis=None, values=())
+            config, design, _ = _point_design(config, spec, None)
+            _emit_json(rate_report(config, design), args.out)
         elif args.command == "optimize":
             config, _ = _load(args)
             report = optimize_report(config)
@@ -594,8 +600,7 @@ def main(argv=None) -> int:
             if args.out:
                 _emit(effective_config_text(config, spec), args.out + ".effective")
         elif args.command == "mc-validate":
-            config, spec = _load(args)
-            anchor = _anchor_design(spec, args)
+            config, spec = _load(args, axis=None, values=())
             try:
                 bits = tuple(int(v) for v in args.bits.split(","))
             except ValueError:
@@ -603,16 +608,7 @@ def main(argv=None) -> int:
                     f"--bits must be a comma list of integers, got {args.bits!r}"
                 ) from None
             modes = ("pqn", "uniform") if args.mode == "both" else (args.mode,)
-            report = mc_validate_report(
-                config,
-                anchor,
-                bits,
-                # a given --trials is used as is; a config without trials runs 100
-                trials=spec.trials if args.trials is not None else spec.trials or 100,
-                seed=spec.seed,
-                modes=modes,
-            )
-            _emit_json(report, args.out)
+            _emit_json(mc_validate_report(config, spec, bits, modes), args.out)
         elif args.command == "preset":
             rows = run_preset(args.name, trials=args.trials, seed=args.seed,
                               threads=args.threads)

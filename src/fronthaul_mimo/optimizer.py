@@ -54,15 +54,9 @@ def threshold_f(b: int, x_int: float = 1.0) -> float:
     return num / den
 
 
-def interference_noise_ratio(config: SystemConfig, B_w: float) -> float:
-    """Total interference over noise, K*P/(B_w*N_0)."""
-    budget = link_budget(config, B_w, 1)
-    return budget.I_total / config.N_0
-
-
 def bandwidth_condition(config: SystemConfig, design: DesignPoint) -> bool:
-    """True when the interference-to-noise ratio strictly exceeds the
-    bit-for-bandwidth threshold at this design's resolution.
+    """True when the interference-to-noise ratio K*P/(B_w*N_0) strictly
+    exceeds the bit-for-bandwidth threshold at this design's resolution.
 
     The threshold is evaluated at unit pilot excess; larger pilot excess only
     lowers it, so this test is a conservative sufficient condition.  For very
@@ -72,7 +66,7 @@ def bandwidth_condition(config: SystemConfig, design: DesignPoint) -> bool:
     num, den = _threshold_parts(design.b, config.X_int)
     if den <= 0.0:
         return False
-    return interference_noise_ratio(config, design.B_w) > num / den
+    return link_budget(config, design.B_w, design.b).I_total / config.N_0 > num / den
 
 
 def _curve_slope(config: SystemConfig, b: int) -> float:

@@ -19,7 +19,8 @@ from fronthaul_mimo.cli import (
     rows_to_csv,
 )
 from fronthaul_mimo.errors import ConfigSyntaxError, ConfigValueError
-from fronthaul_mimo.sysmodel import SystemConfig, reference_snr_from_power
+from fronthaul_mimo.linkrate import achievable_rate
+from fronthaul_mimo.sysmodel import DesignPoint, SystemConfig, reference_snr_from_power
 
 def write_config(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
@@ -110,6 +111,24 @@ class TestSweep:
         assert lines[1] == ",".join(CSV_COLUMNS)
         assert len(lines) == 4
 
+    @pytest.mark.parametrize("text, argv", [
+        ("bind = antennas\nB_w = 2e8\nM = 64\nsweep_axis = b\nsweep_values = 1,2\n", ["sweep"]),
+        ("bind = antennas\nB_w = 2e8\nsweep_axis = M\nsweep_values = 16,64\n", ["sweep"]),
+        ("bind = antennas\nsweep_axis = s\nsweep_values = 0.01,0.1\n", ["sweep"]),
+        ("bind = bandwidth\nM = 64\nB_w = 2e8\nsweep_axis = b\nsweep_values = 1,2\n", ["sweep"]),
+        ("bind = bandwidth\nM = 64\nsweep_axis = B_w\nsweep_values = 1e8,2e8\n", ["sweep"]),
+        ("bind = bandwidth\nsweep_axis = s\nsweep_values = 0.01,0.1\n", ["sweep"]),
+        ("bind = antennas\nB_w = 2e8\n", ["rate", "--m", "64"]),
+    ], ids=["antennas-fixed-M", "antennas-swept-M", "antennas-swept-s", "bandwidth-fixed-B_w",
+            "bandwidth-swept-B_w", "bandwidth-swept-s", "antennas-rate-flag-m"])
+    def test_bind_conflict_exit_2(self, tmp_path, capsys, text, argv):
+        # a value that bind would overwrite is refused, not ignored
+        cfg = write_config(tmp_path, text)
+        code = main([argv[0], "--config", cfg, *argv[1:]])
+        out = capsys.readouterr().out
+        assert_model_error(code, out)
+        assert "must not also be fixed or swept" in strict_json(out)["detail"]
+
     def test_fractional_grid_value_rejected(self, tmp_path, capsys):
         # b and M are checked where the design is built, not truncated first
         for text in ("sweep_axis = b\nsweep_values = 1.5,2.5\nbind = antennas\nB_w = 2e8\n",
@@ -185,6 +204,12 @@ class TestMainRate:
         assert out["design"]["M"] == 2500
         assert out["rate_bps"] > 0
         assert out["fronthaul_load_bps"] == pytest.approx(5e11)
+
+    def test_rate_honours_bind(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "bind = antennas\nB_w = 2e8\nb = 2\n")
+        assert main(["rate", "--config", cfg]) == 0
+        design = strict_json(capsys.readouterr().out)["design"]
+        assert design == {"B_w_hz": 2e8, "M": math.floor(500e9 / (2e8 * 2)), "b": 2}
 
     def test_module_entry_point(self, capsys):
         # an uninstalled checkout runs the CLI as python -m fronthaul_mimo or
@@ -340,8 +365,13 @@ class TestDeterminism:
         main(["sweep", "--config", cfg, "--out", out])
         echo = open(out + ".effective", "r", encoding="utf-8").read()
         assert "K = 2" in echo
-        assert "sweep_axis = 'b'" in echo
+        assert "sweep_axis = b" in echo
         assert "N_p = 4" in echo
+        # the echo is a config that reruns the same sweep, and echoes itself
+        rerun = str(tmp_path / "rerun.csv")
+        assert main(["sweep", "--config", out + ".effective", "--out", rerun]) == 0
+        assert open(rerun, "rb").read() == open(out, "rb").read()
+        assert open(rerun + ".effective", encoding="utf-8").read() == echo
 
     def test_flag_overrides_config(self, tmp_path):
         # --trials 0 drops the MC columns; --seed changes the MC outcome
@@ -376,6 +406,29 @@ class TestMcValidate:
         out = capsys.readouterr().out
         assert code == 1 and out.count("\n") == 1
         assert strict_json(out)["error"] == "config"
+
+    def test_config_trials(self, tmp_path, capsys):
+        # trials = 0 in a config is a given value, as --trials 0 is; no
+        # trials key runs 100
+        base = "K = 2\nL = 2\nN = 128\nX_int = 2.5\nB_w = 1e8\nM = 16\n"
+        zero = write_config(tmp_path, base + "trials = 0\n", "zero.cfg")
+        code = main(["mc-validate", "--config", zero, "--bits", "1", "--mode", "pqn"])
+        assert_model_error(code, capsys.readouterr().out)
+        unset = write_config(tmp_path, base, "unset.cfg")
+        assert main(["mc-validate", "--config", unset, "--bits", "1", "--mode", "pqn"]) == 0
+        assert strict_json(capsys.readouterr().out)["trials"] == 100
+
+    def test_bind_resolves_each_resolution(self, tmp_path, capsys):
+        # bind = antennas takes M from the cap at each b, as a sweep row does
+        cfg = write_config(tmp_path, "K = 2\nL = 2\nN = 128\nX_int = 2.5\nC_f = 6.4e9\n"
+                                     "B_w = 1e8\nbind = antennas\n")
+        code = main(["mc-validate", "--config", cfg, "--bits", "1,2", "--mode", "pqn",
+                     "--trials", "2"])
+        assert code == 0
+        config, _ = parse_config_text(open(cfg, encoding="utf-8").read())
+        for point, m in zip(strict_json(capsys.readouterr().out)["points"], (64, 32)):
+            closed = achievable_rate(config, DesignPoint(B_w=1e8, M=m, b=point["b"]))
+            assert point["closed_form_bps"] == closed.rate_bps
 
     def test_single_trial_stderr_is_null(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "K = 2\nL = 2\nN = 128\nX_int = 2.5\nB_w = 1e8\nM = 16\n")

@@ -11,7 +11,6 @@ from fronthaul_mimo.optimizer import (
     antenna_condition,
     bandwidth_condition,
     curve_bandwidth,
-    interference_noise_ratio,
     maximize_over_s,
     optimize_full,
     pade_bandwidth_condition,
@@ -20,7 +19,7 @@ from fronthaul_mimo.optimizer import (
     one_bit_always_optimal,
     threshold_f,
 )
-from fronthaul_mimo.sysmodel import DesignPoint, SystemConfig
+from fronthaul_mimo.sysmodel import DesignPoint, SystemConfig, link_budget
 
 from conftest import exact_gain_config, threshold_f_alt
 
@@ -83,13 +82,13 @@ class TestBandwidthCondition:
     def test_half_ratio_false_at_two_bits(self):
         # I/N_0 = 0.5 sits below the two-bit threshold ~0.95
         cfg = exact_gain_config(K=1, P_max=0.5)
-        assert interference_noise_ratio(cfg, 1.0) == 0.5
+        assert link_budget(cfg, 1.0, 2).I_total / cfg.N_0 == 0.5
         assert not bandwidth_condition(cfg, DesignPoint(B_w=1.0, M=10, b=2))
 
     def test_boundary_is_strict(self):
         f2 = threshold_f(2, 1.0)
         cfg = exact_gain_config(K=1, P_max=f2)
-        assert interference_noise_ratio(cfg, 1.0) == f2
+        assert link_budget(cfg, 1.0, 2).I_total / cfg.N_0 == f2
         assert not bandwidth_condition(cfg, DesignPoint(B_w=1.0, M=10, b=2))
 
     def test_wide_interval_never_certified(self):
