@@ -350,7 +350,11 @@ def run_sweep(
     threads: int = 1,
     preset: str | None = None,
 ) -> list[dict]:
-    """Evaluate every grid point, in grid order regardless of parallelism."""
+    """Evaluate every grid point, in grid order regardless of parallelism.
+
+    Only Monte Carlo rows (``spec.trials`` set) go to a pool of ``threads``;
+    a closed-form row costs less than handing it to a thread.
+    """
     if spec.axis is None:
         raise ConfigSyntaxError("sweep needs a sweep_axis key")
 
@@ -364,7 +368,7 @@ def run_sweep(
             ) from exc
 
     items = list(enumerate(spec.values))
-    if threads <= 1:
+    if threads <= 1 or not spec.trials:
         return [job(iv) for iv in items]
     with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(job, items))
@@ -509,6 +513,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+@functools.cache  # built on the first main call, not at import
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="fhmimo",
@@ -535,7 +540,7 @@ def _build_parser() -> _Parser:
 
     p_sweep = sub.add_parser("sweep", help="evaluate a config-defined grid to CSV")
     common(p_sweep, monte_carlo=True)
-    p_sweep.add_argument("--threads", type=int, default=1)
+    p_sweep.add_argument("--threads", type=int, default=1, help="threads for Monte Carlo rows")
 
     p_mc = sub.add_parser("mc-validate", help="simulator vs closed form comparison")
     common(p_mc, monte_carlo=True)
@@ -549,7 +554,7 @@ def _build_parser() -> _Parser:
     p_preset.add_argument("--out", help="output path (default: stdout)")
     p_preset.add_argument("--seed", type=int, default=0)
     p_preset.add_argument("--trials", type=int, default=0)
-    p_preset.add_argument("--threads", type=int, default=1)
+    p_preset.add_argument("--threads", type=int, default=1, help="threads for Monte Carlo rows")
     return parser
 
 

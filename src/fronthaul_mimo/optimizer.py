@@ -11,8 +11,10 @@ refined over the nearest integer antenna counts.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,66 +71,88 @@ def bandwidth_condition(config: SystemConfig, design: DesignPoint) -> bool:
     return link_budget(config, design.B_w, design.b).I_total / config.N_0 > num / den
 
 
-def _curve_slope(config: SystemConfig, b: int) -> float:
-    """dB_w/ds on the constraint curve.
+class _Curve(NamedTuple):
+    """Constants of the constraint curve at one (config, b)."""
 
-    At resolution b the cap B_w*M*b = C_f is the curve M = 1/s,
-    B_w = (C_f/b)*s over s in [b/C_f, 1]; every relaxed quantity in this
-    module reads the curve, and its domain, through this slope.
+    slope: float  # dB_w/ds = C_f/b
+    inv_slope: float  # b/C_f, the lower end of the domain of s
+    kp: float  # K*P
+    one: float  # 1 + E
+    u_dot: float  # du/ds = slope*N_0
+    te_kp: float  # (theta_eff - 1)*K*P
+    one_u_dot: float  # (1 + E)*slope*N_0
+    two_one: float  # 2*(1 + E)
+    a: float  # pilot factor P^2*N_p/L
+    upsilon: float  # rate scale N_d*slope/(N*ln 2)
+
+
+@functools.lru_cache(maxsize=1024)  # every b of a 72-point grid fits
+def _curve(config: SystemConfig, b: int) -> _Curve:
+    """The constraint curve at resolution b.
+
+    The cap B_w*M*b = C_f is the curve M = 1/s, B_w = (C_f/b)*s over
+    s in [b/C_f, 1]; every relaxed quantity in this module reads the curve,
+    and its domain, from this record.
     """
-    return config.C_f / b
+    slope = config.C_f / b
+    p = config.P_max * config.beta_edge
+    kp = config.K * p
+    one = 1.0 + quantization_distortion_variance(b, config.X_int)
+    u_dot = slope * config.N_0
+    return _Curve(
+        slope=slope,
+        inv_slope=1.0 / slope,
+        kp=kp,
+        one=one,
+        u_dot=u_dot,
+        te_kp=(config.theta_eff - 1.0) * kp,
+        one_u_dot=one * u_dot,
+        two_one=2.0 * one,
+        a=p * p * config.n_pilot / config.L,
+        upsilon=config.n_data * slope / (config.N * _LN2),
+    )
 
 
-def _s_domain_check(config: SystemConfig, s: float, b: int) -> None:
-    lo = 1.0 / _curve_slope(config, b)
-    if not lo <= s <= 1.0:
-        raise ValueError(f"s must lie in [b/C_f, 1] = [{lo}, 1] at b={b}")
+def _domain_curve(config: SystemConfig, s: float, b: int) -> _Curve:
+    """The curve at b, once s is checked to lie in its domain."""
+    curve = _curve(config, b)
+    if not curve.inv_slope <= s <= 1.0:
+        raise ValueError(f"s must lie in [b/C_f, 1] = [{curve.inv_slope}, 1] at b={b}")
+    return curve
 
 
 def curve_bandwidth(config: SystemConfig, s: float, b: int) -> float:
     """Bandwidth of the relaxed design at s on the constraint curve (M = 1/s)."""
-    _s_domain_check(config, s, b)
-    return _curve_slope(config, b) * s
-
-
-def _omega_terms(config: SystemConfig, s: float, b: int) -> tuple[float, float]:
-    """omega(s) and its derivative on the constraint curve."""
-    slope = _curve_slope(config, b)
-    p = config.P_max * config.beta_edge
-    kp = config.K * p
-    e = quantization_distortion_variance(b, config.X_int)
-    one = 1.0 + e
-    te = config.theta_eff
-    u = kp + slope * config.N_0 * s
-    u_dot = slope * config.N_0
-    # tau(theta, s) + (1+E)^2 u^2, with tau = (theta_eff - 1) KP (1+E) u
-    denom = one * u * ((te - 1.0) * kp + one * u)
-    denom_dot = one * u_dot * ((te - 1.0) * kp + 2.0 * one * u)
-    a = p * p * config.n_pilot / config.L
-    g = s * denom
-    omega = a / g
-    omega_dot = -omega * (denom + s * denom_dot) / g  # not a/g^2: g^2 overflows
-    return omega, omega_dot
-
-
-def _upsilon(config: SystemConfig, b: int) -> float:
-    return config.n_data * _curve_slope(config, b) / (config.N * _LN2)
+    return _domain_curve(config, s, b).slope * s
 
 
 def rate_of_s(config: SystemConfig, s: float, b: int) -> float:
     """Per-user rate (bit/s) on the constraint curve M=1/s, B_w=(C_f/b)*s."""
-    _s_domain_check(config, s, b)
-    omega, _ = _omega_terms(config, s, b)
+    curve = _domain_curve(config, s, b)
+    ou = curve.one * (curve.kp + curve.u_dot * s)
+    omega = curve.a / (s * (ou * (curve.te_kp + ou)))
     # numpy's log1p, not math.log1p: the two differ in the last bit on some
     # inputs, and the reported relaxed rate would move with it
-    return _upsilon(config, b) * s * float(np.log1p(omega))
+    return curve.upsilon * s * float(np.log1p(omega))
 
 
 def rate_of_s_derivative(config: SystemConfig, s: float, b: int) -> float:
-    """Closed-form dR/ds; its sign gives the ascent direction."""
-    _s_domain_check(config, s, b)
-    omega, omega_dot = _omega_terms(config, s, b)
-    return _upsilon(config, b) * (float(np.log1p(omega)) + s * omega_dot / (1.0 + omega))
+    """Closed-form dR/ds; its sign gives the ascent direction.
+
+    The bisection's inner step: the curve's constants come from one cached
+    lookup, and only the terms that depend on s are computed here.
+    """
+    _, _, kp, one, u_dot, te_kp, one_u_dot, two_one, a, upsilon = _domain_curve(config, s, b)
+    u = kp + u_dot * s
+    ou = one * u
+    # omega = a/(s*denom), denom = tau(theta, s) + (1+E)^2 u^2,
+    # with tau = (theta_eff - 1) KP (1+E) u
+    denom = ou * (te_kp + ou)
+    denom_dot = one_u_dot * (te_kp + two_one * u)
+    g = s * denom
+    omega = a / g
+    omega_dot = -omega * (denom + s * denom_dot) / g  # not a/g^2: g^2 overflows
+    return upsilon * (float(np.log1p(omega)) + s * omega_dot / (1.0 + omega))
 
 
 def _finite_derivative(config: SystemConfig, s: float, b: int) -> float:
@@ -153,7 +177,7 @@ def maximize_over_s(config: SystemConfig, b: int) -> float:
     N_0 or P_max far beyond any physical system causes.
     """
     hi = 1.0
-    lo = min(hi, (1.0 / _curve_slope(config, b)) * (1.0 + 1e-9))
+    lo = min(hi, _curve(config, b).inv_slope * (1.0 + 1e-9))
     d_lo = _finite_derivative(config, lo, b)
     d_hi = _finite_derivative(config, hi, b)
     if d_lo <= 0.0 and d_hi <= 0.0:

@@ -438,3 +438,44 @@ class TestMcValidate:
         (point,) = strict_json(capsys.readouterr().out)["points"]
         assert point["stderr_bps"] is None
         assert point["mc_bps"] > 0
+
+
+class TestParserReuse:
+    """main builds its parser once per process; no value a call gives
+    carries over into the next call."""
+
+    def test_no_value_carries_over(self, tmp_path, capsys):
+        from fronthaul_mimo.cli import _build_parser
+
+        assert _build_parser() is _build_parser()
+        cfg = write_config(
+            tmp_path, "K = 2\nL = 2\nN = 128\nX_int = 2.5\nB_w = 1e8\nM = 16\ntrials = 2\n"
+        )
+        mc = ["mc-validate", "--config", cfg, "--bits", "1", "--mode", "pqn"]
+        assert main(mc + ["--trials", "3", "--seed", "5"]) == 0
+        assert strict_json(capsys.readouterr().out)["trials"] == 3
+        assert main(mc) == 0
+        report = strict_json(capsys.readouterr().out)
+        assert (report["trials"], report["seed"]) == (2, 0)
+
+        assert main(["rate", "--config", cfg, "--bw", "2e8", "--m", "64", "--b", "2"]) == 0
+        design = strict_json(capsys.readouterr().out)["design"]
+        assert design == {"B_w_hz": 2e8, "M": 64, "b": 2}
+        assert main(["rate", "--config", cfg]) == 0
+        design = strict_json(capsys.readouterr().out)["design"]
+        assert design == {"B_w_hz": 1e8, "M": 16, "b": 1}
+
+        # a usage error that has already read --bw, then a valid call: its
+        # stdout is what the call prints as the first of a fresh process
+        with pytest.raises(SystemExit) as err:
+            main(["rate", "--config", cfg, "--bw", "3e8", "--m"])
+        assert err.value.code == 1
+        capsys.readouterr()
+        assert main(["rate", "--config", cfg]) == 0
+        again = capsys.readouterr().out
+        src = os.path.dirname(os.path.dirname(os.path.abspath(fronthaul_mimo.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "fronthaul_mimo", "rate", "--config", cfg],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert (proc.returncode, proc.stdout) == (0, again)

@@ -19,7 +19,12 @@ from fronthaul_mimo.optimizer import (
     one_bit_always_optimal,
     threshold_f,
 )
-from fronthaul_mimo.sysmodel import DesignPoint, SystemConfig, link_budget
+from fronthaul_mimo.sysmodel import (
+    DesignPoint,
+    SystemConfig,
+    link_budget,
+    quantization_distortion_variance,
+)
 
 from conftest import exact_gain_config, threshold_f_alt
 
@@ -187,6 +192,74 @@ class TestRateOfS:
             for s in (1e-6, 1e-3, 0.3, 1.0):
                 b_w = curve_bandwidth(base_config, s, b)
                 assert (1.0 / s) * b_w * b == pytest.approx(base_config.C_f, rel=1e-12)
+
+
+def reference_omega_terms(config, s, b):
+    """omega(s) and its derivative, every constant recomputed per call."""
+    slope = config.C_f / b
+    p = config.P_max * config.beta_edge
+    kp = config.K * p
+    e = quantization_distortion_variance(b, config.X_int)
+    one = 1.0 + e
+    te = config.theta_eff
+    u = kp + slope * config.N_0 * s
+    u_dot = slope * config.N_0
+    denom = one * u * ((te - 1.0) * kp + one * u)
+    denom_dot = one * u_dot * ((te - 1.0) * kp + 2.0 * one * u)
+    a = p * p * config.n_pilot / config.L
+    g = s * denom
+    omega = a / g
+    omega_dot = -omega * (denom + s * denom_dot) / g
+    return omega, omega_dot
+
+
+def reference_upsilon(config, b):
+    return config.n_data * (config.C_f / b) / (config.N * math.log(2.0))
+
+
+def reference_rate_of_s(config, s, b):
+    omega, _ = reference_omega_terms(config, s, b)
+    return reference_upsilon(config, b) * s * float(np.log1p(omega))
+
+
+def reference_rate_of_s_derivative(config, s, b):
+    omega, omega_dot = reference_omega_terms(config, s, b)
+    return reference_upsilon(config, b) * (
+        float(np.log1p(omega)) + s * omega_dot / (1.0 + omega)
+    )
+
+
+class TestCurveKernelBitExact:
+    def test_matches_per_call_reference(self, base_config):
+        # configs that differ in one field each; calls interleave across them,
+        # so constants cached under less than the whole config would leak
+        configs = [
+            base_config,
+            base_config.replace(theta=2.0),
+            base_config.replace(theta=1.37),  # N_p rounds: theta_eff != theta
+            base_config.replace(X_int=2.5),
+            base_config.replace(N_0=3.0),
+            base_config.replace(C_f=50e9),
+            SystemConfig.from_reference_snr(30.0),
+        ]
+        for b in range(1, 13):
+            grids = []
+            for cfg in configs:
+                lo = 1.0 / (cfg.C_f / b)
+                grids.append([lo, *np.geomspace(lo, 1.0, 41)[1:-1].tolist(), 1.0])
+            for i in range(len(grids[0])):
+                for cfg, grid in zip(configs, grids):
+                    s = grid[i]
+                    assert rate_of_s_derivative(cfg, s, b) == reference_rate_of_s_derivative(
+                        cfg, s, b
+                    )
+                    assert rate_of_s(cfg, s, b) == reference_rate_of_s(cfg, s, b)
+                    assert curve_bandwidth(cfg, s, b) == (cfg.C_f / b) * s
+            for cfg in configs:
+                with pytest.raises(ValueError):
+                    rate_of_s_derivative(cfg, 1.5, b)
+                with pytest.raises(ValueError):
+                    rate_of_s_derivative(cfg, 0.5 * b / cfg.C_f, b)
 
 
 class TestDerivative:
