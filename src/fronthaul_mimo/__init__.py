@@ -30,7 +30,6 @@ from .sysmodel import (
     LinkBudget,
     SystemConfig,
     link_budget,
-    pathloss_linear,
     quantization_distortion_variance,
 )
 
@@ -55,7 +54,6 @@ __all__ = [
     "link_budget",
     "maximize_over_s",
     "optimize_full",
-    "pathloss_linear",
     "quantization_distortion_variance",
     "quantize_block",
     "rate_of_s",

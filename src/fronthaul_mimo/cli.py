@@ -73,8 +73,7 @@ CSV_COLUMNS = (
 SWEEP_AXES = ("b", "B_w", "M", "s", "theta", "snr_db")
 BIND_MODES = ("none", "antennas", "bandwidth")
 
-_POSITIVE_KEYS = {"K", "C_f", "N", "L", "theta", "N_0", "P_max", "X_int",
-                  "cell_radius_km", "B_w", "M", "b"}
+_POSITIVE_KEYS = {"K", "C_f", "N", "L", "theta", "P", "X_int", "B_w", "M", "b"}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -140,7 +139,7 @@ def _parse_grid(text: str) -> tuple:
 
 
 # Config keys are the dataclass fields, parsed by their annotation.  The two
-# grid fields carry a ``sweep_`` prefix; gamma_ref_db sets P_max.
+# grid fields carry a ``sweep_`` prefix; gamma_ref_db sets P.
 _SYSTEM_FIELDS = {f.name: f for f in dataclasses.fields(SystemConfig)}
 _SPEC_FIELDS = {
     ("sweep_" + f.name if f.name in ("axis", "values") else f.name): f
@@ -193,18 +192,16 @@ def parse_config_text(text: str, source: str = "<config>") -> tuple[SystemConfig
                     f"key '{key}' must be positive (line {lineno}), got {value}"
                 )
 
-    if "P_max" in raw and "gamma_ref_db" in raw:
+    if "P" in raw and "gamma_ref_db" in raw:
         raise ConfigValueError(
-            "keys 'P_max' and 'gamma_ref_db' are mutually exclusive "
-            f"(lines {raw['P_max'][1]} and {raw['gamma_ref_db'][1]})"
+            "keys 'P' and 'gamma_ref_db' are mutually exclusive "
+            f"(lines {raw['P'][1]} and {raw['gamma_ref_db'][1]})"
         )
 
     system_kwargs = {k: v for k, (v, _) in raw.items() if k in _SYSTEM_FIELDS}
-    if "P_max" not in system_kwargs:
-        gamma_db = raw.get("gamma_ref_db", (15.0, 0))[0]
-        config = SystemConfig.from_reference_snr(gamma_db, **system_kwargs)
-    else:
-        config = SystemConfig(**system_kwargs)
+    if "gamma_ref_db" in raw:
+        system_kwargs["P"] = reference_snr_to_power(raw["gamma_ref_db"][0])
+    config = SystemConfig(**system_kwargs)
 
     spec = SweepSpec(**{f.name: raw[key][0] for key, f in _SPEC_FIELDS.items() if key in raw})
     return config, spec
@@ -268,7 +265,7 @@ def _point_design(
     elif spec.axis == "theta":
         cfg = config.replace(theta=float(value))
     elif spec.axis == "snr_db":
-        cfg = config.replace(P_max=reference_snr_to_power(config, float(value)))
+        cfg = config.replace(P=reference_snr_to_power(float(value)))
     if b is None:
         b = 1
     if s is not None:

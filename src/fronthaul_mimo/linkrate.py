@@ -29,20 +29,20 @@ class RateBreakdown:
 def estimation_quality(config: SystemConfig, design: DesignPoint) -> float:
     """Channel estimation quality c in [0, 1) for a uniform power delay profile.
 
-    c = theta*I / (theta*I + N_0 + P_rx*E); rises with pilot excess and power,
-    falls with quantization distortion.
+    c = theta*I / (theta*I + 1 + P_rx*E), with unit noise; rises with pilot
+    excess and power, falls with quantization distortion.
     """
     budget = link_budget(config, design.B_w, design.b)
     ti = config.theta_eff * budget.I_total
-    return ti / (ti + config.N_0 + budget.P_rx * budget.E)
+    return ti / (ti + 1.0 + budget.P_rx * budget.E)
 
 
 def sinqr(config: SystemConfig, design: DesignPoint) -> float:
     """Effective SINR including quantization distortion, for MRC reception."""
     budget = link_budget(config, design.B_w, design.b)
     c = estimation_quality(config, design)
-    per_user = budget.P / design.B_w
-    return c * design.M * per_user / (budget.I_total + config.N_0 + budget.P_rx * budget.E)
+    per_user = config.P / design.B_w
+    return c * design.M * per_user / (budget.I_total + 1.0 + budget.P_rx * budget.E)
 
 
 def rate_from_sinqr(config: SystemConfig, B_w: float, gamma: float) -> float:

@@ -148,8 +148,8 @@ def lmmse_estimate(config: SystemConfig, design: DesignPoint) -> float:
     variance (1 - c) / L per tap, c = ``linkrate.estimation_quality``."""
     sigma2 = 1.0 / config.L
     budget = link_budget(config, design.B_w, design.b)
-    a2 = 2.0 * budget.mu * (budget.P / design.B_w) * config.n_pilot
-    denom = a2 * sigma2 + 2.0 * budget.E + 2.0 * budget.mu * config.N_0
+    a2 = 2.0 * budget.mu * (config.P / design.B_w) * config.n_pilot
+    denom = a2 * sigma2 + 2.0 * budget.E + 2.0 * budget.mu
     return math.sqrt(a2) * sigma2 / denom
 
 
@@ -205,7 +205,7 @@ def plan_block(config: SystemConfig, design: DesignPoint) -> BlockPlan:
     shift = shift.reshape(config.K * n_taps, n_p)
     budget = link_budget(config, design.B_w, design.b)
     agc = math.sqrt(2.0 * budget.mu)
-    amp = agc * math.sqrt(budget.P / design.B_w)
+    amp = agc * math.sqrt(config.P / design.B_w)
     return BlockPlan(
         config=config,
         design=design,
@@ -215,7 +215,7 @@ def plan_block(config: SystemConfig, design: DesignPoint) -> BlockPlan:
         lmmse_gain=lmmse_estimate(config, design),
         data_index=(np.arange(n_d)[None, :] - np.arange(n_taps)[:, None]) % n_d,
         data_gain=amp / math.sqrt(2.0),  # the symbols are drawn with variance 2
-        noise_std=agc * math.sqrt(config.N_0 / 2.0),
+        noise_std=agc * math.sqrt(0.5),  # unit noise, half per rail
     )
 
 

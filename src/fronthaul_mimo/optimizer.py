@@ -57,7 +57,7 @@ def threshold_f(b: int, x_int: float = 1.0) -> float:
 
 
 def bandwidth_condition(config: SystemConfig, design: DesignPoint) -> bool:
-    """True when the interference-to-noise ratio K*P/(B_w*N_0) strictly
+    """True when the interference-to-noise ratio K*P/B_w strictly
     exceeds the bit-for-bandwidth threshold at this design's resolution.
 
     The threshold is evaluated at unit pilot excess; larger pilot excess only
@@ -68,7 +68,7 @@ def bandwidth_condition(config: SystemConfig, design: DesignPoint) -> bool:
     num, den = _threshold_parts(design.b, config.X_int)
     if den <= 0.0:
         return False
-    return link_budget(config, design.B_w, design.b).I_total / config.N_0 > num / den
+    return link_budget(config, design.B_w, design.b).I_total > num / den
 
 
 class _Curve(NamedTuple):
@@ -78,15 +78,14 @@ class _Curve(NamedTuple):
     inv_slope: float  # b/C_f, the lower end of the domain of s
     kp: float  # K*P
     one: float  # 1 + E
-    u_dot: float  # du/ds = slope*N_0
     te_kp: float  # (theta_eff - 1)*K*P
-    one_u_dot: float  # (1 + E)*slope*N_0
+    one_slope: float  # (1 + E)*slope
     two_one: float  # 2*(1 + E)
     a: float  # pilot factor P^2*N_p/L
     upsilon: float  # rate scale N_d*slope/(N*ln 2)
 
 
-@functools.lru_cache(maxsize=1024)  # every b of a 72-point grid fits
+@functools.lru_cache(maxsize=B_MAX)  # every b of one search
 def _curve(config: SystemConfig, b: int) -> _Curve:
     """The constraint curve at resolution b.
 
@@ -95,20 +94,17 @@ def _curve(config: SystemConfig, b: int) -> _Curve:
     and its domain, from this record.
     """
     slope = config.C_f / b
-    p = config.P_max * config.beta_edge
-    kp = config.K * p
+    kp = config.K * config.P
     one = 1.0 + quantization_distortion_variance(b, config.X_int)
-    u_dot = slope * config.N_0
     return _Curve(
         slope=slope,
         inv_slope=1.0 / slope,
         kp=kp,
         one=one,
-        u_dot=u_dot,
         te_kp=(config.theta_eff - 1.0) * kp,
-        one_u_dot=one * u_dot,
+        one_slope=one * slope,
         two_one=2.0 * one,
-        a=p * p * config.n_pilot / config.L,
+        a=config.P * config.P * config.n_pilot / config.L,
         upsilon=config.n_data * slope / (config.N * _LN2),
     )
 
@@ -129,7 +125,7 @@ def curve_bandwidth(config: SystemConfig, s: float, b: int) -> float:
 def rate_of_s(config: SystemConfig, s: float, b: int) -> float:
     """Per-user rate (bit/s) on the constraint curve M=1/s, B_w=(C_f/b)*s."""
     curve = _domain_curve(config, s, b)
-    ou = curve.one * (curve.kp + curve.u_dot * s)
+    ou = curve.one * (curve.kp + curve.slope * s)
     omega = curve.a / (s * (ou * (curve.te_kp + ou)))
     # numpy's log1p, not math.log1p: the two differ in the last bit on some
     # inputs, and the reported relaxed rate would move with it
@@ -142,13 +138,13 @@ def rate_of_s_derivative(config: SystemConfig, s: float, b: int) -> float:
     The bisection's inner step: the curve's constants come from one cached
     lookup, and only the terms that depend on s are computed here.
     """
-    _, _, kp, one, u_dot, te_kp, one_u_dot, two_one, a, upsilon = _domain_curve(config, s, b)
-    u = kp + u_dot * s
+    slope, _, kp, one, te_kp, one_slope, two_one, a, upsilon = _domain_curve(config, s, b)
+    u = kp + slope * s
     ou = one * u
     # omega = a/(s*denom), denom = tau(theta, s) + (1+E)^2 u^2,
     # with tau = (theta_eff - 1) KP (1+E) u
     denom = ou * (te_kp + ou)
-    denom_dot = one_u_dot * (te_kp + two_one * u)
+    denom_dot = one_slope * (te_kp + two_one * u)
     g = s * denom
     omega = a / g
     omega_dot = -omega * (denom + s * denom_dot) / g  # not a/g^2: g^2 overflows
@@ -159,9 +155,8 @@ def _finite_derivative(config: SystemConfig, s: float, b: int) -> float:
     d = rate_of_s_derivative(config, s, b)
     if not math.isfinite(d):
         raise ConfigValueError(
-            f"dR/ds at s={s}, b={b} is not finite: C_f={config.C_f}, "
-            f"N_0={config.N_0} or P_max={config.P_max} is beyond the float range "
-            "of the constraint-curve search"
+            f"dR/ds at s={s}, b={b} is not finite: C_f={config.C_f} or "
+            f"P={config.P} is beyond the float range of the constraint-curve search"
         )
     return d
 
@@ -173,8 +168,8 @@ def maximize_over_s(config: SystemConfig, b: int) -> float:
     Returns the boundary point when the derivative never changes sign.
     Stops at a width of 1e-10 in s, or of 1e-6 relative to s where that is
     tighter, so a tiny s* (a huge capacity) still converges.  Raises
-    ConfigValueError when the derivative is not finite, which only C_f,
-    N_0 or P_max far beyond any physical system causes.
+    ConfigValueError when the derivative is not finite, which only C_f or
+    P far beyond any physical system causes.
     """
     hi = 1.0
     lo = min(hi, _curve(config, b).inv_slope * (1.0 + 1e-9))
@@ -210,29 +205,23 @@ def pade_bandwidth_condition(config: SystemConfig, design: DesignPoint) -> bool:
     """Sufficient condition for the rate to grow toward larger bandwidth
     (larger s) on the constraint curve.
 
-    Derived from a rational lower bound on log(1+x); the (KP + B_w*N_0)
-    factor enters squared, which keeps the test invariant under joint
-    rescaling of powers and noise.
+    Derived from a rational lower bound on log(1+x).
     """
-    budget = link_budget(config, design.B_w, design.b)
-    kp = config.K * budget.P
-    u = kp + design.B_w * config.N_0
-    one = 1.0 + budget.E
-    lhs = kp / (design.B_w * config.N_0)
-    rhs = 4.0 * one * one * u * u * config.L / (design.M * budget.P**2 * config.n_pilot) + 1.0
+    kp = config.K * config.P
+    u = kp + design.B_w
+    one = 1.0 + quantization_distortion_variance(design.b, config.X_int)
+    lhs = kp / design.B_w
+    rhs = 4.0 * one * one * u * u * config.L / (design.M * config.P**2 * config.n_pilot) + 1.0
     return lhs > rhs
 
 
 def antenna_condition(config: SystemConfig, design: DesignPoint) -> bool:
     """Sufficient condition for more antennas at less bandwidth to win
     (smaller s direction on the constraint curve)."""
-    budget = link_budget(config, design.B_w, design.b)
-    kp = config.K * budget.P
-    u = kp + design.B_w * config.N_0
-    one = 1.0 + budget.E
-    rhs = 4.0 * one * one * u * design.B_w * config.N_0 * config.L / (
-        budget.P**2 * config.n_pilot
-    )
+    kp = config.K * config.P
+    u = kp + design.B_w
+    one = 1.0 + quantization_distortion_variance(design.b, config.X_int)
+    rhs = 4.0 * one * one * u * design.B_w * config.L / (config.P**2 * config.n_pilot)
     return design.M < rhs
 
 

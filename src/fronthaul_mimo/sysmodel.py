@@ -1,15 +1,15 @@
-"""Shared physical layer: scenario constants, quantization noise, AGC,
-path loss and power control.
+"""Shared physical layer: scenario constants, quantization noise, AGC
+and power control.
 
 Unit conventions
 ----------------
-Transmit powers are normalized per unit bandwidth: a user transmitting at
-power P_k over bandwidth B_w is received at per-sample power beta_k * P_k,
-and thermal noise has per-complex-sample variance N_0.  Under statistical
-channel inversion every user lands at the same per-sample power P / B_w,
-where P = P_max * beta_edge is the power parameter of the worst (cell edge)
-user.  The reference SNR expresses P_max as the SNR a cell-edge user would
-see in a 1 MHz bandwidth: Gamma = P_max * beta_edge / (1e6 * N_0).
+Powers are per unit bandwidth and in units of the thermal noise variance
+per complex sample, so the noise is 1.  Under statistical channel inversion
+every user is received at the same power P per unit bandwidth, so its
+per-sample SNR over bandwidth B_w is P / B_w.  P is the one number that
+sets the link.  The reference SNR is the per-sample SNR in 1 MHz:
+Gamma = P / 1e6.  A link stated as a transmit power P_max, a cell-edge
+path gain beta and a noise variance N_0 has P = P_max * beta / N_0.
 
 The quantizer noise constant E = X_int^2 * 2^(-2b) / 3 is the variance of
 the additive distortion per real ADC when its input is scaled to unit
@@ -25,8 +25,6 @@ from dataclasses import dataclass
 
 from .errors import ConfigValueError, PilotOverheadError
 
-PATHLOSS_INTERCEPT_DB = -130.0
-PATHLOSS_SLOPE = 37.6
 REFERENCE_BANDWIDTH_HZ = 1e6
 FEASIBILITY_REL_TOL = 1e-9
 
@@ -63,17 +61,6 @@ def quantization_distortion_variance(b: int, x_int: float = 1.0) -> float:
     return (x_int * x_int) * 4.0 ** (-int(b)) / 3.0
 
 
-def pathloss_linear(
-    d_km: float,
-    intercept_db: float = PATHLOSS_INTERCEPT_DB,
-    slope: float = PATHLOSS_SLOPE,
-) -> float:
-    """Large-scale channel gain beta at distance d_km (kilometers), linear scale."""
-    if d_km <= 0:
-        raise ConfigValueError(f"distance must be positive, got d_km={d_km}")
-    return 10.0 ** ((intercept_db - slope * math.log10(d_km)) / 10.0)
-
-
 @dataclass(frozen=True)
 class SystemConfig:
     """Scenario constants shared by every module.
@@ -89,12 +76,8 @@ class SystemConfig:
     N: int = 2000
     L: int = 10
     theta: float = 1.0
-    N_0: float = 1.0
-    P_max: float = 1.0
+    P: float = 10.0**1.5 * REFERENCE_BANDWIDTH_HZ  # reference SNR 15 dB
     X_int: float = 1.0
-    cell_radius_km: float = 0.35
-    pathloss_intercept_db: float = PATHLOSS_INTERCEPT_DB
-    pathloss_slope: float = PATHLOSS_SLOPE
 
     def __post_init__(self) -> None:
         require_finite(self)
@@ -108,16 +91,10 @@ class SystemConfig:
             raise ConfigValueError(f"L must be a positive integer, got L={self.L}")
         if self.theta <= 0:
             raise ConfigValueError(f"theta must be positive, got theta={self.theta}")
-        if self.N_0 <= 0:
-            raise ConfigValueError(f"N_0 must be positive, got N_0={self.N_0}")
-        if self.P_max <= 0:
-            raise ConfigValueError(f"P_max must be positive, got P_max={self.P_max}")
+        if self.P <= 0:
+            raise ConfigValueError(f"P must be positive, got P={self.P}")
         if self.X_int <= 0:
             raise ConfigValueError(f"X_int must be positive, got X_int={self.X_int}")
-        if self.cell_radius_km <= 0:
-            raise ConfigValueError(
-                f"cell_radius_km must be positive, got cell_radius_km={self.cell_radius_km}"
-            )
         if self.n_pilot >= self.N:
             raise PilotOverheadError(
                 f"pilot length N_p={self.n_pilot} exhausts the block N={self.N} "
@@ -138,20 +115,13 @@ class SystemConfig:
         """Effective pilot excess factor after integer rounding of N_p."""
         return self.n_pilot / (self.K * self.L)
 
-    @property
-    def beta_edge(self) -> float:
-        return pathloss_linear(
-            self.cell_radius_km, self.pathloss_intercept_db, self.pathloss_slope
-        )
-
     def replace(self, **changes) -> "SystemConfig":
         return dataclasses.replace(self, **changes)
 
     @classmethod
     def from_reference_snr(cls, gamma_ref_db: float = 15.0, **fields) -> "SystemConfig":
-        """Build a config with P_max set from a cell-edge reference SNR in dB."""
-        config = cls(**fields)
-        return config.replace(P_max=reference_snr_to_power(config, gamma_ref_db))
+        """Build a config with P set from a reference SNR in dB."""
+        return cls(P=reference_snr_to_power(gamma_ref_db), **fields)
 
 
 @dataclass(frozen=True)
@@ -187,22 +157,20 @@ class LinkBudget:
     """Per-scenario derived quantities under channel-inversion power control.
 
     Attributes:
-        P: common power parameter P_max * beta_edge.
         I_total: total per-sample interference K*P/B_w (same for all users).
-        P_rx: average per-antenna received power I_total + N_0.
+        P_rx: average per-antenna received power I_total + 1 (unit noise).
         mu: AGC gain 1/P_rx.
         E: quantization distortion variance for the design's resolution.
     """
 
-    P: float
     I_total: float
     P_rx: float
     mu: float
     E: float
 
 
-def reference_snr_to_power(config: SystemConfig, gamma_ref_db: float) -> float:
-    """P_max such that the cell-edge SNR in 1 MHz equals gamma_ref_db."""
+def reference_snr_to_power(gamma_ref_db: float) -> float:
+    """P such that the per-sample SNR in 1 MHz equals gamma_ref_db."""
     if not math.isfinite(gamma_ref_db):
         raise ConfigValueError(f"gamma_ref_db must be finite, got {gamma_ref_db}")
     try:
@@ -211,24 +179,21 @@ def reference_snr_to_power(config: SystemConfig, gamma_ref_db: float) -> float:
         raise ConfigValueError(
             f"gamma_ref_db={gamma_ref_db} overflows the linear power scale"
         ) from None
-    return gamma_lin * REFERENCE_BANDWIDTH_HZ * config.N_0 / config.beta_edge
+    return gamma_lin * REFERENCE_BANDWIDTH_HZ
 
 
 def reference_snr_from_power(config: SystemConfig) -> float:
     """Inverse of reference_snr_to_power: recover the reference SNR in dB."""
-    gamma_lin = config.P_max * config.beta_edge / (REFERENCE_BANDWIDTH_HZ * config.N_0)
-    return 10.0 * math.log10(gamma_lin)
+    return 10.0 * math.log10(config.P / REFERENCE_BANDWIDTH_HZ)
 
 
 def link_budget(config: SystemConfig, B_w: float, b: int) -> LinkBudget:
     """Assemble the derived link quantities for one (B_w, b) operating point."""
     if B_w <= 0:
         raise ConfigValueError(f"B_w must be positive, got B_w={B_w}")
-    p = config.P_max * config.beta_edge
-    i_total = config.K * p / B_w
-    p_rx = i_total + config.N_0
+    i_total = config.K * config.P / B_w
+    p_rx = i_total + 1.0
     return LinkBudget(
-        P=p,
         I_total=i_total,
         P_rx=p_rx,
         mu=1.0 / p_rx,

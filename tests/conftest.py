@@ -17,19 +17,6 @@ def base_config() -> SystemConfig:
     return SystemConfig.from_reference_snr(15.0)
 
 
-def exact_gain_config(**overrides) -> SystemConfig:
-    """Config with unit cell-edge gain (intercept 0, slope 0) so powers are
-    exact floats; handy for boundary-precision tests."""
-    fields = dict(
-        pathloss_intercept_db=0.0,
-        pathloss_slope=0.0,
-        cell_radius_km=1.0,
-        N_0=1.0,
-    )
-    fields.update(overrides)
-    return SystemConfig(**fields)
-
-
 # --- independent references the tests compare the package against ----------
 
 
@@ -50,9 +37,9 @@ def estimation_quality_tapwise(
     delay profile; equals linkrate.estimation_quality for the uniform one."""
     sigma2 = np.asarray(sigma2, dtype=float)
     budget = link_budget(config, design.B_w, design.b)
-    rx = budget.P / design.B_w
+    rx = config.P / design.B_w
     sig = rx * config.n_pilot * budget.mu * sigma2
-    d = sig / (sig + budget.E + budget.mu * config.N_0)
+    d = sig / (sig + budget.E + budget.mu)
     return float(np.sum(d * sigma2))
 
 

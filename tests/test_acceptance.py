@@ -118,7 +118,7 @@ def test_constraint_curve_unimodal_and_concave_ascent():
     strict=True,
     raises=AssertionError,
     reason="unattainable as stated: past its maximum the constraint-curve "
-    "rate decays like 1/(B_w*N_0)^2, which is convex, so second differences "
+    "rate decays like 1/B_w^2, which is convex, so second differences "
     "on a full-domain grid are positive in the tail (verified symbolically); "
     "the curve is concave through the ascent and unimodal everywhere, which "
     "is what the derivative-sign bisection needs (see the companion test).",

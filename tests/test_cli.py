@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -11,6 +12,7 @@ import pytest
 import fronthaul_mimo
 from fronthaul_mimo.cli import (
     CSV_COLUMNS,
+    KNOWN_KEYS,
     SweepSpec,
     main,
     parse_config_text,
@@ -73,9 +75,34 @@ class TestParseConfig:
         config, _ = parse_config_text("K = 4\nL = 5\ntheta = 1.5\nN = 200\n")
         assert config.n_pilot == 30
 
-    def test_power_keys_exclusive(self):
+    def test_power_keys_exclusive(self, tmp_path, capsys):
         with pytest.raises(ConfigValueError, match="mutually exclusive"):
-            parse_config_text("P_max = 1.0\ngamma_ref_db = 10\n")
+            parse_config_text("P = 1e6\ngamma_ref_db = 10\n")
+        cfg = write_config(tmp_path, "gamma_ref_db = 0\nP = 1e6\n")
+        for argv in (["optimize"], ["rate", "--bw", "2e8", "--m", "64"]):
+            code = main([*argv, "--config", cfg])
+            out = capsys.readouterr().out
+            assert_model_error(code, out)
+            assert "mutually exclusive (lines 2 and 1)" in strict_json(out)["detail"]
+
+    def test_removed_link_keys_unknown(self, tmp_path, capsys):
+        # the link is set by P (or gamma_ref_db) alone
+        for key in ("N_0", "P_max", "cell_radius_km", "pathloss_intercept_db",
+                    "pathloss_slope"):
+            cfg = write_config(tmp_path, f"K = 20\n{key} = 1.0\n")
+            assert main(["optimize", "--config", cfg]) == 1
+            out = capsys.readouterr().out
+            assert strict_json(out)["error"] == "config"
+            assert f"unknown key '{key}' (line 2)" in strict_json(out)["detail"]
+
+    def test_readme_key_table_lists_known_keys(self):
+        readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
+        lines = open(readme, encoding="utf-8").read().splitlines()
+        start = lines.index("| key | default | meaning |") + 2
+        keys = set()
+        for line in itertools.takewhile(lambda line: line.startswith("|"), lines[start:]):
+            keys.update(name.strip("` ") for name in line.split("|")[1].split(","))
+        assert keys == KNOWN_KEYS
 
     def test_swept_axis_cannot_be_fixed(self):
         with pytest.raises(ConfigValueError, match="must not also be fixed"):
@@ -153,7 +180,7 @@ class TestPresets:
 
     def test_fig4_constraint_binding_and_uncertified_peak(self):
         # at 15 dB the one-bit point of this trajectory sits below the
-        # bandwidth threshold (I/N_0 = 0.25 < f(1)), so the one-bit shortcut
+        # bandwidth threshold (I = 0.25 < f(1)), so the one-bit shortcut
         # is uncertified and the curve genuinely peaks at b = 2
         rows = run_preset("fig4")
         for row in rows:
@@ -187,8 +214,8 @@ class TestPresets:
         for name, anchor in (("fig6", "M"), ("fig7", "B_w_hz")):
             rows = run_preset(name)
             assert len(rows) == 36  # 12 resolutions x 3 reference SNRs
-            snrs = sorted({round(r["snr_db"], 6) for r in rows})
-            assert snrs == [0.0, 15.0, 30.0]
+            snrs = sorted({r["snr_db"] for r in rows})
+            assert snrs == [0.0, 15.0, 30.0]  # exact, so each cell prints as typed
             for row in rows:
                 assert row["B_w_hz"] * row["M"] * row["b"] <= 500e9 * (1 + 1e-9)
 
@@ -372,6 +399,17 @@ class TestDeterminism:
         assert main(["sweep", "--config", out + ".effective", "--out", rerun]) == 0
         assert open(rerun, "rb").read() == open(out, "rb").read()
         assert open(rerun + ".effective", encoding="utf-8").read() == echo
+
+    def test_effective_echo_reference_snr_exact(self, tmp_path):
+        for db, power in (("0", "1000000.0"), ("15", "31622776.60168379"),
+                          ("30", "1000000000.0")):
+            cfg = write_config(tmp_path, f"gamma_ref_db = {db}\nsweep_axis = b\n"
+                               "sweep_values = 1,2\nB_w = 2e8\nM = 100\n")
+            out = str(tmp_path / "snr.csv")
+            assert main(["sweep", "--config", cfg, "--out", out]) == 0
+            echo = open(out + ".effective", encoding="utf-8").read().splitlines()
+            assert echo[1] == f"# gamma_ref_db = {float(db)!r}, N_p = 200"
+            assert f"P = {power}" in echo
 
     def test_flag_overrides_config(self, tmp_path):
         # --trials 0 drops the MC columns; --seed changes the MC outcome

@@ -40,7 +40,7 @@ class TestEstimationQuality:
         assert c > 0.999999
 
     def test_vanishing_power(self):
-        cfg = SystemConfig(P_max=1e-30)
+        cfg = SystemConfig(P=1e-30)
         c = estimation_quality(cfg, DesignPoint(B_w=1e8, M=10, b=2))
         assert c < 1e-12
 
@@ -87,11 +87,11 @@ class TestSinqr:
         assert sinqr(base_config, d2) == pytest.approx(2.0 * sinqr(base_config, d1), rel=1e-14)
 
     def test_unquantized_perfect_csi_form(self):
-        # with E -> 0 and c -> 1, gamma -> M*(P/B_w)/(I+N_0)
+        # with E -> 0 and c -> 1, gamma -> M*(P/B_w)/(I+1)
         cfg = SystemConfig.from_reference_snr(15.0, K=2, L=2, theta=30.0)
         budget = link_budget(cfg, 1e6, 30)
         g = sinqr(cfg, DesignPoint(B_w=1e6, M=100, b=30))
-        ideal = 100 * (budget.P / 1e6) / (budget.I_total + cfg.N_0)
+        ideal = 100 * (cfg.P / 1e6) / (budget.I_total + 1.0)
         assert g == pytest.approx(ideal, rel=2e-3)
 
     def test_two_algebraic_forms_agree(self):
@@ -100,11 +100,11 @@ class TestSinqr:
             cfg, design = random_setup(rng)
             budget = link_budget(cfg, design.B_w, design.b)
             c = estimation_quality(cfg, design)
-            form_a = c * design.M * (budget.P / design.B_w) / (
-                budget.I_total + cfg.N_0 + budget.P_rx * budget.E
+            form_a = c * design.M * (cfg.P / design.B_w) / (
+                budget.I_total + 1.0 + budget.P_rx * budget.E
             )
-            form_b = c * design.M * (budget.P / design.B_w) / (
-                (budget.I_total + cfg.N_0) * (1.0 + budget.E)
+            form_b = c * design.M * (cfg.P / design.B_w) / (
+                (budget.I_total + 1.0) * (1.0 + budget.E)
             )
             assert form_a == pytest.approx(form_b, rel=1e-12)
             assert sinqr(cfg, design) == pytest.approx(form_a, rel=1e-12)
@@ -142,7 +142,7 @@ class TestAchievableRate:
         # noise; in the noise-limited regime the estimation quality collapses
         # faster than the pre-log grows and the trend reverses.
         cfg = SystemConfig.from_reference_snr(15.0, K=20)
-        grid = np.linspace(5e7, 3e8, 12)  # I/N_0 in [2.1, 12.6]
+        grid = np.linspace(5e7, 3e8, 12)  # I in [2.1, 12.6]
         rates = [
             achievable_rate(cfg, DesignPoint(B_w=float(bw), M=200, b=2)).rate_bps
             for bw in grid

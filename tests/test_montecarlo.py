@@ -297,7 +297,7 @@ class TestEmpiricalRate:
     def test_zero_power_zero_rate(self):
         # vanishing transmit power: the estimate collapses to the sample-mean
         # noise floor, orders of magnitude below the powered link
-        cfg = small_config().replace(P_max=1e-30)
+        cfg = small_config().replace(P=1e-30)
         design = DesignPoint(B_w=100e6, M=8, b=2)
         mc = empirical_rate(cfg, design, trials=5, seed=1)
         powered = empirical_rate(small_config(), design, trials=5, seed=1)

@@ -26,7 +26,7 @@ from fronthaul_mimo.sysmodel import (
     quantization_distortion_variance,
 )
 
-from conftest import exact_gain_config, threshold_f_alt
+from conftest import threshold_f_alt
 
 
 def best_bits_at_bandwidth(cfg: SystemConfig, b_w: float) -> int:
@@ -85,20 +85,20 @@ class TestBandwidthCondition:
         assert bandwidth_condition(cfg, DesignPoint(B_w=1e8, M=100, b=2))
 
     def test_half_ratio_false_at_two_bits(self):
-        # I/N_0 = 0.5 sits below the two-bit threshold ~0.95
-        cfg = exact_gain_config(K=1, P_max=0.5)
-        assert link_budget(cfg, 1.0, 2).I_total / cfg.N_0 == 0.5
+        # I = 0.5 sits below the two-bit threshold ~0.95
+        cfg = SystemConfig(K=1, P=0.5)
+        assert link_budget(cfg, 1.0, 2).I_total == 0.5
         assert not bandwidth_condition(cfg, DesignPoint(B_w=1.0, M=10, b=2))
 
     def test_boundary_is_strict(self):
         f2 = threshold_f(2, 1.0)
-        cfg = exact_gain_config(K=1, P_max=f2)
-        assert link_budget(cfg, 1.0, 2).I_total / cfg.N_0 == f2
+        cfg = SystemConfig(K=1, P=f2)
+        assert link_budget(cfg, 1.0, 2).I_total == f2
         assert not bandwidth_condition(cfg, DesignPoint(B_w=1.0, M=10, b=2))
 
     def test_wide_interval_never_certified(self):
         # at X_int = 4 the one-bit threshold inequality has no solutions
-        cfg = exact_gain_config(K=1, P_max=1e12, X_int=4.0)
+        cfg = SystemConfig(K=1, P=1e12, X_int=4.0)
         assert not bandwidth_condition(cfg, DesignPoint(B_w=1.0, M=10, b=1))
 
 
@@ -148,7 +148,7 @@ class TestFixedAntennasOptimum:
         cfg = SystemConfig.from_reference_snr(15.0, K=20, C_f=500e9)
         one_bit = antenna_trajectory(cfg, 200)[0]
         assert one_bit.B_w == pytest.approx(2.5e9, rel=1e-12)
-        # I/N_0 = 0.253 at 2.5 GHz sits below the one-bit threshold, so the
+        # I = 0.253 at 2.5 GHz sits below the one-bit threshold, so the
         # sufficient condition cannot certify this candidate.
         assert not bandwidth_condition(cfg, one_bit)
 
@@ -197,15 +197,14 @@ class TestRateOfS:
 def reference_omega_terms(config, s, b):
     """omega(s) and its derivative, every constant recomputed per call."""
     slope = config.C_f / b
-    p = config.P_max * config.beta_edge
+    p = config.P
     kp = config.K * p
     e = quantization_distortion_variance(b, config.X_int)
     one = 1.0 + e
     te = config.theta_eff
-    u = kp + slope * config.N_0 * s
-    u_dot = slope * config.N_0
+    u = kp + slope * s
     denom = one * u * ((te - 1.0) * kp + one * u)
-    denom_dot = one * u_dot * ((te - 1.0) * kp + 2.0 * one * u)
+    denom_dot = one * slope * ((te - 1.0) * kp + 2.0 * one * u)
     a = p * p * config.n_pilot / config.L
     g = s * denom
     omega = a / g
@@ -238,7 +237,7 @@ class TestCurveKernelBitExact:
             base_config.replace(theta=2.0),
             base_config.replace(theta=1.37),  # N_p rounds: theta_eff != theta
             base_config.replace(X_int=2.5),
-            base_config.replace(N_0=3.0),
+            base_config.replace(P=3.0e7),
             base_config.replace(C_f=50e9),
             SystemConfig.from_reference_snr(30.0),
         ]
@@ -314,10 +313,10 @@ class TestSufficientConditions:
         assert pade_bandwidth_condition(cfg, DesignPoint(B_w=1e8, M=1000, b=3))
 
     def test_pade_large_antenna_limit(self):
-        # as M grows the right side approaches 1: reduces to I > N_0
+        # as M grows the right side approaches 1: reduces to I > 1
         cfg = SystemConfig.from_reference_snr(15.0, K=20)
-        above = DesignPoint(B_w=1e8, M=10**9, b=1)  # I/N_0 = 6.3
-        below = DesignPoint(B_w=1e11, M=10**9, b=1)  # I/N_0 = 0.0063
+        above = DesignPoint(B_w=1e8, M=10**9, b=1)  # I = 6.3
+        below = DesignPoint(B_w=1e11, M=10**9, b=1)  # I = 0.0063
         assert pade_bandwidth_condition(cfg, above)
         assert not pade_bandwidth_condition(cfg, below)
 

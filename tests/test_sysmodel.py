@@ -8,13 +8,10 @@ from fronthaul_mimo.sysmodel import (
     DesignPoint,
     SystemConfig,
     link_budget,
-    pathloss_linear,
     quantization_distortion_variance,
     reference_snr_from_power,
     reference_snr_to_power,
 )
-
-from conftest import exact_gain_config
 
 
 class TestQuantizationDistortion:
@@ -47,29 +44,6 @@ class TestQuantizationDistortion:
             quantization_distortion_variance(2, 0.0)
 
 
-class TestPathloss:
-    def test_one_km_is_intercept(self):
-        assert 10.0 * math.log10(pathloss_linear(1.0)) == pytest.approx(-130.0, abs=1e-12)
-
-    def test_hundred_meters(self):
-        assert 10.0 * math.log10(pathloss_linear(0.1)) == pytest.approx(-92.4, abs=1e-12)
-
-    def test_cell_edge_350m(self):
-        # oracle: direct evaluation of -130 - 37.6*log10(0.35)
-        expected_db = -130.0 - 37.6 * math.log10(0.35)
-        assert expected_db == pytest.approx(-112.85696, abs=1e-4)
-        assert 10.0 * math.log10(pathloss_linear(0.35)) == pytest.approx(expected_db, abs=1e-12)
-
-    def test_strictly_decreasing(self):
-        d = np.logspace(-2, 1, 50)
-        beta = [pathloss_linear(x) for x in d]
-        assert all(a > b for a, b in zip(beta, beta[1:]))
-
-    def test_rejects_nonpositive_distance(self):
-        with pytest.raises(ConfigValueError):
-            pathloss_linear(0.0)
-
-
 class TestSystemConfig:
     def test_pilot_rounding(self):
         cfg = SystemConfig(K=4, L=5, theta=1.5, N=200)
@@ -90,10 +64,10 @@ class TestSystemConfig:
             SystemConfig(K=0)
 
     def test_positive_fields_enforced(self):
-        for field, value in [("C_f", 0.0), ("N_0", -1.0), ("P_max", 0.0), ("X_int", 0.0)]:
+        for field, value in [("C_f", 0.0), ("P", -1.0), ("P", 0.0), ("X_int", 0.0)]:
             with pytest.raises(ConfigValueError):
                 SystemConfig(**{field: value})
-        for field in ("C_f", "theta", "P_max", "pathloss_slope"):
+        for field in ("C_f", "theta", "P", "X_int"):
             for value in (math.nan, math.inf, -math.inf):
                 with pytest.raises(ConfigValueError, match="finite"):
                     SystemConfig(**{field: value})
@@ -102,19 +76,25 @@ class TestSystemConfig:
 
 
 class TestReferenceSnr:
-    def test_zero_db(self, base_config):
-        p = reference_snr_to_power(base_config, 0.0)
-        assert p == pytest.approx(1e6 * base_config.N_0 / base_config.beta_edge, rel=1e-14)
+    def test_zero_db(self):
+        assert reference_snr_to_power(0.0) == 1e6
 
     def test_round_trip(self, base_config):
         for db in (-10.0, 0.0, 7.3, 15.0, 30.0):
-            cfg = base_config.replace(P_max=reference_snr_to_power(base_config, db))
+            cfg = base_config.replace(P=reference_snr_to_power(db))
             assert reference_snr_from_power(cfg) == pytest.approx(db, abs=1e-12)
+        for db in (0.0, 15.0, 30.0):  # the paper's three values print exactly
+            cfg = base_config.replace(P=reference_snr_to_power(db))
+            assert reference_snr_from_power(cfg) == db
 
     def test_fifteen_db(self, base_config):
         cfg = SystemConfig.from_reference_snr(15.0)
         # oracle: 10**1.5 * 1e6
-        assert cfg.P_max * cfg.beta_edge / cfg.N_0 == pytest.approx(31.6228e6, rel=1e-4)
+        assert cfg.P == pytest.approx(31.6228e6, rel=1e-4)
+
+    def test_default_is_fifteen_db(self):
+        assert SystemConfig() == SystemConfig.from_reference_snr(15.0)
+        assert SystemConfig(K=4, L=2) == SystemConfig.from_reference_snr(15.0, K=4, L=2)
 
 
 class TestLinkBudget:
@@ -124,19 +104,19 @@ class TestLinkBudget:
             b_w = 10.0 ** rng.uniform(6, 10)
             b = int(rng.integers(1, 13))
             budget = link_budget(base_config, b_w, b)
-            assert budget.P_rx - (budget.I_total + base_config.N_0) == 0.0
+            assert budget.P_rx - (budget.I_total + 1.0) == 0.0
             assert budget.mu * budget.P_rx == pytest.approx(1.0, rel=1e-15)
 
     def test_noise_free_limit(self):
-        cfg = exact_gain_config(K=10, N_0=1e-30, P_max=1.0)
+        cfg = SystemConfig(K=10, P=1e30)
         budget = link_budget(cfg, 1e6, 2)
-        assert budget.mu == pytest.approx(1e6 / (10 * 1.0), rel=1e-12)
+        assert budget.mu == pytest.approx(1e6 / (10 * 1e30), rel=1e-12)
 
     def test_reference_scenario_interference(self):
-        # K=20, 15 dB reference, B_w = 200 MHz: I/N_0 = 20 * 31.623e6 / 2e8
+        # K=20, 15 dB reference, B_w = 200 MHz: I = 20 * 31.623e6 / 2e8
         cfg = SystemConfig.from_reference_snr(15.0, K=20)
         budget = link_budget(cfg, 2e8, 1)
-        assert budget.I_total / cfg.N_0 == pytest.approx(3.16228, rel=1e-4)
+        assert budget.I_total == pytest.approx(3.16228, rel=1e-4)
 
     def test_design_point_load(self):
         d = DesignPoint(B_w=2e8, M=2500, b=1)
