@@ -352,6 +352,8 @@ def run_sweep(
     Only Monte Carlo rows (``spec.trials`` set) go to a pool of ``threads``;
     a closed-form row costs less than handing it to a thread.
     """
+    if threads < 1:
+        raise ConfigSyntaxError(f"--threads must be at least 1, got {threads}")
     if spec.axis is None:
         raise ConfigSyntaxError("sweep needs a sweep_axis key")
 

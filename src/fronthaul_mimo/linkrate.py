@@ -8,7 +8,7 @@ nats-based constant and these rates agree to machine precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ConfigValueError
 from .sysmodel import DesignPoint, SystemConfig, link_budget
@@ -16,8 +16,7 @@ from .sysmodel import DesignPoint, SystemConfig, link_budget
 _LN2 = math.log(2.0)
 
 
-@dataclass(frozen=True)
-class RateBreakdown:
+class RateBreakdown(NamedTuple):
     """Estimation quality c, SINQR gamma, and the resulting per-user rate."""
 
     c: float

@@ -28,6 +28,7 @@ from .sysmodel import (
 )
 
 _LN2 = math.log(2.0)
+_INF = math.inf
 
 B_MAX = 12
 S_TOLERANCE = 1e-10
@@ -71,7 +72,7 @@ def bandwidth_condition(config: SystemConfig, design: DesignPoint) -> bool:
     return link_budget(config, design.B_w, design.b).I_total > num / den
 
 
-class _Curve(NamedTuple):
+class ConstraintCurve(NamedTuple):
     """Constants of the constraint curve at one (config, b)."""
 
     slope: float  # dB_w/ds = C_f/b
@@ -83,10 +84,11 @@ class _Curve(NamedTuple):
     two_one: float  # 2*(1 + E)
     a: float  # pilot factor P^2*N_p/L
     upsilon: float  # rate scale N_d*slope/(N*ln 2)
+    b: int  # the resolution the curve belongs to
 
 
 @functools.lru_cache(maxsize=B_MAX)  # every b of one search
-def _curve(config: SystemConfig, b: int) -> _Curve:
+def constraint_curve(config: SystemConfig, b: int) -> ConstraintCurve:
     """The constraint curve at resolution b.
 
     The cap B_w*M*b = C_f is the curve M = 1/s, B_w = (C_f/b)*s over
@@ -96,7 +98,7 @@ def _curve(config: SystemConfig, b: int) -> _Curve:
     slope = config.C_f / b
     kp = config.K * config.P
     one = 1.0 + quantization_distortion_variance(b, config.X_int)
-    return _Curve(
+    return ConstraintCurve(
         slope=slope,
         inv_slope=1.0 / slope,
         kp=kp,
@@ -106,25 +108,25 @@ def _curve(config: SystemConfig, b: int) -> _Curve:
         two_one=2.0 * one,
         a=config.P * config.P * config.n_pilot / config.L,
         upsilon=config.n_data * slope / (config.N * _LN2),
+        b=b,
     )
 
 
-def _domain_curve(config: SystemConfig, s: float, b: int) -> _Curve:
-    """The curve at b, once s is checked to lie in its domain."""
-    curve = _curve(config, b)
+def _in_domain(curve: ConstraintCurve, s: float) -> ConstraintCurve:
+    """The curve, once s is checked to lie in its domain."""
     if not curve.inv_slope <= s <= 1.0:
-        raise ValueError(f"s must lie in [b/C_f, 1] = [{curve.inv_slope}, 1] at b={b}")
+        raise ValueError(f"s must lie in [b/C_f, 1] = [{curve.inv_slope}, 1] at b={curve.b}")
     return curve
 
 
 def curve_bandwidth(config: SystemConfig, s: float, b: int) -> float:
     """Bandwidth of the relaxed design at s on the constraint curve (M = 1/s)."""
-    return _domain_curve(config, s, b).slope * s
+    return _in_domain(constraint_curve(config, b), s).slope * s
 
 
 def rate_of_s(config: SystemConfig, s: float, b: int) -> float:
     """Per-user rate (bit/s) on the constraint curve M=1/s, B_w=(C_f/b)*s."""
-    curve = _domain_curve(config, s, b)
+    curve = _in_domain(constraint_curve(config, b), s)
     ou = curve.one * (curve.kp + curve.slope * s)
     omega = curve.a / (s * (ou * (curve.te_kp + ou)))
     # numpy's log1p, not math.log1p: the two differ in the last bit on some
@@ -132,13 +134,12 @@ def rate_of_s(config: SystemConfig, s: float, b: int) -> float:
     return curve.upsilon * s * float(np.log1p(omega))
 
 
-def rate_of_s_derivative(config: SystemConfig, s: float, b: int) -> float:
-    """Closed-form dR/ds; its sign gives the ascent direction.
-
-    The bisection's inner step: the curve's constants come from one cached
-    lookup, and only the terms that depend on s are computed here.
+def rate_of_s_derivative(curve: ConstraintCurve, s: float) -> float:
+    """Closed-form dR/ds on a curve from ``constraint_curve``; its sign gives
+    the ascent direction.  The bisection's inner step: only the terms that
+    depend on s are computed here.
     """
-    slope, _, kp, one, te_kp, one_slope, two_one, a, upsilon = _domain_curve(config, s, b)
+    slope, _, kp, one, te_kp, one_slope, two_one, a, upsilon, _ = _in_domain(curve, s)
     u = kp + slope * s
     ou = one * u
     # omega = a/(s*denom), denom = tau(theta, s) + (1+E)^2 u^2,
@@ -151,16 +152,6 @@ def rate_of_s_derivative(config: SystemConfig, s: float, b: int) -> float:
     return upsilon * (float(np.log1p(omega)) + s * omega_dot / (1.0 + omega))
 
 
-def _finite_derivative(config: SystemConfig, s: float, b: int) -> float:
-    d = rate_of_s_derivative(config, s, b)
-    if not math.isfinite(d):
-        raise ConfigValueError(
-            f"dR/ds at s={s}, b={b} is not finite: C_f={config.C_f} or "
-            f"P={config.P} is beyond the float range of the constraint-curve search"
-        )
-    return d
-
-
 def maximize_over_s(config: SystemConfig, b: int) -> float:
     """Maximizer s* of R(s) by bisection on the derivative sign, valid
     because the derivative changes sign exactly once.
@@ -171,21 +162,37 @@ def maximize_over_s(config: SystemConfig, b: int) -> float:
     ConfigValueError when the derivative is not finite, which only C_f or
     P far beyond any physical system causes.
     """
+    curve = constraint_curve(config, b)
     hi = 1.0
-    lo = min(hi, _curve(config, b).inv_slope * (1.0 + 1e-9))
-    d_lo = _finite_derivative(config, lo, b)
-    d_hi = _finite_derivative(config, hi, b)
+    lo = min(hi, curve.inv_slope * (1.0 + 1e-9))
+    d_lo = rate_of_s_derivative(curve, lo)
+    if not math.isfinite(d_lo):
+        raise _not_finite(config, lo, b)
+    d_hi = rate_of_s_derivative(curve, hi)
+    if not math.isfinite(d_hi):
+        raise _not_finite(config, hi, b)
     if d_lo <= 0.0 and d_hi <= 0.0:
         return lo
     if d_lo >= 0.0 and d_hi >= 0.0:
         return hi
-    while hi - lo > min(S_TOLERANCE, 1e-6 * lo):
+    # comparisons, not min() and isfinite() calls: this loop is the hot path
+    while hi - lo > S_TOLERANCE or hi - lo > 1e-6 * lo:
         mid = 0.5 * (lo + hi)
-        if _finite_derivative(config, mid, b) > 0.0:
+        d = rate_of_s_derivative(curve, mid)
+        if 0.0 < d < _INF:
             lo = mid
-        else:
+        elif -_INF < d <= 0.0:
             hi = mid
+        else:
+            raise _not_finite(config, mid, b)
     return 0.5 * (lo + hi)
+
+
+def _not_finite(config: SystemConfig, s: float, b: int) -> ConfigValueError:
+    return ConfigValueError(
+        f"dR/ds at s={s}, b={b} is not finite: C_f={config.C_f} or "
+        f"P={config.P} is beyond the float range of the constraint-curve search"
+    )
 
 
 def one_bit_always_optimal(config: SystemConfig, s: float) -> bool:

@@ -22,6 +22,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ConfigValueError, PilotOverheadError
 
@@ -65,10 +66,11 @@ def quantization_distortion_variance(b: int, x_int: float = 1.0) -> float:
 class SystemConfig:
     """Scenario constants shared by every module.
 
-    N_p is derived from theta as round(theta*K*L), clamped to at least K*L,
-    so the effective pilot excess factor ``theta_eff`` = N_p/(K*L) is what the
-    closed forms actually see (it can differ slightly from ``theta`` when
-    theta*K*L is not an integer, and is always >= 1).
+    N_p (``n_pilot``) is derived from theta as round(theta*K*L), clamped to
+    at least K*L, and ``n_data`` = N - N_p.  The effective pilot excess factor
+    ``theta_eff`` = N_p/(K*L) is what the closed forms actually see (it can
+    differ slightly from ``theta`` when theta*K*L is not an integer, and is
+    always >= 1).  The three are computed once, at construction.
     """
 
     K: int = 20
@@ -95,25 +97,16 @@ class SystemConfig:
             raise ConfigValueError(f"P must be positive, got P={self.P}")
         if self.X_int <= 0:
             raise ConfigValueError(f"X_int must be positive, got X_int={self.X_int}")
-        if self.n_pilot >= self.N:
+        # plain attributes, not fields: ==, hash and replace read the fields only
+        n_pilot = max(self.K * self.L, int(math.floor(self.theta * self.K * self.L + 0.5)))
+        object.__setattr__(self, "n_pilot", n_pilot)
+        object.__setattr__(self, "n_data", self.N - n_pilot)
+        object.__setattr__(self, "theta_eff", n_pilot / (self.K * self.L))
+        if n_pilot >= self.N:
             raise PilotOverheadError(
-                f"pilot length N_p={self.n_pilot} exhausts the block N={self.N} "
+                f"pilot length N_p={n_pilot} exhausts the block N={self.N} "
                 "(keys theta, K, L, N)"
             )
-
-    @property
-    def n_pilot(self) -> int:
-        """Pilot length N_p = round(theta*K*L), at least K*L."""
-        return max(self.K * self.L, int(math.floor(self.theta * self.K * self.L + 0.5)))
-
-    @property
-    def n_data(self) -> int:
-        return self.N - self.n_pilot
-
-    @property
-    def theta_eff(self) -> float:
-        """Effective pilot excess factor after integer rounding of N_p."""
-        return self.n_pilot / (self.K * self.L)
 
     def replace(self, **changes) -> "SystemConfig":
         return dataclasses.replace(self, **changes)
@@ -152,8 +145,7 @@ class DesignPoint:
         return self.fronthaul_load <= c_f * (1.0 + FEASIBILITY_REL_TOL)
 
 
-@dataclass(frozen=True)
-class LinkBudget:
+class LinkBudget(NamedTuple):
     """Per-scenario derived quantities under channel-inversion power control.
 
     Attributes:

@@ -18,6 +18,7 @@ from fronthaul_mimo.cli import main
 from fronthaul_mimo.linkrate import achievable_rate
 from fronthaul_mimo.montecarlo import empirical_rate
 from fronthaul_mimo.optimizer import (
+    constraint_curve,
     maximize_over_s,
     optimize_full,
     rate_of_s,
@@ -95,9 +96,8 @@ def test_constraint_curve_unimodal_and_concave_ascent():
     for b in (1, 2, 3, 4):
         for theta in (1.0, 2.0, 4.0):
             cfg = SystemConfig.from_reference_snr(15.0, K=20, C_f=500e9, theta=theta)
-            signs = np.sign(
-                [rate_of_s_derivative(cfg, s, b) for s in np.logspace(-9, 0, 500)]
-            )
+            curve = constraint_curve(cfg, b)
+            signs = np.sign([rate_of_s_derivative(curve, s) for s in np.logspace(-9, 0, 500)])
             assert int(np.count_nonzero(np.diff(signs))) == 1
             s_star = maximize_over_s(cfg, b)
             grid = np.linspace(s_star * 1e-3, s_star, 1000)
@@ -152,7 +152,7 @@ def test_derivative_matches_finite_differences():
         b = int(rng.integers(1, 5))
         h = s * 1e-6
         fd = (rate_of_s(cfg, s + h, b) - rate_of_s(cfg, s - h, b)) / (2.0 * h)
-        an = rate_of_s_derivative(cfg, s, b)
+        an = rate_of_s_derivative(constraint_curve(cfg, b), s)
         worst = max(worst, abs(an - fd) / max(abs(an), abs(fd)))
     ok = worst < 1e-6
     report("derivative-check", ok, f"(worst rel err {worst:.2e})")
@@ -193,7 +193,8 @@ def _one_bit_interior_optimum(cfg: SystemConfig):
     """Integer (M*, B_w*) on the one-bit constraint curve, plus a uniqueness
     check for the interior maximum."""
     grid = np.logspace(math.log10(1.5 / cfg.C_f), 0, 3000)
-    signs = np.sign([rate_of_s_derivative(cfg, s, 1) for s in grid])
+    curve = constraint_curve(cfg, 1)
+    signs = np.sign([rate_of_s_derivative(curve, s) for s in grid])
     sign_changes = int(np.count_nonzero(np.diff(signs)))
     s_star = maximize_over_s(cfg, 1)
     interior = 1.0 / cfg.C_f < s_star < 1.0

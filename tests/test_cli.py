@@ -165,6 +165,18 @@ class TestSweep:
             assert_model_error(code, out)
             assert "grid index 0" in strict_json(out)["detail"]
 
+    def test_threads_below_one_exit_1(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "sweep_axis = b\nsweep_values = 1,2\nB_w = 2e8\nM = 64\n")
+        for argv in (["sweep", "--config", cfg, "--threads", "0"],
+                     ["preset", "fig4", "--threads", "-3"]):
+            code, out = main(argv), capsys.readouterr().out
+            assert code == 1
+            assert out.count("\n") == 1
+            error = strict_json(out)
+            assert error["error"] == "config"
+            assert "--threads" in error["detail"]
+
+
 class TestPresets:
     def test_fig2_peaks_at_one_bit(self):
         rows = run_preset("fig2")

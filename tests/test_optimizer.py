@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from fronthaul_mimo.linkrate import achievable_rate
 from fronthaul_mimo.optimizer import (
     antenna_condition,
     bandwidth_condition,
+    constraint_curve,
     curve_bandwidth,
     maximize_over_s,
     optimize_full,
@@ -228,6 +230,25 @@ def reference_rate_of_s_derivative(config, s, b):
     )
 
 
+def reference_maximize_over_s(config, b):
+    """The plain bisection on the per-call reference derivative."""
+    hi = 1.0
+    lo = min(hi, 1.0 / (config.C_f / b) * (1.0 + 1e-9))
+    d_lo = reference_rate_of_s_derivative(config, lo, b)
+    d_hi = reference_rate_of_s_derivative(config, hi, b)
+    if d_lo <= 0.0 and d_hi <= 0.0:
+        return lo
+    if d_lo >= 0.0 and d_hi >= 0.0:
+        return hi
+    while hi - lo > min(1e-10, 1e-6 * lo):
+        mid = 0.5 * (lo + hi)
+        if reference_rate_of_s_derivative(config, mid, b) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 class TestCurveKernelBitExact:
     def test_matches_per_call_reference(self, base_config):
         # configs that differ in one field each; calls interleave across them,
@@ -235,10 +256,11 @@ class TestCurveKernelBitExact:
         configs = [
             base_config,
             base_config.replace(theta=2.0),
-            base_config.replace(theta=1.37),  # N_p rounds: theta_eff != theta
+            base_config.replace(theta=1.37),
             base_config.replace(X_int=2.5),
             base_config.replace(P=3.0e7),
             base_config.replace(C_f=50e9),
+            base_config.replace(K=4, L=5, theta=1.37),  # N_p rounds: theta_eff != theta
             SystemConfig.from_reference_snr(30.0),
         ]
         for b in range(1, 13):
@@ -249,16 +271,27 @@ class TestCurveKernelBitExact:
             for i in range(len(grids[0])):
                 for cfg, grid in zip(configs, grids):
                     s = grid[i]
-                    assert rate_of_s_derivative(cfg, s, b) == reference_rate_of_s_derivative(
+                    curve = constraint_curve(cfg, b)
+                    assert rate_of_s_derivative(curve, s) == reference_rate_of_s_derivative(
                         cfg, s, b
                     )
                     assert rate_of_s(cfg, s, b) == reference_rate_of_s(cfg, s, b)
                     assert curve_bandwidth(cfg, s, b) == (cfg.C_f / b) * s
             for cfg in configs:
                 with pytest.raises(ValueError):
-                    rate_of_s_derivative(cfg, 1.5, b)
+                    rate_of_s_derivative(constraint_curve(cfg, b), 1.5)
                 with pytest.raises(ValueError):
-                    rate_of_s_derivative(cfg, 0.5 * b / cfg.C_f, b)
+                    rate_of_s_derivative(constraint_curve(cfg, b), 0.5 * b / cfg.C_f)
+
+    def test_search_matches_plain_bisection_on_paper_grid(self):
+        for snr, c_f, theta, x_int in itertools.product(
+            (0.0, 15.0, 30.0), (50e9, 500e9), (1.0, 2.0, 4.0, 8.0), (1.0, 2.5, 4.0)
+        ):
+            cfg = SystemConfig.from_reference_snr(
+                snr, K=20, L=10, N=2000, C_f=c_f, theta=theta, X_int=x_int
+            )
+            for b in range(1, 13):
+                assert maximize_over_s(cfg, b) == reference_maximize_over_s(cfg, b), (cfg, b)
 
 
 class TestDerivative:
@@ -271,21 +304,23 @@ class TestDerivative:
             fd = (rate_of_s(base_config, s + h, b) - rate_of_s(base_config, s - h, b)) / (
                 2.0 * h
             )
-            an = rate_of_s_derivative(base_config, s, b)
+            an = rate_of_s_derivative(constraint_curve(base_config, b), s)
             assert an == pytest.approx(fd, rel=1e-6)
 
     def test_single_sign_change(self, base_config):
         for theta in (1.0, 2.0, 4.0):
             cfg = base_config.replace(theta=theta)
             grid = np.logspace(-9, 0, 4000)
-            signs = np.sign([rate_of_s_derivative(cfg, s, 1) for s in grid])
+            curve = constraint_curve(cfg, 1)
+            signs = np.sign([rate_of_s_derivative(curve, s) for s in grid])
             changes = np.count_nonzero(np.diff(signs))
             assert changes == 1
 
     def test_stationary_at_maximizer(self, base_config):
         s_star = maximize_over_s(base_config, 1)
-        scale = abs(rate_of_s_derivative(base_config, s_star * 0.5, 1))
-        assert abs(rate_of_s_derivative(base_config, s_star, 1)) < 1e-6 * scale
+        curve = constraint_curve(base_config, 1)
+        scale = abs(rate_of_s_derivative(curve, s_star * 0.5))
+        assert abs(rate_of_s_derivative(curve, s_star)) < 1e-6 * scale
 
 
 class TestMaximizeOverS:
@@ -297,8 +332,9 @@ class TestMaximizeOverS:
     def test_interior_optimum_reference(self, base_config):
         s_star = maximize_over_s(base_config, 1)
         assert 1.0 / base_config.C_f < s_star < 1.0
-        assert rate_of_s_derivative(base_config, s_star * 0.9, 1) > 0
-        assert rate_of_s_derivative(base_config, min(1.0, s_star * 1.1), 1) < 0
+        curve = constraint_curve(base_config, 1)
+        assert rate_of_s_derivative(curve, s_star * 0.9) > 0
+        assert rate_of_s_derivative(curve, min(1.0, s_star * 1.1)) < 0
 
     def test_pilot_excess_moves_optimum_toward_bandwidth(self, base_config):
         stars = [
@@ -330,7 +366,7 @@ class TestSufficientConditions:
             design = DesignPoint(B_w=base_config.C_f * s / b, M=m, b=b)
             if pade_bandwidth_condition(base_config, design):
                 checked += 1
-                assert rate_of_s_derivative(base_config, s, b) > 0.0
+                assert rate_of_s_derivative(constraint_curve(base_config, b), s) > 0.0
         assert checked > 20
 
     def test_antenna_condition_small_arrays(self, base_config):
@@ -357,7 +393,7 @@ class TestSufficientConditions:
             design = DesignPoint(B_w=base_config.C_f * s / b, M=m, b=b)
             if antenna_condition(base_config, design):
                 checked += 1
-                assert rate_of_s_derivative(base_config, s, b) < 0.0
+                assert rate_of_s_derivative(constraint_curve(base_config, b), s) < 0.0
         assert checked > 20
 
 

@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from fronthaul_mimo.cli import KNOWN_KEYS
 from fronthaul_mimo.errors import ConfigValueError, PilotOverheadError
 from fronthaul_mimo.sysmodel import (
     DesignPoint,
@@ -73,6 +75,38 @@ class TestSystemConfig:
                     SystemConfig(**{field: value})
         with pytest.raises(ConfigValueError, match="finite"):
             SystemConfig.from_reference_snr(math.nan)
+
+
+class TestDerivedQuantities:
+    def test_recomputed_after_replace(self):
+        base = SystemConfig(K=4, L=5, theta=1.37, N=200)
+        assert (base.n_pilot, base.n_data, base.theta_eff) == (27, 173, 27 / 20)
+        assert base.theta_eff != base.theta  # round(27.4) = 27
+        cases = [
+            ({"theta": 2.0}, 40, 160, 2.0),
+            ({"theta": 0.5}, 20, 180, 1.0),  # clamped to K*L
+            ({"K": 6}, 41, 159, 41 / 30),  # round(41.1)
+            ({"L": 3}, 16, 184, 16 / 12),  # round(16.44)
+            ({"N": 300}, 27, 273, 27 / 20),
+        ]
+        for changes, n_pilot, n_data, theta_eff in cases:
+            cfg = base.replace(**changes)
+            assert (cfg.n_pilot, cfg.n_data, cfg.theta_eff) == (n_pilot, n_data, theta_eff)
+
+    def test_not_fields_or_keys(self):
+        names = {f.name for f in dataclasses.fields(SystemConfig)}
+        assert names == {"K", "C_f", "N", "L", "theta", "P", "X_int"}
+        for derived in ("n_pilot", "n_data", "theta_eff"):
+            assert derived not in KNOWN_KEYS
+
+    def test_equality_reads_fields_only(self):
+        a = SystemConfig(K=4, L=5, theta=1.37, N=200)
+        assert a == SystemConfig(K=4, L=5, theta=1.37, N=200)
+        assert hash(a) == hash(SystemConfig(K=4, L=5, theta=1.37, N=200))
+        b = a.replace(theta=1.36)  # round(27.2): the same derived quantities
+        assert (b.n_pilot, b.n_data, b.theta_eff) == (a.n_pilot, a.n_data, a.theta_eff)
+        assert a != b
+        assert a != a.replace(P=2.0 * a.P)
 
 
 class TestReferenceSnr:
