@@ -478,26 +478,36 @@ def mc_validate_report(
     modes: tuple[str, ...] = ("pqn", "uniform"),
 ) -> dict:
     """Simulator against closed form at the spec's point, one design per b;
-    an unset ``trials`` runs 100."""
+    an unset ``trials`` runs 100.
+
+    Every row uses the spec's seed.  Rows whose designs share (B_w, M) run
+    as one group, which draws each trial's block once, so each row equals
+    its lone ``empirical_rate`` call bit for bit.
+    """
     trials = 100 if spec.trials is None else spec.trials
+    resolved = [_point_design(config, dataclasses.replace(spec, b=b), None)[:2] for b in bits]
+    groups: dict[tuple[SystemConfig, float, int], list[DesignPoint]] = {}
+    for cfg, design in resolved:
+        groups.setdefault((cfg, design.B_w, design.M), []).append(design)
+    mc = {}
+    for (cfg, _, _), designs in groups.items():
+        rates = montecarlo.empirical_rate(cfg, designs, trials, spec.seed, modes)
+        mc.update(zip(((d.b, mode) for d in designs for mode in modes), rates))
     points = []
-    for b in bits:
-        cfg, design, _ = _point_design(config, dataclasses.replace(spec, b=b), None)
+    for cfg, design in resolved:
         closed = achievable_rate(cfg, design)
         for mode in modes:
-            mode_key = montecarlo.QUANTIZE_MODES.index(mode)
-            seq = np.random.SeedSequence(entropy=spec.seed, spawn_key=(b, mode_key))
-            mc = montecarlo.empirical_rate(cfg, design, trials, seq, mode=mode)
+            rate = mc[design.b, mode]
             points.append(
                 {
-                    "b": b,
+                    "b": design.b,
                     "mode": mode,
                     "closed_form_bps": closed.rate_bps,
-                    "mc_bps": mc.rate_bps,
+                    "mc_bps": rate.rate_bps,
                     # undefined below two batches of trials
-                    "stderr_bps": mc.stderr_bps if math.isfinite(mc.stderr_bps) else None,
-                    "rel_err": abs(mc.rate_bps - closed.rate_bps) / closed.rate_bps,
-                    "clip_rate": mc.clip_rate,
+                    "stderr_bps": rate.stderr_bps if math.isfinite(rate.stderr_bps) else None,
+                    "rel_err": abs(rate.rate_bps - closed.rate_bps) / closed.rate_bps,
+                    "clip_rate": rate.clip_rate,
                 }
             )
     return {"trials": trials, "seed": spec.seed, "points": points}
@@ -611,6 +621,8 @@ def main(argv=None) -> int:
                 raise ConfigSyntaxError(
                     f"--bits must be a comma list of integers, got {args.bits!r}"
                 ) from None
+            if len(set(bits)) < len(bits):
+                raise ConfigSyntaxError(f"--bits repeats a resolution: {args.bits!r}")
             modes = ("pqn", "uniform") if args.mode == "both" else (args.mode,)
             _emit_json(mc_validate_report(config, spec, bits, modes), args.out)
         elif args.command == "preset":

@@ -22,6 +22,7 @@ from fronthaul_mimo.cli import (
 )
 from fronthaul_mimo.errors import ConfigSyntaxError, ConfigValueError
 from fronthaul_mimo.linkrate import achievable_rate
+from fronthaul_mimo.montecarlo import empirical_rate
 from fronthaul_mimo.sysmodel import DesignPoint, SystemConfig, reference_snr_from_power
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -456,6 +457,39 @@ class TestMcValidate:
         out = capsys.readouterr().out
         assert code == 1 and out.count("\n") == 1
         assert strict_json(out)["error"] == "config"
+        # so is a repeated resolution, which would print the same row twice
+        code = main(["mc-validate", "--config", cfg, "--bits", "1,2,1"])
+        out = capsys.readouterr().out
+        assert code == 1 and out.count("\n") == 1
+        assert strict_json(out)["error"] == "config"
+
+    @pytest.mark.parametrize("anchor, design", [
+        ("B_w = 1e8\nM = 16\n", lambda b: DesignPoint(B_w=1e8, M=16, b=b)),
+        ("B_w = 1e8\nbind = antennas\n", lambda b: DesignPoint(B_w=1e8, M=64 // b, b=b)),
+        ("M = 16\nbind = bandwidth\n", lambda b: DesignPoint(B_w=6.4e9 / (16 * b), M=16, b=b)),
+    ], ids=["fixed", "bind_antennas", "bind_bandwidth"])
+    def test_rows_equal_lone_calls(self, tmp_path, capsys, anchor, design):
+        # every row shares the report's seed, and rows at one (B_w, M) share
+        # each trial's block, yet each equals its lone call bit for bit
+        text = "K = 2\nL = 2\nN = 128\nX_int = 2.5\nC_f = 6.4e9\nseed = 7\n" + anchor
+        cfg = write_config(tmp_path, text)
+        argv = ["mc-validate", "--config", cfg, "--bits", "1,2,3", "--trials", "6"]
+        assert main(argv + ["--mode", "both"]) == 0
+        points = strict_json(capsys.readouterr().out)["points"]
+        assert [(p["b"], p["mode"]) for p in points] == [
+            (b, mode) for b in (1, 2, 3) for mode in ("pqn", "uniform")
+        ]
+        config, _ = parse_config_text(text)
+        for point in points:
+            lone = empirical_rate(config, design(point["b"]), 6, 7, point["mode"])
+            assert point["closed_form_bps"] == achievable_rate(config, design(point["b"])).rate_bps
+            assert (point["mc_bps"], point["stderr_bps"], point["clip_rate"]) == (
+                lone.rate_bps, lone.stderr_bps, lone.clip_rate
+            )
+        # a uniform row does not depend on whether pqn rows ran beside it
+        assert main(argv + ["--mode", "uniform"]) == 0
+        alone = strict_json(capsys.readouterr().out)["points"]
+        assert alone == [p for p in points if p["mode"] == "uniform"]
 
     def test_config_trials(self, tmp_path, capsys):
         # trials = 0 in a config is a given value, as --trials 0 is; no

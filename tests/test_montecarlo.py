@@ -33,15 +33,17 @@ def complex_normal(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def pilot_phase(plan, rng, mode):
-    """Channel taps and their LMMSE estimates from one pilot phase, built
-    from the plan and the stages a block uses."""
-    cfg, design = plan.config, plan.design
-    h = draw_channel(rng, design.M, cfg.K, plan.pdp)
-    y = plan.noise_std * complex_normal(rng, (design.M, cfg.n_pilot))
-    y += h.reshape(design.M, -1) @ plan.pilot_shift
-    quantize_block(y.view(np.float64), design.b, cfg.X_int, mode, rng)
-    h_hat = (y @ plan.correlator).reshape(h.shape) * plan.lmmse_gain
+def pilot_phase(plan, rng):
+    """Channel taps and their LMMSE estimates from one pilot phase of the
+    plan's one row, built from the plan and the stages a block uses."""
+    cfg, m_ant = plan.config, plan.M
+    ((b, mode, lmmse_gain),) = plan.rows
+    h = draw_channel(rng, m_ant, cfg.K, plan.pdp)
+    y = plan.noise_std * complex_normal(rng, (m_ant, cfg.n_pilot))
+    y += h.reshape(m_ant, -1) @ plan.pilot_shift
+    rails = y.view(np.float64)
+    quantize_block(rails, b, cfg.X_int, mode, rng.random(rails.shape))
+    h_hat = (y @ plan.correlator).reshape(h.shape) * lmmse_gain
     return h, h_hat
 
 
@@ -148,10 +150,26 @@ class TestQuantizer:
             assert np.array_equal(y_q.real, q_re) and np.array_equal(y_q.imag, q_im)
             assert n_clip == c_re + c_im > 0
 
+    def test_into_out_equals_in_place(self):
+        # quantizing into a buffer leaves the rails and the draws as they
+        # were and gives the in-place result bit for bit
+        rng = np.random.default_rng(8)
+        rails = 1.5 * rng.standard_normal((4, 300))
+        unit = rng.random(rails.shape)
+        kept_rails, kept_unit = rails.copy(), unit.copy()
+        for mode in ("uniform", "pqn"):
+            out = np.empty_like(rails)
+            n_out = quantize_block(rails, 2, 1.7, mode, unit, out)
+            assert np.array_equal(rails, kept_rails) and np.array_equal(unit, kept_unit)
+            in_place, spent = rails.copy(), unit.copy()
+            assert quantize_block(in_place, 2, 1.7, mode, spent) == n_out
+            assert np.array_equal(out, in_place), mode
+
     def test_pqn_noise_variance(self):
         for b in (1, 2):
             y_q = np.zeros(200000, dtype=complex)
-            n_clip = quantize_block(y_q.view(np.float64), b, 2.5, "pqn", np.random.default_rng(b))
+            unit = np.random.default_rng(b).random(2 * y_q.size)
+            n_clip = quantize_block(y_q.view(np.float64), b, 2.5, "pqn", unit)
             e = (2.5**2) * 4.0**-b / 3.0
             assert n_clip == 0
             assert np.var(y_q.real) == pytest.approx(e, rel=0.02)
@@ -162,10 +180,10 @@ class TestLmmse:
     def test_error_variance_matches_model(self):
         cfg = small_config(L=4)
         design = DesignPoint(B_w=50e6, M=200, b=2)
-        plan = plan_block(cfg, design)
+        plan = plan_block(cfg, [design], ["pqn"])
         errors = []
         for child in np.random.SeedSequence(3).spawn(25):
-            h, h_hat = pilot_phase(plan, np.random.default_rng(child), "pqn")
+            h, h_hat = pilot_phase(plan, np.random.default_rng(child))
             errors.append((h - h_hat).reshape(-1, cfg.L))
         eps = np.concatenate(errors)  # 10**4 realizations per tap
         target = (1.0 - estimation_quality(cfg, design)) / cfg.L
@@ -175,10 +193,10 @@ class TestLmmse:
     def test_estimate_error_uncorrelated(self):
         cfg = small_config(L=4)
         design = DesignPoint(B_w=50e6, M=200, b=2)
-        plan = plan_block(cfg, design)
+        plan = plan_block(cfg, [design], ["pqn"])
         eps, est = [], []
         for child in np.random.SeedSequence(9).spawn(25):
-            h, h_hat = pilot_phase(plan, np.random.default_rng(child), "pqn")
+            h, h_hat = pilot_phase(plan, np.random.default_rng(child))
             eps.append((h - h_hat).reshape(-1, cfg.L))
             est.append(h_hat.reshape(-1, cfg.L))
         eps = np.concatenate(eps)
@@ -193,8 +211,8 @@ class TestLmmse:
         gaps = []
         for theta in (10.0, 100.0, 1000.0):
             cfg = small_config(theta=theta, N=8192)
-            plan = plan_block(cfg, DesignPoint(B_w=50e6, M=64, b=30))
-            h, h_hat = pilot_phase(plan, np.random.default_rng(12), "pqn")
+            plan = plan_block(cfg, [DesignPoint(B_w=50e6, M=64, b=30)], ["pqn"])
+            h, h_hat = pilot_phase(plan, np.random.default_rng(12))
             gaps.append(float(np.mean(np.abs(h - h_hat) ** 2) * cfg.L))
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[2] < 1e-3
@@ -228,15 +246,33 @@ class TestMrc:
         cfg = SystemConfig.from_reference_snr(15.0)
         for m_ant in (256, 1024):
             design = DesignPoint(B_w=cfg.C_f / m_ant, M=m_ant, b=1)
-            plan = plan_block(cfg, design)
             for mode in ("uniform", "pqn"):
+                plan = plan_block(cfg, [design], [mode])
                 tracemalloc.start()
                 try:
-                    simulate_block(plan, np.random.default_rng(0), mode=mode)
+                    simulate_block(plan, np.random.default_rng(0))
                     peak = tracemalloc.get_traced_memory()[1]
                 finally:
                     tracemalloc.stop()
                 assert peak < 5 * m_ant * cfg.n_data * 16, (m_ant, mode, peak)
+
+    def test_group_block_memory_one_working_copy_above_lone_bound(self):
+        # three resolutions x two modes share one paper-scale block: the
+        # peak stays within the lone-call bound above plus one working copy
+        # of each received array
+        cfg = SystemConfig.from_reference_snr(15.0)
+        for m_ant in (256, 1024):
+            designs = [DesignPoint(B_w=cfg.C_f / m_ant, M=m_ant, b=b) for b in (1, 2, 3)]
+            plan = plan_block(cfg, designs, ["pqn", "uniform"])
+            tracemalloc.start()
+            try:
+                simulate_block(plan, np.random.default_rng(0))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            lone_bound = 5 * m_ant * cfg.n_data * 16
+            working = m_ant * (cfg.n_pilot + cfg.n_data) * 16
+            assert peak < lone_bound + working, (m_ant, peak)
 
     def test_array_gain_linear_in_antennas(self):
         cfg = small_config()
@@ -313,14 +349,22 @@ class TestEmpiricalRate:
         assert a.gamma == b.gamma
 
     def test_stage_calls(self, monkeypatch):
-        # the plan is built once per run; each block quantizes both of its
-        # received arrays through the public quantizer stages
+        # the plan is built once per group, and each trial simulates one
+        # block for all of the group's rows: four Gaussian draws (x, taps,
+        # pilot noise, data noise) per block, however many rows share it.
+        # Every row quantizes both received arrays through the public
+        # quantizer stages, a pqn row too
         cfg = small_config()
-        design = DesignPoint(B_w=100e6, M=8, b=2)
+        designs = [DesignPoint(B_w=100e6, M=8, b=b) for b in (1, 2)]
         trials = 3
         stages = {name: getattr(montecarlo, name) for name in
-                  ("quantize_block", "midrise_quantize", "lmmse_estimate", "generate_pilots")}
-        for mode, n_midrise in (("uniform", 2 * trials), ("pqn", 0)):
+                  ("quantize_block", "midrise_quantize", "lmmse_estimate", "generate_pilots",
+                   "simulate_block", "draw_channel", "_complex_normal")}
+        for design, mode, rows, n_uniform, n_designs in (
+            (designs[0], "uniform", 1, 1, 1),
+            (designs[0], "pqn", 1, 0, 1),
+            (designs, ("pqn", "uniform"), 4, 2, 2),
+        ):
             calls = dict.fromkeys(stages, 0)
             for name, fn in stages.items():
                 def counted(*args, _name=name, _fn=fn, **kwargs):
@@ -329,8 +373,31 @@ class TestEmpiricalRate:
 
                 monkeypatch.setattr(montecarlo, name, counted)
             empirical_rate(cfg, design, trials=trials, seed=4, mode=mode)
-            assert calls == {"quantize_block": 2 * trials, "midrise_quantize": n_midrise,
-                             "lmmse_estimate": 1, "generate_pilots": 1}, mode
+            assert calls == {
+                "quantize_block": 2 * rows * trials,
+                "midrise_quantize": 2 * n_uniform * trials,
+                "lmmse_estimate": n_designs,
+                "generate_pilots": 1,
+                "simulate_block": trials,
+                "draw_channel": trials,
+                "_complex_normal": 4 * trials,
+            }, mode
+
+    def test_group_rows_equal_lone_calls(self):
+        cfg = small_config(K=4, L=4, N=256)
+        designs = [DesignPoint(B_w=200e6, M=64, b=b) for b in (1, 2, 3)]
+        modes = ("pqn", "uniform")
+        group = empirical_rate(cfg, designs, trials=5, seed=8, mode=modes)
+        rows = [(d, m) for d in designs for m in modes]
+        assert len(group) == len(rows)
+        for (design, mode), shared in zip(rows, group):
+            assert shared == empirical_rate(cfg, design, trials=5, seed=8, mode=mode)
+
+    def test_group_needs_one_antenna_count_and_bandwidth(self):
+        cfg = small_config()
+        for other in (DesignPoint(B_w=1e8, M=8, b=2), DesignPoint(B_w=2e8, M=4, b=2)):
+            with pytest.raises(ConfigValueError):
+                empirical_rate(cfg, [DesignPoint(B_w=1e8, M=4, b=1), other], 2, 0, "pqn")
 
     def test_rejects_bad_mode(self):
         cfg = small_config()

@@ -12,7 +12,9 @@ The set: the 72 paper-grid ``optimize`` runs (SNR {0, 15, 30} dB x C_f
 {50, 500} Gbit/s x theta {1, 2, 4, 8} x X_int {1, 2.5, 4}, K=20, L=10,
 N=2000), default ``optimize``, ``optimize`` at C_f = 1e60 and at C_f =
 1e300 (an error line), the seven preset CSVs, ``preset fig4 --trials 2``,
-two ``rate`` calls and one seeded ``mc-validate``.
+two ``rate`` calls, and three seeded ``mc-validate`` runs: both modes and
+``--mode uniform`` at one ``(B_w, M)`` (rows that share a block), and
+``bind = antennas`` (one ``M``, so one group of rows, per ``b``).
 """
 
 from __future__ import annotations
@@ -39,7 +41,8 @@ PRESETS = ("fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8")
 def _config(cfg_dir: str, name: str, **keys) -> str:
     path = os.path.join(cfg_dir, name + ".cfg")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("".join(f"{k} = {v!r}\n" for k, v in keys.items()))
+        fh.write("".join(f"{k} = {v if isinstance(v, str) else repr(v)}\n"
+                         for k, v in keys.items()))
     return path
 
 
@@ -63,7 +66,12 @@ def commands(cfg_dir: str, out_dir: str) -> list[tuple[str, list[str]]]:
     cmds.append(("rate_theta137.json",
                  ["rate", "--config", path, "--bw", "1e9", "--m", "200", "--b", "3"]))
     path = _config(cfg_dir, "mc", K=4, L=4, N=256, X_int=2.5, B_w=2e8, M=64)
-    cmds.append(("mc_validate.json",
+    mc_argv = ["mc-validate", "--config", path, "--trials", "8", "--seed", "12345"]
+    cmds.append(("mc_validate.json", mc_argv))
+    cmds.append(("mc_validate_uniform.json", mc_argv + ["--mode", "uniform"]))
+    path = _config(cfg_dir, "mc_bind", K=4, L=4, N=256, X_int=2.5, C_f=25.6e9, B_w=2e8,
+                   bind="antennas")
+    cmds.append(("mc_validate_bind_antennas.json",
                  ["mc-validate", "--config", path, "--trials", "8", "--seed", "12345"]))
     return [
         (name, argv + ["--out", os.path.join(out_dir, name)] if name.endswith(".csv") else argv)
