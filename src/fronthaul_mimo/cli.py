@@ -375,13 +375,12 @@ def run_sweep(
 
 # --- figure presets -------------------------------------------------------
 
-_BASE = dict(K=20, C_f=500e9, N=2000, L=10, theta=1.0, X_int=1.0)
 _BITS = tuple(float(b) for b in range(1, 13))
-_SNRS = tuple({"snr_db": snr} for snr in (0.0, 15.0, 30.0))
+_SNRS = tuple({"gamma_ref_db": snr} for snr in (0.0, 15.0, 30.0))
 _AT_200_MHZ = dict(axis="b", values=_BITS, bind="antennas", B_w=200e6)
 
-# name -> (config overrides, one config per curve; the sweep).  Curve i runs
-# its Monte Carlo at seed + i; fig3 pins trials to 0 (closed form only).
+# name -> (SystemConfig overrides, one config per curve; the sweep).  Curve i
+# runs its Monte Carlo at seed + i; fig3 pins trials to 0 (closed form only).
 _PRESET_TABLE = {
     "fig2": (({},), _AT_200_MHZ),
     "fig3": (({},), dict(_AT_200_MHZ, trials=0, seed=0)),
@@ -405,8 +404,7 @@ _PRESET_TABLE = {
 def _preset(curves, sweep, trials, seed) -> list[tuple[SystemConfig, SweepSpec]]:
     out = []
     for i, overrides in enumerate(curves):
-        fields = {**_BASE, **overrides}
-        config = SystemConfig.from_reference_snr(fields.pop("snr_db", 15.0), **fields)
+        config = SystemConfig.from_reference_snr(**overrides)
         out.append((config, SweepSpec(**{"trials": trials, "seed": seed + i, **sweep})))
     return out
 
@@ -490,8 +488,13 @@ def mc_validate_report(
     for cfg, design in resolved:
         groups.setdefault((cfg, design.B_w, design.M), []).append(design)
     mc = {}
-    for (cfg, _, _), designs in groups.items():
-        rates = montecarlo.empirical_rate(cfg, designs, trials, spec.seed, modes)
+    for (cfg, b_w, m), designs in groups.items():
+        try:
+            rates = montecarlo.empirical_rate(cfg, designs, trials, spec.seed, modes)
+        except ConfigError:
+            raise
+        except ValueError as exc:  # numpy refuses the block's shape
+            raise ConfigValueError(f"cannot simulate B_w={b_w}, M={m}: {exc}") from exc
         mc.update(zip(((d.b, mode) for d in designs for mode in modes), rates))
     points = []
     for cfg, design in resolved:

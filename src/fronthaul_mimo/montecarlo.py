@@ -184,13 +184,13 @@ def lmmse_estimate(config: SystemConfig, design: DesignPoint) -> float:
 
 
 def mrc_combine(y_q: np.ndarray, h_hat: np.ndarray, n_data: int) -> np.ndarray:
-    """Frequency-domain MRC: x_hat[k, v] = sum_m conj(H_hat[m, k, v]) * Y[m, v].
+    """MRC as the L-tap matched filter in time, c[k, n] =
+    sum_{m,l} conj(h_hat[m, k, l]) * y[m, (n + l) mod N_d], whose unitary
+    DFT is the frequency-domain output sum_m conj(H_hat[m, k, v]) * Y[m, v].
 
-    Computed as the L-tap matched filter in time, c[k, n] =
-    sum_{m,l} conj(h_hat[m, k, l]) * y[m, (n + l) mod N_d], followed by one
-    unitary DFT of the K filter outputs.  The sum over antennas is one
-    product for all taps, z[k, l, n] = sum_m conj(h_hat[m, k, l]) * y[m, n];
-    each tap's (K, N_d) slice is then advanced by its lag and summed.
+    The sum over antennas is one product for all taps, z[k, l, n] =
+    sum_m conj(h_hat[m, k, l]) * y[m, n]; each tap's (K, N_d) slice is then
+    advanced by its lag and summed.
     """
     m_ant, k_users, n_taps = h_hat.shape
     z = (h_hat.reshape(m_ant, k_users * n_taps).conj().T @ y_q).reshape(
@@ -200,7 +200,7 @@ def mrc_combine(y_q: np.ndarray, h_hat: np.ndarray, n_data: int) -> np.ndarray:
     for lag in range(1, n_taps):
         c[:, : n_data - lag] += z[:, lag, lag:]
         c[:, n_data - lag :] += z[:, lag, :lag]
-    return np.fft.fft(c, axis=1) / math.sqrt(n_data)
+    return c
 
 
 @dataclass(frozen=True)
@@ -274,16 +274,16 @@ def simulate_block(
     each received array into a working buffer, one per array shared by the
     rows; the last row quantizes the received arrays in place.
 
-    Returns, per row, the moment sums over the block's K*N_d subcarrier
-    symbols, sum(conj(x) * x_hat) and sum(|x_hat|^2) with x the unitary DFT
-    of the unit-power symbols and x_hat the combiner output, and the number
-    of clipped rails out of 2*M*(N_p + N_d).
+    Returns, per row, the moment sums sum(conj(x) * c) and sum(|c|^2) over
+    the block's K*N_d unit-power symbols x and matched-filter outputs c, in
+    time (by Parseval, the sums over subcarriers of their unitary DFTs), and
+    the number of clipped rails out of 2*M*(N_p + N_d).
     """
     config = plan.config
     n_d, m_ant, k_users, n_taps = config.n_data, plan.M, config.K, config.L
 
     x = _complex_normal(rng, (k_users, n_d))
-    x_freq = np.fft.fft(x, axis=1) / math.sqrt(2.0 * n_d)  # unit-power symbols
+    symbols = x / math.sqrt(2.0)  # unit power
     x *= plan.data_gain
     taps = draw_channel(rng, m_ant, k_users, plan.pdp).reshape(m_ant, k_users * n_taps)
 
@@ -316,10 +316,8 @@ def simulate_block(
         y_pilot_q, y_data_q = quantized
         h_hat = (y_pilot_q @ plan.correlator).reshape(m_ant, k_users, n_taps)
         h_hat *= lmmse_gain
-        x_hat_freq = mrc_combine(y_data_q, h_hat, n_d)
-        sums.append(
-            (np.vdot(x_freq, x_hat_freq), np.vdot(x_hat_freq, x_hat_freq).real, clipped)
-        )
+        c = mrc_combine(y_data_q, h_hat, n_d)
+        sums.append((np.vdot(symbols, c), np.vdot(c, c).real, clipped))
     return sums
 
 
@@ -400,7 +398,8 @@ def empirical_rate(
         )
         batch_rates = batch_rates[np.isfinite(batch_rates)]
         if batch_rates.size >= 2:
-            stderr = float(np.std(batch_rates, ddof=1) / math.sqrt(batch_rates.size))
+            with np.errstate(over="raise"):  # an error, not a warning, near the float limit
+                stderr = float(np.std(batch_rates, ddof=1) / math.sqrt(batch_rates.size))
         else:
             stderr = math.nan  # undefined below two finite batches, e.g. at one trial
         rates.append(

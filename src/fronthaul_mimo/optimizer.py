@@ -5,8 +5,8 @@ strictly increasing in M at fixed B_w and b), so at b fixed the search
 space reduces to the auxiliary variable s in [b/C_f, 1] with M = 1/s and
 B_w = (C_f/b)*s.  R(s) is unimodal in s, concave through the ascent to its
 maximizer (convex only in the far noise-limited decay), so the maximizer
-is found by bisection on the sign of the closed-form derivative, then
-refined over the nearest integer antenna counts.
+is found by bisection on the sign of the closed-form derivative; the
+integer optimum is then the floor or the ceiling of 1/s* (``optimize_full``).
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ _INF = math.inf
 
 B_MAX = 12
 S_TOLERANCE = 1e-10
-M_NEIGHBORHOOD = 2  # integer antenna counts tried on each side of 1/s*
 
 
 def _threshold_parts(b: int, x_int: float) -> tuple[float, float]:
@@ -248,10 +247,11 @@ class OptimizationResult:
 def optimize_full(config: SystemConfig) -> OptimizationResult:
     """Global maximization of the per-user rate subject to B_w*M*b <= C_f.
 
-    Searches b = 1, 2, ... B_MAX in turn and stops after b = 1 when the
-    one-bit certificate holds there; each resolution gets a concave search
-    over s followed by evaluation of the nearest integer antenna counts with
-    B_w = C_f/(M*b).  Ties break toward fewer bits, then fewer antennas.
+    Searches b = 1, 2, ... B_MAX in turn, and stops after b = 1 when the
+    one-bit certificate holds there.  Each b evaluates M = floor(1/s*) and
+    ceil(1/s*) in [1, C_f/b] at B_w = C_f/(M*b): exact, as the design at M
+    lies on the curve at s = 1/M, where R is unimodal (above M ~ 1e6, to
+    within the search's width).  Ties break toward fewer bits, then antennas.
     """
     if config.C_f < 1.0:
         raise InfeasibleError(
@@ -265,10 +265,8 @@ def optimize_full(config: SystemConfig) -> OptimizationResult:
             break
         s = maximize_over_s(config, b)
         fixed_one_bit = b == 1 and one_bit_always_optimal(config, s)
-        m_center = 1.0 / s
-        m_lo = max(1, math.floor(m_center) - M_NEIGHBORHOOD)
-        m_hi = min(math.floor(config.C_f / b), math.ceil(m_center) + M_NEIGHBORHOOD)
-        for m in range(m_lo, m_hi + 1):
+        m_lo, m_hi = math.floor(1.0 / s), math.ceil(1.0 / s)
+        for m in range(max(1, m_lo), min(math.floor(config.C_f / b), m_hi) + 1):
             design = DesignPoint(B_w=config.C_f / (m * b), M=m, b=b)
             breakdown = achievable_rate(config, design)
             trace_points += 1

@@ -514,6 +514,23 @@ class TestMcValidate:
             closed = achievable_rate(config, DesignPoint(B_w=1e8, M=m, b=point["b"]))
             assert point["closed_form_bps"] == closed.rate_bps
 
+    @pytest.mark.parametrize("text, argv", [
+        # batch rates near 1e299, whose standard error overflows
+        ("K = 2\nL = 2\nN = 33\ntheta = 1.3\ngamma_ref_db = 60\nC_f = 1e300\n"
+         "bind = bandwidth\n", ["--trials", "3", "--m", "16"]),
+        # M = C_f/B_w = 1e300 antennas: numpy refuses the shape before it allocates
+        ("K = 2\nL = 3\nN = 64\ntheta = 0.5\nX_int = 3\ngamma_ref_db = -30\nC_f = 1e300\n"
+         "bind = antennas\n", ["--trials", "1", "--bw", "1"]),
+    ], ids=["stderr_overflow", "block_too_large"])
+    def test_extreme_input_one_json_line(self, tmp_path, capsys, text, argv):
+        cfg = write_config(tmp_path, text)
+        code = main(["mc-validate", "--config", cfg, "--bits", "1", "--mode", "pqn", *argv])
+        captured = capsys.readouterr()
+        assert_model_error(code, captured.out)
+        assert captured.err == ""
+        if "--bw" in argv:
+            assert "B_w=1.0, M=" in strict_json(captured.out)["detail"]
+
     def test_single_trial_stderr_is_null(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "K = 2\nL = 2\nN = 128\nX_int = 2.5\nB_w = 1e8\nM = 16\n")
         code = main(["mc-validate", "--config", cfg, "--bits", "1", "--mode", "pqn",

@@ -220,24 +220,25 @@ class TestLmmse:
 
 class TestMrc:
     def test_single_antenna_perfect_csi_proportional(self):
-        # flat channel, no noise, no quantization: output is a positive
-        # multiple of the transmitted spectrum
+        # flat channel, no noise, no quantization: the matched-filter output
+        # is a positive multiple of the transmitted symbols, in time
         rng = np.random.default_rng(11)
         n_d = 64
         x = (rng.standard_normal(n_d) + 1j * rng.standard_normal(n_d)) / np.sqrt(2)
         h = np.array([[[0.8 - 0.3j]]])  # (M=1, K=1, L=1)
         y = h[0, 0, 0] * x[None, :]
-        x_hat = mrc_combine(y, h, n_d)
-        x_freq = np.fft.fft(x) / np.sqrt(n_d)
-        ratio = x_hat[0] / x_freq
+        c = mrc_combine(y, h, n_d)
+        ratio = c[0] / x
         assert np.allclose(ratio, abs(h[0, 0, 0]) ** 2, atol=1e-12)
 
     def test_time_and_frequency_paths_agree(self):
+        # the unitary DFT of the matched-filter output is the FIR reference's
+        # frequency-domain MRC output
         rng = np.random.default_rng(13)
         n_d = 116
         y = complex_normal(rng, (6, n_d))
         h_hat = complex_normal(rng, (6, 2, 3))
-        freq = mrc_combine(y, h_hat, n_d)
+        freq = np.fft.fft(mrc_combine(y, h_hat, n_d), axis=1) / np.sqrt(n_d)
         time = mrc_combine_time(y, h_hat, n_d)
         assert np.max(np.abs(freq - time)) < 1e-9
 

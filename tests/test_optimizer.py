@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 
@@ -141,7 +142,9 @@ class TestFixedBandwidthOptimum:
         monkeypatch.setattr(optimizer, "achievable_rate", spy)
         res = optimize_full(SystemConfig.from_reference_snr(30.0, K=20, C_f=50e9, theta=0.5))
         assert not res.fixed_one_bit
-        assert {d.b for d in evaluated} == set(range(1, 13))
+        per_b = collections.Counter(d.b for d in evaluated)
+        assert set(per_b) == set(range(1, 13))
+        assert max(per_b.values()) <= 2  # floor and ceil of 1/s* only
         assert res.trace_points == len(evaluated)
 
 
@@ -453,6 +456,30 @@ class TestOptimizeFull:
                 m = max(1, int(round(1.0 / s)))
                 d = DesignPoint(B_w=cfg.C_f / (m * b), M=m, b=b)
                 assert achievable_rate(cfg, d).rate_bps <= res.rate.rate_bps * (1 + 1e-9)
+
+    def test_matches_exhaustive_lattice(self):
+        # every (M, b) the fronthaul carries, on small capacities where the
+        # scan is cheap; the SNR tracks C_f so that about half the optima
+        # are interior, and the rest sit at M = 1 or at the cap
+        rng = np.random.default_rng(2024)
+        for _ in range(40):
+            c_f = float(10.0 ** rng.uniform(1.0, math.log10(3e3)))
+            cfg = SystemConfig.from_reference_snr(
+                15.0 + 10.0 * math.log10(c_f / 500e9) + float(rng.uniform(-10.0, 40.0)),
+                K=int(rng.integers(1, 9)),
+                L=int(rng.integers(1, 5)),
+                N=int(rng.integers(150, 400)),
+                theta=float(rng.uniform(0.5, 4.0)),
+                X_int=float(rng.uniform(0.5, 5.0)),
+                C_f=c_f,
+            )
+            lattice = min(
+                (-achievable_rate(cfg, DesignPoint(B_w=c_f / (m * b), M=m, b=b)).rate_bps, b, m)
+                for b in range(1, 13)
+                for m in range(1, math.floor(c_f / b) + 1)
+            )
+            res = optimize_full(cfg)
+            assert (-res.rate.rate_bps, res.best.b, res.best.M) == lattice, cfg
 
     def test_more_fronthaul_more_rate(self, base_config):
         r1 = optimize_full(base_config).rate.rate_bps
