@@ -24,7 +24,19 @@ data-phase noise (M, N_d) -- and last, only when a ``pqn`` row is
 simulated, one unit-uniform array per received array, pilot phase first,
 each of the shape of its interleaved real view.  Each complex array is one
 standard-normal draw into its interleaved real view, real and imaginary
-part of each entry in turn.
+part of each entry in turn.  x and the taps are drawn in float64, both
+noise arrays and the unit uniforms in float32.
+
+Precision: every (M, .) array of a block -- both noise arrays, the received
+arrays and their working buffers, the ``pqn`` unit uniforms, the plan's
+shift matrix and correlator, the gathered symbols, the channel estimates
+and the MRC output -- has the dtype ``PIPELINE_DTYPE``, complex64 on float32
+rails: the statistic's MC standard error, near 1%, is far above float32
+rounding (6e-8).  The small (K, N_d) symbols and (M, K*L) taps are drawn in
+float64 and cast.  The moment sums stay in float64: the MRC output is
+widened to complex128 before the two ``np.vdot``, because gamma divides by
+power - |cross|^2, which cancels at high SINR.  ``plan_block`` refuses a
+quantizer whose range, from its step to X_int, leaves float32.
 
 Rows that share (B_w, M) -- every resolution b and both modes of an
 ``mc-validate`` point -- share each trial's block: none of these draws
@@ -32,10 +44,10 @@ depends on b or on the mode, so ``empirical_rate`` draws them once and
 every row quantizes, estimates and combines on its own.  A ``pqn`` row at
 resolution b adds half_b*(2u - 1) from the shared unit uniforms u.  Every
 row is bit for bit its lone call at the same seed; a lone call is a group
-of one.  Sharing the block cut an ``mc-validate --bits 1,2,3 --mode both
---trials 8`` at K=4, L=4, N=256, M=64 from 59-75 ms to 23-29 ms in process
-on a shared 2-core x86-64 machine (medians of 50 operations, three
-alternating runs).
+of one.  An ``mc-validate --bits 1,2,3 --mode both --trials 8`` at K=4,
+L=4, N=256, M=64 costs 13.4-13.9 ms in process on a shared 2-core x86-64
+machine, against 18.2-18.4 ms with complex128 arrays (medians of 50
+operations, three alternating runs).
 """
 
 from __future__ import annotations
@@ -52,6 +64,14 @@ from .sysmodel import DesignPoint, SystemConfig, link_budget
 
 QUANTIZE_MODES = ("uniform", "pqn")
 N_BATCHES = 10  # trial batches behind the standard error
+PIPELINE_DTYPE = np.dtype(np.complex64)  # every (M, .) array of a block
+RAIL_DTYPE = np.finfo(PIPELINE_DTYPE).dtype  # of its real rails, float32
+RAIL_MAX = float(np.finfo(RAIL_DTYPE).max)
+# The quantizer's range, from its step to X_int, keeps this factor inside the
+# rails' range on both sides: a rail up to 2**10 standard deviations divides
+# by the step without overflow, and the pilot correlator's sums of rails of
+# size X_int stay finite.
+RAIL_HEADROOM = 2.0**10
 
 
 @dataclass(frozen=True)
@@ -77,11 +97,14 @@ class PowerDelayProfile:
         return self.sigma2.size
 
 
-def _complex_normal(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+def _complex_normal(
+    rng: np.random.Generator, shape: tuple[int, ...], dtype: np.dtype = np.dtype(complex)
+) -> np.ndarray:
     """Complex array whose real and imaginary parts are i.i.d. standard
     normal, drawn in one call into its interleaved real view."""
-    z = np.empty(shape, dtype=complex)
-    rng.standard_normal(out=z.view(np.float64))
+    z = np.empty(shape, dtype=dtype)
+    rails = z.view(np.finfo(dtype).dtype)
+    rng.standard_normal(out=rails, dtype=rails.dtype)
     return z
 
 
@@ -117,7 +140,7 @@ def generate_pilots(n_users: int, n_taps: int, n_pilot: int) -> np.ndarray:
 
 
 def midrise_quantize(rails: np.ndarray, b: int, x_int: float) -> int:
-    """Uniform midrise quantizer, in place on a real float64 array.
+    """Uniform midrise quantizer, in place on a real float32 or float64 array.
 
     Step 2*x_int/2^b over [-x_int, x_int]; inputs beyond the no-overload
     interval saturate to the outermost level and are counted as clip events.
@@ -146,11 +169,11 @@ def quantize_block(
     the clip count.
 
     The rails are already scaled to unit variance (a complex array passes
-    its interleaved view ``y.view(np.float64)``).  ``uniform`` applies the
-    midrise quantizer per rail; ``pqn`` adds uniform noise of variance E per
-    rail instead, half*(2u - 1) from the unit-uniform draws ``unit`` of the
-    rails' shape, and clips nothing.  In place, the noise is formed in
-    ``unit``, which it overwrites; into ``out``, the draws are kept.
+    its interleaved real view, float32 for a complex64 array).  ``uniform``
+    applies the midrise quantizer per rail; ``pqn`` adds uniform noise of
+    variance E per rail instead, half*(2u - 1) from the unit-uniform draws
+    ``unit`` of the rails' shape, and clips nothing.  In place, the noise is
+    formed in ``unit``, which it overwrites; into ``out``, the draws are kept.
     """
     if mode == "uniform":
         if out is not None:
@@ -163,7 +186,7 @@ def quantize_block(
         raise ConfigValueError("pqn mode needs unit-uniform draws")
     half = x_int * 2.0 ** (-b)  # half*(2u - 1) has variance E per rail
     noise = np.multiply(unit, 2.0, out=unit if out is None else out)
-    noise -= 1.0  # exact: u is a multiple of 2**-53 in [0, 1)
+    noise -= 1.0  # exact: u is a multiple of eps/2 of its dtype in [0, 1)
     noise *= half
     if out is None:
         rails += noise
@@ -223,8 +246,8 @@ class BlockPlan:
     M: int
     rows: tuple[tuple[int, str, float], ...]  # (b, mode, LMMSE gain) per row
     pdp: PowerDelayProfile
-    pilot_shift: np.ndarray  # (K*L, N_p) ADC-domain shifted pilots
-    correlator: np.ndarray  # (N_p, K*L) unit-gain pilot correlator
+    pilot_shift: np.ndarray  # (K*L, N_p) ADC-domain shifted pilots, PIPELINE_DTYPE
+    correlator: np.ndarray  # (N_p, K*L) unit-gain pilot correlator, PIPELINE_DTYPE
     data_index: np.ndarray  # (L, N_d) gather index (n - l) mod N_d
     data_gain: float  # ADC-domain amplitude of a standard complex normal symbol
     noise_std: float
@@ -234,10 +257,18 @@ def plan_block(
     config: SystemConfig, designs: Sequence[DesignPoint], modes: Sequence[str]
 ) -> BlockPlan:
     """Build the shared block set-up of the rows designs x modes, uniform
-    power delay profile.  The designs must share (B_w, M)."""
+    power delay profile.  The designs must share (B_w, M), and each
+    quantizer's range must fit the rails' dtype with ``RAIL_HEADROOM``."""
     b_w, m_ant = designs[0].B_w, designs[0].M
     if any((d.B_w, d.M) != (b_w, m_ant) for d in designs):
         raise ConfigValueError("the designs of one block must share B_w and M")
+    for d in designs:
+        step = math.ldexp(config.X_int, 1 - d.b)  # 2*X_int/2^b, 0.0 below the float range
+        if not (config.X_int * RAIL_HEADROOM <= RAIL_MAX and step * RAIL_MAX >= RAIL_HEADROOM):
+            raise ConfigValueError(
+                f"X_int={config.X_int} at b={d.b} (quantizer step {step}) leaves the "
+                f"{RAIL_DTYPE} range of the simulator's rails"
+            )
     n_p, n_d, n_taps = config.n_pilot, config.n_data, config.L
     phi = generate_pilots(config.K, n_taps, n_p)
     # row (k, l) of the shift matrix is phi_k[(n - l) mod N_p]
@@ -252,8 +283,8 @@ def plan_block(
         M=m_ant,
         rows=tuple((d.b, mode, gain) for d, gain in zip(designs, gains) for mode in modes),
         pdp=PowerDelayProfile.uniform(n_taps),
-        pilot_shift=amp * shift,
-        correlator=shift.conj().T / math.sqrt(n_p),
+        pilot_shift=(amp * shift).astype(PIPELINE_DTYPE),
+        correlator=(shift.conj().T / math.sqrt(n_p)).astype(PIPELINE_DTYPE),
         data_index=(np.arange(n_d)[None, :] - np.arange(n_taps)[:, None]) % n_d,
         data_gain=amp / math.sqrt(2.0),  # the symbols are drawn with variance 2
         noise_std=agc * math.sqrt(0.5),  # unit noise, half per rail
@@ -283,15 +314,16 @@ def simulate_block(
     n_d, m_ant, k_users, n_taps = config.n_data, plan.M, config.K, config.L
 
     x = _complex_normal(rng, (k_users, n_d))
-    symbols = x / math.sqrt(2.0)  # unit power
-    x *= plan.data_gain
+    symbols = x / math.sqrt(2.0)  # unit power, complex128 for the moment sums
+    x = (x * plan.data_gain).astype(PIPELINE_DTYPE)
     taps = draw_channel(rng, m_ant, k_users, plan.pdp).reshape(m_ant, k_users * n_taps)
+    taps = taps.astype(PIPELINE_DTYPE)
 
     def receive(shifted: np.ndarray) -> np.ndarray:
-        y = _complex_normal(rng, (m_ant, shifted.shape[1]))
+        y = _complex_normal(rng, (m_ant, shifted.shape[1]), PIPELINE_DTYPE)
         y *= plan.noise_std
         y += taps @ shifted
-        return y.view(np.float64)
+        return y.view(RAIL_DTYPE)
 
     # data phase: block-circular channel, row (k, l) is x_k[(n - l) mod N_d]
     received = (
@@ -307,16 +339,17 @@ def simulate_block(
         quantized, clipped = [], 0
         for k, rails in enumerate(received):
             if mode == "pqn" and units[k] is None:
-                units[k] = rng.random(rails.shape)
+                units[k] = rng.random(rails.shape, dtype=rails.dtype)
             out = work[k] if row < last else None
             clipped += quantize_block(rails, b, config.X_int, mode, units[k], out)
             if out is None:
                 units[k] = None  # the last row is done with the draws
-            quantized.append((rails if out is None else out).view(complex))
+            quantized.append((rails if out is None else out).view(PIPELINE_DTYPE))
         y_pilot_q, y_data_q = quantized
         h_hat = (y_pilot_q @ plan.correlator).reshape(m_ant, k_users, n_taps)
         h_hat *= lmmse_gain
-        c = mrc_combine(y_data_q, h_hat, n_d)
+        # gamma divides by power - |cross|^2, which cancels at high SINR
+        c = mrc_combine(y_data_q, h_hat, n_d).astype(complex)
         sums.append((np.vdot(symbols, c), np.vdot(c, c).real, clipped))
     return sums
 

@@ -531,6 +531,24 @@ class TestMcValidate:
         if "--bw" in argv:
             assert "B_w=1.0, M=" in strict_json(captured.out)["detail"]
 
+    @pytest.mark.parametrize("x_int", [1e39, 1e-39], ids=["x_int_too_large", "step_too_small"])
+    def test_quantizer_range_beyond_rails_exit_2(self, tmp_path, capsys, x_int):
+        # float32 rails cannot hold X_int = 1e39, and at X_int = 1e-39 a
+        # rail over the step overflows: mc-validate and a sweep's MC row
+        # refuse both before the first block
+        text = f"K = 2\nL = 2\nN = 64\nX_int = {x_int!r}\nB_w = 2e8\nM = 4\n"
+        cfg = write_config(tmp_path, text)
+        sweep = write_config(tmp_path, text + "sweep_axis = b\nsweep_values = 1,2\n"
+                             "trials = 3\nmc_mode = uniform\n", "sweep.cfg")
+        for argv in (["mc-validate", "--config", cfg, "--bits", "1", "--trials", "3",
+                      "--mode", "both"],
+                     ["sweep", "--config", sweep]):
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert_model_error(code, captured.out)
+            assert captured.err == ""
+            assert "float32 range" in strict_json(captured.out)["detail"]
+
     def test_single_trial_stderr_is_null(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "K = 2\nL = 2\nN = 128\nX_int = 2.5\nB_w = 1e8\nM = 16\n")
         code = main(["mc-validate", "--config", cfg, "--bits", "1", "--mode", "pqn",

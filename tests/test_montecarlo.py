@@ -29,20 +29,22 @@ def small_config(**overrides):
     return SystemConfig.from_reference_snr(15.0, **fields)
 
 
-def complex_normal(rng, shape):
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+def complex_normal(rng, shape, dtype=np.float64):
+    return rng.standard_normal(shape, dtype) + 1j * rng.standard_normal(shape, dtype)
 
 
 def pilot_phase(plan, rng):
     """Channel taps and their LMMSE estimates from one pilot phase of the
-    plan's one row, built from the plan and the stages a block uses."""
+    plan's one row, built from the plan and the stages a block uses, in the
+    block's dtype."""
     cfg, m_ant = plan.config, plan.M
     ((b, mode, lmmse_gain),) = plan.rows
     h = draw_channel(rng, m_ant, cfg.K, plan.pdp)
-    y = plan.noise_std * complex_normal(rng, (m_ant, cfg.n_pilot))
-    y += h.reshape(m_ant, -1) @ plan.pilot_shift
-    rails = y.view(np.float64)
-    quantize_block(rails, b, cfg.X_int, mode, rng.random(rails.shape))
+    y = plan.noise_std * complex_normal(rng, (m_ant, cfg.n_pilot), montecarlo.RAIL_DTYPE)
+    y += h.reshape(m_ant, -1).astype(montecarlo.PIPELINE_DTYPE) @ plan.pilot_shift
+    assert y.dtype == montecarlo.PIPELINE_DTYPE
+    rails = y.view(montecarlo.RAIL_DTYPE)
+    quantize_block(rails, b, cfg.X_int, mode, rng.random(rails.shape, montecarlo.RAIL_DTYPE))
     h_hat = (y @ plan.correlator).reshape(h.shape) * lmmse_gain
     return h, h_hat
 
@@ -165,6 +167,33 @@ class TestQuantizer:
             assert quantize_block(in_place, 2, 1.7, mode, spent) == n_out
             assert np.array_equal(out, in_place), mode
 
+    def test_float32_rails_quantize_to_float64_levels(self):
+        # away from the cell edges, +-X_int among them, a float32 rail and
+        # a float64 rail quantize to the same level and clip alike
+        rng = np.random.default_rng(14)
+        x_int = 2.5
+        for b in range(1, 13):
+            step = 2.0 * x_int / 2**b
+            rails = 3.0 * rng.standard_normal(20000)
+            cell = rails / step - np.floor(rails / step)
+            rails = rails[np.minimum(cell, 1.0 - cell) * step > 1e-5 * x_int]
+            q64, q32 = rails.copy(), rails.astype(np.float32)
+            n64, n32 = midrise_quantize(q64, b, x_int), midrise_quantize(q32, b, x_int)
+            assert q32.dtype == np.float32
+            assert n32 == n64 > 0, b
+            assert np.array_equal(np.round(q32 / step - 0.5), np.round(q64 / step - 0.5)), b
+            assert np.max(np.abs(q32 - q64)) <= np.finfo(np.float32).eps * x_int, b
+
+    def test_pqn_noise_exact_for_float32_uniforms(self):
+        # 2u - 1 is exact for float32 uniforms; with a power-of-two
+        # half-width the float32 noise equals the exact float64 value
+        unit = np.random.default_rng(15).random(10**5, dtype=np.float32)
+        unit[:2] = 0.0, 1.0 - 2.0**-24  # the ends of the draw's range
+        rails = np.zeros_like(unit)
+        quantize_block(rails, 3, 2.0, "pqn", unit.copy())
+        assert rails.dtype == np.float32
+        assert np.array_equal(rails, (2.0 * unit.astype(np.float64) - 1.0) * 0.25)
+
     def test_pqn_noise_variance(self):
         for b in (1, 2):
             y_q = np.zeros(200000, dtype=complex)
@@ -195,7 +224,9 @@ class TestLmmse:
         design = DesignPoint(B_w=50e6, M=200, b=2)
         plan = plan_block(cfg, [design], ["pqn"])
         eps, est = [], []
-        for child in np.random.SeedSequence(9).spawn(25):
+        # 4*10**4 realizations per tap: a correlation's standard error is
+        # about 0.005, so the 0.02 bound sits near 4 standard errors
+        for child in np.random.SeedSequence(9).spawn(100):
             h, h_hat = pilot_phase(plan, np.random.default_rng(child))
             eps.append((h - h_hat).reshape(-1, cfg.L))
             est.append(h_hat.reshape(-1, cfg.L))
@@ -243,8 +274,10 @@ class TestMrc:
         assert np.max(np.abs(freq - time)) < 1e-9
 
     def test_block_memory_below_one_antenna_user_subcarrier_array(self):
-        # paper-scale block: the peak stays within five (M, N_d) complex arrays
+        # paper-scale block: the peak stays within five (M, N_d) arrays of
+        # the block's dtype
         cfg = SystemConfig.from_reference_snr(15.0)
+        itemsize = montecarlo.PIPELINE_DTYPE.itemsize
         for m_ant in (256, 1024):
             design = DesignPoint(B_w=cfg.C_f / m_ant, M=m_ant, b=1)
             for mode in ("uniform", "pqn"):
@@ -255,7 +288,7 @@ class TestMrc:
                     peak = tracemalloc.get_traced_memory()[1]
                 finally:
                     tracemalloc.stop()
-                assert peak < 5 * m_ant * cfg.n_data * 16, (m_ant, mode, peak)
+                assert peak < 5 * m_ant * cfg.n_data * itemsize, (m_ant, mode, peak)
 
     def test_group_block_memory_one_working_copy_above_lone_bound(self):
         # three resolutions x two modes share one paper-scale block: the
@@ -271,8 +304,9 @@ class TestMrc:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            lone_bound = 5 * m_ant * cfg.n_data * 16
-            working = m_ant * (cfg.n_pilot + cfg.n_data) * 16
+            itemsize = montecarlo.PIPELINE_DTYPE.itemsize
+            lone_bound = 5 * m_ant * cfg.n_data * itemsize
+            working = m_ant * (cfg.n_pilot + cfg.n_data) * itemsize
             assert peak < lone_bound + working, (m_ant, peak)
 
     def test_array_gain_linear_in_antennas(self):
