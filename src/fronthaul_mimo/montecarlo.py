@@ -1,7 +1,9 @@
 """Link-level simulator: multipath channel draws, constant-amplitude
 orthogonal pilots, AGC + quantization (true uniform quantizer or its
 additive-noise surrogate), per-tap LMMSE estimation, MRC combining, and
-the use-and-then-forget empirical rate.
+the use-and-then-forget empirical rate.  A coherence block is one received
+(M, N) array, as the antennas digitize it: pilots in columns [0, N_p), data
+in [N_p, N), through one quantizer call.
 
 Everything downstream of the ADC lives in the "ADC domain": each real rail
 is scaled to unit variance before quantization (the complex sample is
@@ -12,31 +14,32 @@ and the LMMSE gain below is derived in this domain, so the closed-form
 predictions apply unchanged.  The block pipeline never forms the unscaled
 received signal: the AGC factor and the amplitude sqrt(P/B_w) sit in the
 small shift matrices and in the noise scale.  Both quantizers work in place
-on real rails, a received array on its interleaved real view.  Blocks use
+on real rails, the received array on its interleaved real view.  Blocks use
 the uniform power delay profile, as the closed form does.
 
 Reproducibility: each trial draws from its own counter-derived substream
 (SeedSequence spawn keyed by trial index) and aggregates are reduced in
 trial order, so results do not depend on scheduling.  Within a trial the
-draws come in this order: the data symbols x (K, N_d), then the
-antenna-side arrays -- channel taps (M, K, L), pilot-phase noise (M, N_p),
-data-phase noise (M, N_d) -- and last, only when a ``pqn`` row is
-simulated, one unit-uniform array per received array, pilot phase first,
-each of the shape of its interleaved real view.  Each complex array is one
-standard-normal draw into its interleaved real view, real and imaginary
-part of each entry in turn.  x and the taps are drawn in float64, both
-noise arrays and the unit uniforms in float32.
+draws come in this order: the data symbols x (K, N_d), the channel taps
+(M, K, L), the noise (M, N), and last, only when a ``pqn`` row is
+simulated, one unit-uniform array of the shape of the noise's interleaved
+real view.  Each complex array is one standard-normal draw into its
+interleaved real view, real and imaginary part of each entry in turn.  x
+and the taps are drawn in float64, the noise and the unit uniforms in
+float32.
 
-Precision: every (M, .) array of a block -- both noise arrays, the received
-arrays and their working buffers, the ``pqn`` unit uniforms, the plan's
-shift matrix and correlator, the gathered symbols, the channel estimates
-and the MRC output -- has the dtype ``PIPELINE_DTYPE``, complex64 on float32
-rails: the statistic's MC standard error, near 1%, is far above float32
-rounding (6e-8).  The small (K, N_d) symbols and (M, K*L) taps are drawn in
-float64 and cast.  The moment sums stay in float64: the MRC output is
-widened to complex128 before the two ``np.vdot``, because gamma divides by
+Precision: every (M, .) array of a block -- the received array and its
+working buffer, the ``pqn`` unit uniforms, the plan's shift matrix and
+correlator, the gathered symbols, the channel estimates and the MRC output
+-- has the dtype ``PIPELINE_DTYPE``, complex64 on float32 rails: the
+statistic's MC standard error, near 1%, is far above float32 rounding
+(6e-8).  The small (K, N_d) symbols and (M, K*L) taps are drawn in float64
+and cast.  The moment sums stay in float64: the MRC output is widened to
+complex128 before the two ``np.vdot``, because gamma divides by
 power - |cross|^2, which cancels at high SINR.  ``plan_block`` refuses a
-quantizer whose range, from its step to X_int, leaves float32.
+quantizer whose range, from its step to X_int, leaves float32, and a block
+whose working set passes ``BLOCK_BUDGET``, before anything of size M is
+allocated.
 
 Rows that share (B_w, M) -- every resolution b and both modes of an
 ``mc-validate`` point -- share each trial's block: none of these draws
@@ -44,10 +47,7 @@ depends on b or on the mode, so ``empirical_rate`` draws them once and
 every row quantizes, estimates and combines on its own.  A ``pqn`` row at
 resolution b adds half_b*(2u - 1) from the shared unit uniforms u.  Every
 row is bit for bit its lone call at the same seed; a lone call is a group
-of one.  An ``mc-validate --bits 1,2,3 --mode both --trials 8`` at K=4,
-L=4, N=256, M=64 costs 13.4-13.9 ms in process on a shared 2-core x86-64
-machine, against 18.2-18.4 ms with complex128 arrays (medians of 50
-operations, three alternating runs).
+of one.
 """
 
 from __future__ import annotations
@@ -72,6 +72,7 @@ RAIL_MAX = float(np.finfo(RAIL_DTYPE).max)
 # by the step without overflow, and the pilot correlator's sums of rails of
 # size X_int stay finite.
 RAIL_HEADROOM = 2.0**10
+BLOCK_BUDGET = 2**30  # bytes: the largest working set plan_block admits
 
 
 @dataclass(frozen=True)
@@ -233,11 +234,11 @@ class BlockPlan:
 
     A group is one row per (design, mode), design-major, over designs that
     share (B_w, M).  The AGC factor, the amplitudes and the noise depend on
-    B_w alone, so every row reads the same received arrays and differs only
+    B_w alone, so every row reads the same received array and differs only
     in its quantizer and its LMMSE gain.  The pilot shift matrix and
     ``data_gain`` carry the AGC factor sqrt(2*mu) and the amplitude
     sqrt(P/B_w), and ``noise_std`` is the ADC-domain noise standard
-    deviation per rail, so the received arrays are synthesized directly in
+    deviation per rail, so the received array is synthesized directly in
     the ADC domain.
     """
 
@@ -270,6 +271,16 @@ def plan_block(
                 f"{RAIL_DTYPE} range of the simulator's rails"
             )
     n_p, n_d, n_taps = config.n_pilot, config.n_data, config.L
+    # peak working set: the (M, N) received array, then the larger of a
+    # synthesis product and the rows' (M, N) working buffer and unit uniforms;
+    # the (M, K*L) taps and estimates; the (K*L, N_d) gather and MRC product
+    k_l = config.K * n_taps
+    extra = (len(designs) * len(modes) > 1) + ("pqn" in modes)
+    per_antenna = config.N + max(n_p, n_d, extra * config.N) + 2 * k_l
+    block_bytes = PIPELINE_DTYPE.itemsize * (m_ant * float(per_antenna) + 2 * k_l * n_d)
+    if block_bytes > BLOCK_BUDGET:
+        raise ConfigValueError(f"a block at B_w={b_w}, M={m_ant} needs {block_bytes:.3g} "
+                               f"bytes, above the simulator's budget of {BLOCK_BUDGET}")
     phi = generate_pilots(config.K, n_taps, n_p)
     # row (k, l) of the shift matrix is phi_k[(n - l) mod N_p]
     shift = np.stack([np.roll(phi, lag, axis=1) for lag in range(n_taps)], axis=1)
@@ -298,12 +309,12 @@ def simulate_block(
 
     Channel-inversion power control is folded into a common received
     amplitude sqrt(P/B_w) per user; the AGC gain is the analytic 1/P_rx.
-    Both cyclic convolutions are one matrix product of the (M, K*L) taps
-    with a (K*L, N) matrix of shifted sequences, added onto the ADC-domain
-    noise, so memory grows as O(M*N).  The group draws its block once, in
-    the order of the module docstring.  Every row but the last quantizes
-    each received array into a working buffer, one per array shared by the
-    rows; the last row quantizes the received arrays in place.
+    The group draws its block once, in the order of the module docstring:
+    one (M, N) noise array, onto whose pilot and data columns the two cyclic
+    convolutions are added, each one matrix product of the (M, K*L) taps
+    with a (K*L, N_p) or (K*L, N_d) matrix of shifted sequences, so memory
+    grows as O(M*N).  Every row but the last quantizes the array into one
+    working buffer shared by the rows; the last row quantizes it in place.
 
     Returns, per row, the moment sums sum(conj(x) * c) and sum(|c|^2) over
     the block's K*N_d unit-power symbols x and matched-filter outputs c, in
@@ -311,45 +322,36 @@ def simulate_block(
     the number of clipped rails out of 2*M*(N_p + N_d).
     """
     config = plan.config
-    n_d, m_ant, k_users, n_taps = config.n_data, plan.M, config.K, config.L
+    n_p, n_d, m_ant, k_users, n_taps = config.n_pilot, config.n_data, plan.M, config.K, config.L
 
     x = _complex_normal(rng, (k_users, n_d))
     symbols = x / math.sqrt(2.0)  # unit power, complex128 for the moment sums
     x = (x * plan.data_gain).astype(PIPELINE_DTYPE)
     taps = draw_channel(rng, m_ant, k_users, plan.pdp).reshape(m_ant, k_users * n_taps)
     taps = taps.astype(PIPELINE_DTYPE)
-
-    def receive(shifted: np.ndarray) -> np.ndarray:
-        y = _complex_normal(rng, (m_ant, shifted.shape[1]), PIPELINE_DTYPE)
-        y *= plan.noise_std
-        y += taps @ shifted
-        return y.view(RAIL_DTYPE)
-
+    y = _complex_normal(rng, (m_ant, config.N), PIPELINE_DTYPE)  # pilots, then data
+    y *= plan.noise_std
+    y[:, :n_p] += taps @ plan.pilot_shift
     # data phase: block-circular channel, row (k, l) is x_k[(n - l) mod N_d]
-    received = (
-        receive(plan.pilot_shift),
-        receive(x[:, plan.data_index].reshape(k_users * n_taps, n_d)),
-    )
+    y[:, n_p:] += taps @ x[:, plan.data_index].reshape(k_users * n_taps, n_d)
+    rails = y.view(RAIL_DTYPE)
     last = len(plan.rows) - 1
-    work = [np.empty_like(r) for r in received] if last else [None, None]
-    units = [None, None]  # drawn by the first pqn row, pilot phase first
+    work = np.empty_like(rails) if last else None
+    unit = None  # drawn by the first pqn row
 
     sums = []
     for row, (b, mode, lmmse_gain) in enumerate(plan.rows):
-        quantized, clipped = [], 0
-        for k, rails in enumerate(received):
-            if mode == "pqn" and units[k] is None:
-                units[k] = rng.random(rails.shape, dtype=rails.dtype)
-            out = work[k] if row < last else None
-            clipped += quantize_block(rails, b, config.X_int, mode, units[k], out)
-            if out is None:
-                units[k] = None  # the last row is done with the draws
-            quantized.append((rails if out is None else out).view(PIPELINE_DTYPE))
-        y_pilot_q, y_data_q = quantized
-        h_hat = (y_pilot_q @ plan.correlator).reshape(m_ant, k_users, n_taps)
+        if mode == "pqn" and unit is None:
+            unit = rng.random(rails.shape, dtype=RAIL_DTYPE)
+        out = work if row < last else None
+        clipped = quantize_block(rails, b, config.X_int, mode, unit, out)
+        if out is None:
+            unit = None  # the last row is done with the draws
+        y_q = (rails if out is None else out).view(PIPELINE_DTYPE)
+        h_hat = (y_q[:, :n_p] @ plan.correlator).reshape(m_ant, k_users, n_taps)
         h_hat *= lmmse_gain
         # gamma divides by power - |cross|^2, which cancels at high SINR
-        c = mrc_combine(y_data_q, h_hat, n_d).astype(complex)
+        c = mrc_combine(y_q[:, n_p:], h_hat, n_d).astype(complex)
         sums.append((np.vdot(symbols, c), np.vdot(c, c).real, clipped))
     return sums
 

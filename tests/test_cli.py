@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -98,7 +99,7 @@ class TestParseConfig:
 
     def test_readme_key_table_lists_known_keys(self):
         readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
-        lines = open(readme, encoding="utf-8").read().splitlines()
+        lines = Path(readme).read_text(encoding="utf-8").splitlines()
         start = lines.index("| key | default | meaning |") + 2
         keys = set()
         for line in itertools.takewhile(lambda line: line.startswith("|"), lines[start:]):
@@ -387,8 +388,8 @@ class TestDeterminism:
         out4 = str(tmp_path / "t4.csv")
         assert main(["sweep", "--config", cfg, "--out", out1, "--threads", "1"]) == 0
         assert main(["sweep", "--config", cfg, "--out", out4, "--threads", "4"]) == 0
-        b1 = open(out1, "rb").read()
-        b4 = open(out4, "rb").read()
+        b1 = Path(out1).read_bytes()
+        b4 = Path(out4).read_bytes()
         assert b1 == b4
 
     def test_repeat_run_byte_identical(self, tmp_path):
@@ -397,21 +398,21 @@ class TestDeterminism:
         out2 = str(tmp_path / "r2.csv")
         main(["sweep", "--config", cfg, "--out", out1])
         main(["sweep", "--config", cfg, "--out", out2])
-        assert open(out1, "rb").read() == open(out2, "rb").read()
+        assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
     def test_effective_config_echo(self, tmp_path):
         cfg = write_config(tmp_path, SWEEP_MC)
         out = str(tmp_path / "e.csv")
         main(["sweep", "--config", cfg, "--out", out])
-        echo = open(out + ".effective", "r", encoding="utf-8").read()
+        echo = Path(out + ".effective").read_text(encoding="utf-8")
         assert "K = 2" in echo
         assert "sweep_axis = b" in echo
         assert "N_p = 4" in echo
         # the echo is a config that reruns the same sweep, and echoes itself
         rerun = str(tmp_path / "rerun.csv")
         assert main(["sweep", "--config", out + ".effective", "--out", rerun]) == 0
-        assert open(rerun, "rb").read() == open(out, "rb").read()
-        assert open(rerun + ".effective", encoding="utf-8").read() == echo
+        assert Path(rerun).read_bytes() == Path(out).read_bytes()
+        assert Path(rerun + ".effective").read_text(encoding="utf-8") == echo
 
     def test_effective_echo_reference_snr_exact(self, tmp_path):
         for db, power in (("0", "1000000.0"), ("15", "31622776.60168379"),
@@ -420,7 +421,7 @@ class TestDeterminism:
                                "sweep_values = 1,2\nB_w = 2e8\nM = 100\n")
             out = str(tmp_path / "snr.csv")
             assert main(["sweep", "--config", cfg, "--out", out]) == 0
-            echo = open(out + ".effective", encoding="utf-8").read().splitlines()
+            echo = Path(out + ".effective").read_text(encoding="utf-8").splitlines()
             assert echo[1] == f"# gamma_ref_db = {float(db)!r}, N_p = 200"
             assert f"P = {power}" in echo
 
@@ -433,9 +434,9 @@ class TestDeterminism:
         main(["sweep", "--config", cfg, "--out", out_mc])
         main(["sweep", "--config", cfg, "--out", out_plain, "--trials", "0"])
         main(["sweep", "--config", cfg, "--out", out_reseed, "--seed", "99"])
-        plain_rows = open(out_plain).read().strip().split("\n")[2:]
+        plain_rows = Path(out_plain).read_text(encoding="utf-8").strip().split("\n")[2:]
         assert all(row.endswith(",,,,") for row in plain_rows)
-        assert open(out_mc, "rb").read() != open(out_reseed, "rb").read()
+        assert Path(out_mc).read_bytes() != Path(out_reseed).read_bytes()
 
 class TestMcValidate:
     def test_report(self, tmp_path, capsys):
@@ -509,7 +510,7 @@ class TestMcValidate:
         code = main(["mc-validate", "--config", cfg, "--bits", "1,2", "--mode", "pqn",
                      "--trials", "2"])
         assert code == 0
-        config, _ = parse_config_text(open(cfg, encoding="utf-8").read())
+        config, _ = parse_config_text(Path(cfg).read_text(encoding="utf-8"))
         for point, m in zip(strict_json(capsys.readouterr().out)["points"], (64, 32)):
             closed = achievable_rate(config, DesignPoint(B_w=1e8, M=m, b=point["b"]))
             assert point["closed_form_bps"] == closed.rate_bps
@@ -518,7 +519,7 @@ class TestMcValidate:
         # batch rates near 1e299, whose standard error overflows
         ("K = 2\nL = 2\nN = 33\ntheta = 1.3\ngamma_ref_db = 60\nC_f = 1e300\n"
          "bind = bandwidth\n", ["--trials", "3", "--m", "16"]),
-        # M = C_f/B_w = 1e300 antennas: numpy refuses the shape before it allocates
+        # M = C_f/B_w = 1e300 antennas: the block's sizing refuses it before it allocates
         ("K = 2\nL = 3\nN = 64\ntheta = 0.5\nX_int = 3\ngamma_ref_db = -30\nC_f = 1e300\n"
          "bind = antennas\n", ["--trials", "1", "--bw", "1"]),
     ], ids=["stderr_overflow", "block_too_large"])
@@ -530,6 +531,21 @@ class TestMcValidate:
         assert captured.err == ""
         if "--bw" in argv:
             assert "B_w=1.0, M=" in strict_json(captured.out)["detail"]
+
+    def test_block_beyond_budget_exits_2_before_allocating(self, tmp_path, capsys):
+        # 10^8 antennas at the default block need terabytes: mc-validate and
+        # a sweep's MC row refuse the block, naming M and its bytes, before
+        # any antenna-sized array is allocated
+        sweep = write_config(tmp_path, "B_w = 1e6\nsweep_axis = M\nsweep_values = 100000000\n"
+                                       "trials = 1\n")
+        for argv in (["mc-validate", "--bw", "1e6", "--m", "100000000", "--bits", "1",
+                      "--trials", "1"],
+                     ["sweep", "--config", sweep]):
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert_model_error(code, captured.out)
+            assert captured.err == ""
+            assert "M=100000000 needs" in strict_json(captured.out)["detail"]
 
     @pytest.mark.parametrize("x_int", [1e39, 1e-39], ids=["x_int_too_large", "step_too_small"])
     def test_quantizer_range_beyond_rails_exit_2(self, tmp_path, capsys, x_int):

@@ -293,7 +293,7 @@ class TestMrc:
     def test_group_block_memory_one_working_copy_above_lone_bound(self):
         # three resolutions x two modes share one paper-scale block: the
         # peak stays within the lone-call bound above plus one working copy
-        # of each received array
+        # of the received array
         cfg = SystemConfig.from_reference_snr(15.0)
         for m_ant in (256, 1024):
             designs = [DesignPoint(B_w=cfg.C_f / m_ant, M=m_ant, b=b) for b in (1, 2, 3)]
@@ -308,6 +308,16 @@ class TestMrc:
             lone_bound = 5 * m_ant * cfg.n_data * itemsize
             working = m_ant * (cfg.n_pilot + cfg.n_data) * itemsize
             assert peak < lone_bound + working, (m_ant, peak)
+
+    def test_plan_sizes_the_block_before_allocating(self):
+        # M = 6021, the largest one-bit optimum over SNR {0, 15, 30} dB x C_f
+        # {50, 500} Gbit/s, fits with three resolutions and both modes; 10^8
+        # antennas are refused before any block array
+        cfg = SystemConfig.from_reference_snr(15.0)
+        designs = [DesignPoint(B_w=cfg.C_f / 6021, M=6021, b=b) for b in (1, 2, 3)]
+        plan_block(cfg, designs, ["pqn", "uniform"])
+        with pytest.raises(ConfigValueError, match="M=100000000 needs"):
+            plan_block(cfg, [DesignPoint(B_w=1e6, M=10**8, b=1)], ["uniform"])
 
     def test_array_gain_linear_in_antennas(self):
         cfg = small_config()
@@ -385,10 +395,10 @@ class TestEmpiricalRate:
 
     def test_stage_calls(self, monkeypatch):
         # the plan is built once per group, and each trial simulates one
-        # block for all of the group's rows: four Gaussian draws (x, taps,
-        # pilot noise, data noise) per block, however many rows share it.
-        # Every row quantizes both received arrays through the public
-        # quantizer stages, a pqn row too
+        # block for all of the group's rows: three Gaussian draws (x, taps,
+        # the (M, N) noise) per block, however many rows share it.  Every
+        # row quantizes the one received array through the public quantizer
+        # stages, a pqn row too
         cfg = small_config()
         designs = [DesignPoint(B_w=100e6, M=8, b=b) for b in (1, 2)]
         trials = 3
@@ -409,13 +419,13 @@ class TestEmpiricalRate:
                 monkeypatch.setattr(montecarlo, name, counted)
             empirical_rate(cfg, design, trials=trials, seed=4, mode=mode)
             assert calls == {
-                "quantize_block": 2 * rows * trials,
-                "midrise_quantize": 2 * n_uniform * trials,
+                "quantize_block": rows * trials,
+                "midrise_quantize": n_uniform * trials,
                 "lmmse_estimate": n_designs,
                 "generate_pilots": 1,
                 "simulate_block": trials,
                 "draw_channel": trials,
-                "_complex_normal": 4 * trials,
+                "_complex_normal": 3 * trials,
             }, mode
 
     def test_group_rows_equal_lone_calls(self):
