@@ -229,20 +229,15 @@ def effective_config_text(config: SystemConfig, spec: SweepSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _format_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, float):
-        return repr(float(value))  # np.float64 grid values print as plain floats
-    return str(value)
-
-
 def rows_to_csv(rows: list[dict]) -> str:
+    """One line per row: None is an empty cell, a bool 1 or 0, anything else
+    its str (a float's shortest round-trip repr)."""
     lines = [f"# {CSV_VERSION}", ",".join(CSV_COLUMNS)]
     for row in rows:
-        lines.append(",".join(_format_cell(row.get(col)) for col in CSV_COLUMNS))
+        lines.append(",".join([
+            "" if v is None else ("1" if v else "0") if v.__class__ is bool else str(v)
+            for v in map(row.get, CSV_COLUMNS)
+        ]))
     return "\n".join(lines) + "\n"
 
 
@@ -335,8 +330,10 @@ def _evaluate_point(
     if spec.trials:
         seq = np.random.SeedSequence(entropy=spec.seed, spawn_key=(index,))
         mc = montecarlo.empirical_rate(cfg, design, spec.trials, seq, mode=spec.mc_mode)
+        if not math.isfinite(mc.rate_bps):  # few symbols can zero the ratio's denominator
+            raise ConfigValueError(f"mc_rate_bps={mc.rate_bps}: the simulated rate is not finite")
         row["mc_rate_bps"] = mc.rate_bps
-        row["mc_stderr_bps"] = mc.stderr_bps
+        row["mc_stderr_bps"] = _defined(mc.stderr_bps)
         row["clip_rate"] = mc.clip_rate
     return row
 
@@ -390,13 +387,14 @@ _PRESET_TABLE = {
     # one-bit optimum near M* ~ 250, B_w* ~ 200 MHz.
     "fig5": (
         ({"C_f": 50e9, "X_int": 4.0},),
-        dict(axis="s", values=tuple(np.logspace(math.log10(2e-4), math.log10(0.1), 200)), b=1),
+        dict(axis="s", b=1,
+             values=tuple(np.logspace(math.log10(2e-4), math.log10(0.1), 200).tolist())),
     ),
     "fig6": (_SNRS, _AT_200_MHZ),
     "fig7": (_SNRS, dict(axis="b", values=_BITS, bind="bandwidth", M=1000)),
     "fig8": (
         tuple({"theta": theta} for theta in (1.0, 2.0, 4.0, 8.0)),
-        dict(axis="s", values=tuple(np.logspace(-4, -1, 200)), b=1),
+        dict(axis="s", values=tuple(np.logspace(-4, -1, 200).tolist()), b=1),
     ),
 }
 
@@ -424,8 +422,15 @@ def run_preset(name: str, trials: int = 0, seed: int = 0, threads: int = 1) -> l
 # --- reports --------------------------------------------------------------
 
 
+def _defined(stderr_bps: float) -> float | None:
+    """An MC standard error, or None (JSON null, an empty CSV cell) where it
+    is undefined: below two batches of trials."""
+    return stderr_bps if math.isfinite(stderr_bps) else None
+
+
 def _require_positive_rate(rate_bps: float) -> None:
-    if not rate_bps > 0.0:  # a rate underflows to zero only on an extreme input
+    # a rate underflows to zero, or an SINR overflows, only on an extreme input
+    if not 0.0 < rate_bps < math.inf:
         raise ConfigValueError(f"rate_bps={rate_bps}: an input is beyond the float range")
 
 
@@ -502,8 +507,7 @@ def mc_validate_report(
                     "mode": mode,
                     "closed_form_bps": closed.rate_bps,
                     "mc_bps": rate.rate_bps,
-                    # undefined below two batches of trials
-                    "stderr_bps": rate.stderr_bps if math.isfinite(rate.stderr_bps) else None,
+                    "stderr_bps": _defined(rate.stderr_bps),
                     "rel_err": abs(rate.rate_bps - closed.rate_bps) / closed.rate_bps,
                     "clip_rate": rate.clip_rate,
                 }

@@ -21,6 +21,7 @@ import numpy as np
 from .errors import ConfigValueError, InfeasibleError
 from .linkrate import RateBreakdown, achievable_rate
 from .sysmodel import (
+    QUANTIZER_MEMO_SIZE,
     DesignPoint,
     SystemConfig,
     link_budget,
@@ -34,11 +35,12 @@ B_MAX = 12
 S_TOLERANCE = 1e-10
 
 
+@functools.lru_cache(maxsize=QUANTIZER_MEMO_SIZE)
 def _threshold_parts(b: int, x_int: float) -> tuple[float, float]:
     """Numerator and denominator of the bit-for-bandwidth threshold."""
+    e = quantization_distortion_variance(b, x_int)  # validates b and x_int
     al = b / (b + 1.0)
     sq = math.sqrt(al)
-    e = quantization_distortion_variance(b, x_int)
     num = al * (-1.0 - e / 4.0 + 1.0 / sq + e / sq)
     den = 1.0 + e / 4.0 - sq - e * sq
     return num, den

@@ -20,6 +20,7 @@ standard deviation.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -28,6 +29,9 @@ from .errors import ConfigValueError, PilotOverheadError
 
 REFERENCE_BANDWIDTH_HZ = 1e6
 FEASIBILITY_REL_TOL = 1e-9
+# bound of the (b, X_int) memos: a figure preset has at most 12 distinct
+# pairs, and the bound keeps outside input from growing them without limit
+QUANTIZER_MEMO_SIZE = 256
 
 
 def require_finite(obj) -> None:
@@ -44,6 +48,7 @@ def require_finite(obj) -> None:
             raise ConfigValueError(f"{f.name} must be finite, got {f.name}={value}")
 
 
+@functools.lru_cache(maxsize=QUANTIZER_MEMO_SIZE)  # invalid input raises, and is not cached
 def quantization_distortion_variance(b: int, x_int: float = 1.0) -> float:
     """Additive distortion variance of a b-bit uniform ADC, per real component.
 

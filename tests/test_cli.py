@@ -1,8 +1,10 @@
+import collections
 import dataclasses
 import itertools
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import warnings
@@ -14,6 +16,7 @@ import fronthaul_mimo
 from fronthaul_mimo.cli import (
     CSV_COLUMNS,
     KNOWN_KEYS,
+    PRESETS,
     SweepSpec,
     main,
     parse_config_text,
@@ -131,6 +134,22 @@ class TestSweep:
         for row in rows:
             assert row["bandwidth_cond"] in (True, False)
 
+    def test_csv_cells(self):
+        # None is empty, a bool 1 or 0, anything else its str: an int as
+        # digits, a float as its shortest round-trip repr, text as it is
+        row = {"preset": "fig2", "axis": "b", "axis_value": 1.0, "K": 20, "C_f_bps": 5e11,
+               "M": 64, "c": 0.1, "gamma": 1e-300, "rate_bps": 123456789.125,
+               "bandwidth_cond": True, "pade_cond": False, "antenna_cond": True,
+               "mc_mode": "pqn", "trials": 3, "mc_stderr_bps": None}
+        header, line = rows_to_csv([row]).splitlines()[1:]
+        cells = dict(zip(header.split(","), line.split(",")))
+        assert cells == {col: "" for col in CSV_COLUMNS} | {
+            "preset": "fig2", "axis": "b", "axis_value": "1.0", "K": "20",
+            "C_f_bps": "500000000000.0", "M": "64", "c": "0.1", "gamma": "1e-300",
+            "rate_bps": "123456789.125", "bandwidth_cond": "1", "pade_cond": "0",
+            "antenna_cond": "1", "mc_mode": "pqn", "trials": "3",
+        }
+
     def test_csv_shape(self):
         config, _ = parse_config_text("")
         spec = SweepSpec(axis="b", values=(1.0, 2.0), bind="antennas", B_w=2e8)
@@ -180,6 +199,11 @@ class TestSweep:
 
 
 class TestPresets:
+    def test_axis_values_are_python_floats(self):
+        # no numpy scalar reaches the CSV writer, which writes str(value)
+        for name in PRESETS:
+            assert all(type(row["axis_value"]) is float for row in run_preset(name)), name
+
     def test_fig2_peaks_at_one_bit(self):
         rows = run_preset("fig2")
         best = max(rows, key=lambda r: r["rate_bps"])
@@ -573,6 +597,116 @@ class TestMcValidate:
         (point,) = strict_json(capsys.readouterr().out)["points"]
         assert point["stderr_bps"] is None
         assert point["mc_bps"] > 0
+        # in a sweep's CSV, an empty cell, not nan
+        out = str(tmp_path / "fig4.csv")
+        assert main(["preset", "fig4", "--trials", "1", "--out", out]) == 0
+        header, *rows = Path(out).read_text(encoding="utf-8").splitlines()[1:]
+        column = header.split(",").index("mc_stderr_bps")
+        assert len(rows) == 12 and all(row.split(",")[column] == "" for row in rows)
+
+
+    @pytest.mark.parametrize("text, detail", [
+        # 168 symbols at b = 2 zero the plug-in ratio's denominator
+        ("K = 2\nL = 2\nN = 33\ntheta = 1.3\ntrials = 3\nmc_mode = uniform\n"
+         "sweep_axis = b\nsweep_values = 1,2,12\nB_w = 2e8\nM = 4096\n",
+         "b=2.0 (grid index 1): mc_rate_bps=inf"),
+        # a per-sample SNR near 1e307 overflows the closed-form SINR
+        ("K = 4\nL = 3\nN = 62\ntheta = 0.5\nX_int = 1e-30\nsweep_axis = M\n"
+         "sweep_values = 1,256\nB_w = 1e-300\n",
+         "M=256.0 (grid index 1): rate_bps=inf"),
+    ], ids=["monte_carlo", "closed_form"])
+    def test_non_finite_sweep_rate_exit_2(self, tmp_path, capsys, text, detail):
+        code = main(["sweep", "--config", write_config(tmp_path, text)])
+        captured = capsys.readouterr()
+        assert_model_error(code, captured.out)
+        assert captured.err == ""
+        assert detail in strict_json(captured.out)["detail"]
+
+
+# magnitudes from the bottom to the top of the float range
+EXTREMES = (1e-300, 1e-30, 1e-3, 0.5, 1.0, 2.5, 15.0, 1e3, 1e30, 1e300)
+
+
+def mc_input_grid(seed: int, count: int) -> list[tuple[str, list[str]]]:
+    """(config text, argv tail) for small-block mc-validate and MC-sweep
+    cases: K <= 4, L <= 3, N <= 64, at most 256 antennas, 1-3 trials,
+    X_int, C_f and gamma_ref_db over the float range, every bind."""
+    rng = random.Random(seed)
+
+    def draw(*typical):  # an extreme a third of the time, so most cases simulate
+        return rng.choice(EXTREMES if rng.random() < 1 / 3 else typical)
+
+    cases = []
+    for i in range(count):
+        bind = ("none", "antennas", "bandwidth")[i % 3]
+        c_f = draw(1e9, 6.4e9, 500e9)
+        m = rng.choice((1, 2, 16, 64, 256))
+        keys = {
+            "K": rng.randint(1, 4), "L": rng.randint(1, 3), "N": rng.randint(8, 64),
+            "theta": rng.choice((0.5, 1.0, 1.3, 2.0)), "X_int": draw(1.0, 2.5, 4.0),
+            "C_f": c_f, "gamma_ref_db": rng.choice((-1.0, 1.0)) * draw(0.0, 15.0, 30.0),
+            "bind": bind, "trials": rng.randint(1, 3), "seed": i,
+        }
+        if bind == "antennas":  # M = floor(C_f/(B_w*b)) <= m
+            keys["B_w"] = c_f / m
+        elif bind == "bandwidth":
+            keys["M"] = m
+        else:
+            keys.update(B_w=rng.choice(EXTREMES + (2e8,)), M=m)
+        if i % 2:
+            keys["mc_mode"] = rng.choice(("pqn", "uniform"))
+            axis, values = rng.choice([("b", "1,2,12"), ("theta", "0.5,1,3"),
+                                       ("snr_db", "-300,0,60")])
+            if bind == "none" and rng.random() < 0.5:  # sweep the design itself
+                axis = rng.choice(("B_w", "M"))
+                values = "1e-300,2e8,1e300" if axis == "B_w" else "1,3,256"
+                del keys[axis]
+            keys.update(sweep_axis=axis, sweep_values=values)
+            argv = ["sweep"]
+        else:
+            argv = ["mc-validate", "--bits", rng.choice(("1", "1,2", "1,2,3", "2,12")),
+                    "--mode", rng.choice(("pqn", "uniform", "both"))]
+        text = "".join(f"{key} = {value}\n" for key, value in keys.items())
+        cases.append((text, argv))
+    return cases
+
+
+class TestMcInputGrid:
+    def test_every_case_ends_cleanly(self, tmp_path, capsys):
+        # every case exits 0 with every number finite (JSON with no NaN or
+        # Infinity token, CSV cells finite or empty), or prints one JSON
+        # error line with exit 1 or 2; no traceback, warning or stderr
+        failures = []
+        outcomes = collections.Counter()
+        for i, (text, argv) in enumerate(mc_input_grid(seed=2024, count=60)):
+            cfg = write_config(tmp_path, text, f"case{i}.cfg")
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    code = main([argv[0], "--config", cfg, *argv[1:]])
+                except Exception as exc:  # a traceback, or a warning raised
+                    code = repr(exc)
+            out, err = capsys.readouterr()
+            try:
+                if code == 0 and argv[0] == "sweep":
+                    cells = [line.split(",") for line in out.splitlines()[2:]]
+                    ok = all(cell == "" or math.isfinite(number(cell))
+                             for row in cells for cell in row)
+                elif code == 0:
+                    ok = all(math.isfinite(value)
+                             for point in strict_json(out)["points"]
+                             for value in point.values()
+                             if isinstance(value, float))
+                else:
+                    ok = code in (1, 2) and out.count("\n") == 1 and "error" in strict_json(out)
+            except ValueError:  # a NaN or Infinity token
+                ok = False
+            outcomes[argv[0], code] += 1
+            if not ok or err:
+                failures.append(f"case {i} {argv}: exit {code} {out[:120]!r} {err[:120]!r}")
+        assert not failures, failures
+        # the grid reaches the simulator in both commands, not only errors
+        assert outcomes["sweep", 0] and outcomes["mc-validate", 0], outcomes
 
 
 class TestParserReuse:

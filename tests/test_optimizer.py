@@ -7,7 +7,7 @@ import pytest
 
 from fronthaul_mimo import optimizer
 from fronthaul_mimo.cli import SweepSpec, run_sweep
-from fronthaul_mimo.errors import InfeasibleError, SweepPointError
+from fronthaul_mimo.errors import ConfigValueError, InfeasibleError, SweepPointError
 from fronthaul_mimo.linkrate import achievable_rate
 from fronthaul_mimo.optimizer import (
     antenna_condition,
@@ -70,6 +70,17 @@ class TestThresholdFunction:
         for b in (20, 30):
             assert abs(threshold_f(b, 1.0) - math.sqrt(b / (b + 1.0))) < 1e-8
             assert threshold_f(b, 1.0) < 1.0
+
+    def test_parts_memo_is_bounded_and_holds_no_error(self):
+        parts = optimizer._threshold_parts
+        assert parts.cache_info().maxsize is not None
+        for _ in range(2):
+            assert threshold_f(2, 1.0) == pytest.approx(0.9515, abs=1e-3)
+            for b, x_int in ((1.5, 1.0), (0, 1.0), (-1, 1.0), (2, 0.0)):
+                with pytest.raises(ConfigValueError):
+                    parts(b, x_int)
+                with pytest.raises(ConfigValueError):
+                    threshold_f(b, x_int)
 
     def test_parts_positive_up_to_64_bits(self):
         for b in range(1, 65):

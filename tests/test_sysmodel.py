@@ -40,10 +40,14 @@ class TestQuantizationDistortion:
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_rejects_bad_inputs(self):
-        with pytest.raises(ConfigValueError):
-            quantization_distortion_variance(0, 1.0)
-        with pytest.raises(ConfigValueError):
-            quantization_distortion_variance(2, 0.0)
+        # memoized per (b, X_int): invalid input raises on every call, before
+        # and after valid calls, and the memo cannot grow without limit
+        assert quantization_distortion_variance.cache_info().maxsize is not None
+        for _ in range(2):
+            assert quantization_distortion_variance(2, 1.0) == 1.0 / 48.0
+            for b, x_int in ((0, 1.0), (1.5, 1.0), (2, 0.0), (2, -1.0)):
+                with pytest.raises(ConfigValueError):
+                    quantization_distortion_variance(b, x_int)
 
 
 class TestSystemConfig:

@@ -1,6 +1,7 @@
-"""Write the byte-identity output set of one source tree.
+"""Write the byte-identity output set of one source tree, or compare two.
 
     python3 tools/output_set.py OUTDIR [--src SRC]
+    python3 tools/output_set.py OUTDIR --against OTHER [--src SRC]
 
 Runs ``fronthaul_mimo.cli.main`` in this one interpreter, with the package
 imported from ``SRC/src`` (default: the checkout this script is in), and
@@ -8,21 +9,32 @@ writes every output into OUTDIR: one file per command (its standard output,
 or the file its ``--out`` names) and ``exit_codes.txt``.  Two trees print
 the same numbers when ``diff -r`` of their two OUTDIRs prints nothing.
 
+With ``--against OTHER`` the script writes both sets with its own command
+list, SRC's into ``OUTDIR/src`` and OTHER's into ``OUTDIR/against``, each in
+a fresh interpreter, and prints the files that differ in two groups:
+closed form, and Monte Carlo (``mc_validate*.json`` and ``*trials*.csv``,
+whose seeded values a change to the simulator's draws may move).  It exits
+1 when a closed-form file differs, and 0 otherwise.
+
 The set: the 72 paper-grid ``optimize`` runs (SNR {0, 15, 30} dB x C_f
 {50, 500} Gbit/s x theta {1, 2, 4, 8} x X_int {1, 2.5, 4}, K=20, L=10,
 N=2000), default ``optimize``, ``optimize`` at C_f = 1e60 and at C_f =
-1e300 (an error line), the seven preset CSVs, ``preset fig4 --trials 2``,
-two ``rate`` calls, and three seeded ``mc-validate`` runs: both modes and
-``--mode uniform`` at one ``(B_w, M)`` (rows that share a block), and
-``bind = antennas`` (one ``M``, so one group of rows, per ``b``).
+1e300 (an error line), the seven preset CSVs, ``preset fig4`` with
+``--trials 1`` (an undefined standard error, an empty cell) and with
+``--trials 2``, two ``rate`` calls, and three seeded ``mc-validate`` runs:
+both modes and ``--mode uniform`` at one ``(B_w, M)`` (rows that share a
+block), and ``bind = antennas`` (one ``M``, so one group of rows, per ``b``).
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import filecmp
+import fnmatch
 import io
 import os
+import subprocess
 import sys
 import tempfile
 
@@ -36,6 +48,7 @@ PAPER_GRID = [
     for x_int in (1.0, 2.5, 4.0)
 ]
 PRESETS = ("fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8")
+MONTE_CARLO = ("mc_validate*.json", "*trials*.csv")
 
 
 def _config(cfg_dir: str, name: str, **keys) -> str:
@@ -60,7 +73,8 @@ def commands(cfg_dir: str, out_dir: str) -> list[tuple[str, list[str]]]:
         cmds.append((f"optimize_cf_{tag}.json", ["optimize", "--config", path]))
     for name in PRESETS:
         cmds.append((f"preset_{name}.csv", ["preset", name]))
-    cmds.append(("preset_fig4_trials2.csv", ["preset", "fig4", "--trials", "2"]))
+    for trials in ("1", "2"):
+        cmds.append((f"preset_fig4_trials{trials}.csv", ["preset", "fig4", "--trials", trials]))
     cmds.append(("rate_default.json", ["rate", "--bw", "2e8", "--m", "2500", "--b", "1"]))
     path = _config(cfg_dir, "rate", gamma_ref_db=30.0, theta=1.37, X_int=2.5, C_f=50e9)
     cmds.append(("rate_theta137.json",
@@ -79,34 +93,62 @@ def commands(cfg_dir: str, out_dir: str) -> list[tuple[str, list[str]]]:
     ]
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("outdir")
-    parser.add_argument("--src", default=os.path.dirname(HERE),
-                        help="source tree holding src/fronthaul_mimo (default: this checkout)")
-    args = parser.parse_args()
-
-    pkg_root = os.path.abspath(os.path.join(args.src, "src"))
+def write_set(outdir: str, src: str) -> int:
+    pkg_root = os.path.abspath(os.path.join(src, "src"))
     sys.path.insert(0, pkg_root)
     from fronthaul_mimo import cli
 
     if not os.path.abspath(cli.__file__).startswith(pkg_root + os.sep):
         print(f"fronthaul_mimo was imported from {cli.__file__}, not {pkg_root}", file=sys.stderr)
         return 2
-    os.makedirs(args.outdir, exist_ok=True)
+    os.makedirs(outdir, exist_ok=True)
     codes = []
     with tempfile.TemporaryDirectory() as cfg_dir:
-        for name, argv in commands(cfg_dir, args.outdir):
+        for name, argv in commands(cfg_dir, outdir):
             buf = io.StringIO()
             with contextlib.redirect_stdout(buf):
                 code = cli.main(argv)
             if not name.endswith(".csv"):
-                with open(os.path.join(args.outdir, name), "w", encoding="utf-8") as fh:
+                with open(os.path.join(outdir, name), "w", encoding="utf-8") as fh:
                     fh.write(buf.getvalue())
             codes.append(f"{name} {code}\n")
-    with open(os.path.join(args.outdir, "exit_codes.txt"), "w", encoding="utf-8") as fh:
+    with open(os.path.join(outdir, "exit_codes.txt"), "w", encoding="utf-8") as fh:
         fh.writelines(codes)
     return 0
+
+
+def compare_sets(outdir: str, src: str, against: str) -> int:
+    """Write both trees' sets, each in a fresh interpreter, and list the
+    files that differ; 1 when a closed-form file does."""
+    sides = {"src": src, "against": against}
+    for side, tree in sides.items():
+        subprocess.run([sys.executable, os.path.abspath(__file__),
+                        os.path.join(outdir, side), "--src", tree], check=True)
+
+    def same(name: str) -> bool:
+        paths = [os.path.join(outdir, side, name) for side in sides]
+        return all(map(os.path.exists, paths)) and filecmp.cmp(*paths, shallow=False)
+
+    names = sorted(set().union(*(os.listdir(os.path.join(outdir, side)) for side in sides)))
+    differ = [name for name in names if not same(name)]
+    monte_carlo = [n for n in differ if any(fnmatch.fnmatch(n, p) for p in MONTE_CARLO)]
+    closed_form = [n for n in differ if n not in monte_carlo]
+    print(f"{len(names) - len(differ)} of {len(names)} files byte-identical")
+    print("closed form differs:", " ".join(closed_form) or "none")
+    print("Monte Carlo differs:", " ".join(monte_carlo) or "none")
+    return 1 if closed_form else 0
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("outdir")
+    parser.add_argument("--src", default=os.path.dirname(HERE),
+                        help="source tree holding src/fronthaul_mimo (default: this checkout)")
+    parser.add_argument("--against", help="a second source tree to write and compare with")
+    args = parser.parse_args()
+    if args.against:
+        return compare_sets(args.outdir, args.src, args.against)
+    return write_set(args.outdir, args.src)
 
 
 if __name__ == "__main__":
