@@ -329,7 +329,7 @@ def _evaluate_point(
     }
     if spec.trials:
         seq = np.random.SeedSequence(entropy=spec.seed, spawn_key=(index,))
-        mc = montecarlo.empirical_rate(cfg, design, spec.trials, seq, mode=spec.mc_mode)
+        [mc] = montecarlo.empirical_rate(cfg, [design], spec.trials, seq, [spec.mc_mode])
         if not math.isfinite(mc.rate_bps):  # few symbols can zero the ratio's denominator
             raise ConfigValueError(f"mc_rate_bps={mc.rate_bps}: the simulated rate is not finite")
         row["mc_rate_bps"] = mc.rate_bps
@@ -481,37 +481,41 @@ def mc_validate_report(
     modes: tuple[str, ...] = ("pqn", "uniform"),
 ) -> dict:
     """Simulator against closed form at the spec's point, one design per b;
-    an unset ``trials`` runs 100.
+    an unset ``trials`` runs 100, once every closed-form rate is checked.
 
     Every row uses the spec's seed.  Rows whose designs share (B_w, M) run
     as one group, which draws each trial's block once, so each row equals
-    its lone ``empirical_rate`` call bit for bit.
+    a call with its design and mode alone bit for bit.
     """
     trials = 100 if spec.trials is None else spec.trials
     resolved = [_point_design(config, dataclasses.replace(spec, b=b), None)[:2] for b in bits]
+    closed = []
     groups: dict[tuple[SystemConfig, float, int], list[DesignPoint]] = {}
     for cfg, design in resolved:
+        closed.append(achievable_rate(cfg, design).rate_bps)
+        _require_positive_rate(closed[-1])
         groups.setdefault((cfg, design.B_w, design.M), []).append(design)
     mc = {}
     for (cfg, _, _), designs in groups.items():
         rates = montecarlo.empirical_rate(cfg, designs, trials, spec.seed, modes)
         mc.update(zip(((d.b, mode) for d in designs for mode in modes), rates))
     points = []
-    for cfg, design in resolved:
-        closed = achievable_rate(cfg, design)
+    for (_, design), closed_bps in zip(resolved, closed):
         for mode in modes:
             rate = mc[design.b, mode]
-            points.append(
-                {
-                    "b": design.b,
-                    "mode": mode,
-                    "closed_form_bps": closed.rate_bps,
-                    "mc_bps": rate.rate_bps,
-                    "stderr_bps": _defined(rate.stderr_bps),
-                    "rel_err": abs(rate.rate_bps - closed.rate_bps) / closed.rate_bps,
-                    "clip_rate": rate.clip_rate,
-                }
-            )
+            point = {
+                "b": design.b,
+                "mode": mode,
+                "closed_form_bps": closed_bps,
+                "mc_bps": rate.rate_bps,
+                "stderr_bps": _defined(rate.stderr_bps),
+                "rel_err": abs(rate.rate_bps - closed_bps) / closed_bps,
+                "clip_rate": rate.clip_rate,
+            }
+            for field in ("mc_bps", "rel_err"):  # few symbols can zero the SINR's denominator
+                if not math.isfinite(point[field]):
+                    raise ConfigValueError(f"b={design.b}, mode={mode}: {field} is not finite")
+            points.append(point)
     return {"trials": trials, "seed": spec.seed, "points": points}
 
 

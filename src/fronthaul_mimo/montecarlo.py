@@ -10,12 +10,13 @@ is scaled to unit variance before quantization (the complex sample is
 multiplied by sqrt(2*mu) with mu = 1/P_rx), so X_int is the no-overload
 half-width in units of the rail standard deviation and the additive
 surrogate adds variance E per rail.  The rate statistic is scale invariant,
-and the LMMSE gain below is derived in this domain, so the closed-form
-predictions apply unchanged.  The block pipeline never forms the unscaled
-received signal: the AGC factor and the amplitude sqrt(P/B_w) sit in the
-small shift matrices and in the noise scale.  Both quantizers work in place
-on real rails, the received array on its interleaved real view.  Blocks use
-the uniform power delay profile, as the closed form does.
+and the LMMSE gain is the closed form's c times this domain's least-squares
+gain, so the closed-form predictions apply unchanged.  The block pipeline
+never forms the unscaled received signal: the AGC factor and the amplitude
+sqrt(P/B_w) sit in the small shift matrices and in the noise scale.  Both
+quantizers work in place on real rails, the received array on its
+interleaved real view.  Blocks use the uniform power delay profile, as the
+closed form does.
 
 Reproducibility: each trial draws from its own counter-derived substream
 (SeedSequence spawn keyed by trial index) and aggregates are reduced in
@@ -45,9 +46,9 @@ Rows that share (B_w, M) -- every resolution b and both modes of an
 ``mc-validate`` point -- share each trial's block: none of these draws
 depends on b or on the mode, so ``empirical_rate`` draws them once and
 every row quantizes, estimates and combines on its own.  A ``pqn`` row at
-resolution b adds half_b*(2u - 1) from the shared unit uniforms u.  Every
-row is bit for bit its lone call at the same seed; a lone call is a group
-of one.
+resolution b adds (step_b/2)*(2u - 1) from the shared unit uniforms u, with
+step_b = ``sysmodel.quantizer_step``.  Every row is bit for bit a call with
+its design and mode alone at the same seed: a group of one.
 """
 
 from __future__ import annotations
@@ -59,8 +60,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigValueError
-from .linkrate import rate_from_sinqr
-from .sysmodel import DesignPoint, SystemConfig, link_budget
+from .linkrate import estimation_quality, rate_from_sinqr
+from .sysmodel import DesignPoint, SystemConfig, link_budget, quantizer_step
 
 QUANTIZE_MODES = ("uniform", "pqn")
 N_BATCHES = 10  # trial batches behind the standard error
@@ -141,13 +142,11 @@ def generate_pilots(n_users: int, n_taps: int, n_pilot: int) -> np.ndarray:
 
 
 def midrise_quantize(rails: np.ndarray, b: int, x_int: float) -> int:
-    """Uniform midrise quantizer, in place on a real float32 or float64 array.
-
-    Step 2*x_int/2^b over [-x_int, x_int]; inputs beyond the no-overload
-    interval saturate to the outermost level and are counted as clip events.
-    Returns the clip count.
-    """
-    step = 2.0 * x_int / (2**b)
+    """Uniform midrise quantizer of step ``quantizer_step(b, x_int)`` over
+    [-x_int, x_int], in place on a real float32 or float64 array.  Inputs
+    beyond the interval saturate to the outermost level and are counted as
+    clip events.  Returns the clip count."""
+    step = quantizer_step(b, x_int)
     top = x_int - 0.5 * step
     n_clipped = int(np.count_nonzero(rails >= x_int) + np.count_nonzero(rails <= -x_int))
     rails /= step
@@ -172,7 +171,7 @@ def quantize_block(
     The rails are already scaled to unit variance (a complex array passes
     its interleaved real view, float32 for a complex64 array).  ``uniform``
     applies the midrise quantizer per rail; ``pqn`` adds uniform noise of
-    variance E per rail instead, half*(2u - 1) from the unit-uniform draws
+    variance E per rail instead, (step/2)*(2u - 1) from the unit-uniform draws
     ``unit`` of the rails' shape, and clips nothing.  In place, the noise is
     formed in ``unit``, which it overwrites; into ``out``, the draws are kept.
     """
@@ -185,10 +184,9 @@ def quantize_block(
         raise ConfigValueError(f"mode must be one of {QUANTIZE_MODES}, got {mode!r}")
     if unit is None:
         raise ConfigValueError("pqn mode needs unit-uniform draws")
-    half = x_int * 2.0 ** (-b)  # half*(2u - 1) has variance E per rail
     noise = np.multiply(unit, 2.0, out=unit if out is None else out)
     noise -= 1.0  # exact: u is a multiple of eps/2 of its dtype in [0, 1)
-    noise *= half
+    noise *= quantizer_step(b, x_int) / 2.0  # uniform over one step: variance E
     if out is None:
         rails += noise
     else:
@@ -198,13 +196,12 @@ def quantize_block(
 
 def lmmse_estimate(config: SystemConfig, design: DesignPoint) -> float:
     """Per-tap LMMSE gain on the unit-gain pilot correlator outputs, uniform
-    power delay profile, ADC domain.  The estimates it gives have error
-    variance (1 - c) / L per tap, c = ``linkrate.estimation_quality``."""
-    sigma2 = 1.0 / config.L
-    budget = link_budget(config, design.B_w, design.b)
-    a2 = 2.0 * budget.mu * (config.P / design.B_w) * config.n_pilot
-    denom = a2 * sigma2 + 2.0 * budget.E + 2.0 * budget.mu
-    return math.sqrt(a2) * sigma2 / denom
+    power delay profile, ADC domain: c = ``linkrate.estimation_quality`` times
+    the least-squares gain 1/sqrt(a2), a2 = 2*mu*(P/B_w)*N_p the pilot energy
+    per tap.  The estimates have error variance (1 - c) / L per tap."""
+    mu = link_budget(config, design.B_w, design.b).mu
+    a2 = 2.0 * mu * (config.P / design.B_w) * config.n_pilot
+    return estimation_quality(config, design) / math.sqrt(a2)
 
 
 def mrc_combine(y_q: np.ndarray, h_hat: np.ndarray, n_data: int) -> np.ndarray:
@@ -264,7 +261,7 @@ def plan_block(
     if any((d.B_w, d.M) != (b_w, m_ant) for d in designs):
         raise ConfigValueError("the designs of one block must share B_w and M")
     for d in designs:
-        step = math.ldexp(config.X_int, 1 - d.b)  # 2*X_int/2^b, 0.0 below the float range
+        step = quantizer_step(d.b, config.X_int)  # 0.0 below the float range
         if not (config.X_int * RAIL_HEADROOM <= RAIL_MAX and step * RAIL_MAX >= RAIL_HEADROOM):
             raise ConfigValueError(
                 f"X_int={config.X_int} at b={d.b} (quantizer step {step}) leaves the "
@@ -377,12 +374,13 @@ def _gamma_from_moments(s1: complex, s2: float, n: int) -> float:
 
 def empirical_rate(
     config: SystemConfig,
-    design: DesignPoint | Sequence[DesignPoint],
+    designs: Sequence[DesignPoint],
     trials: int,
     seed,
-    mode: str | Sequence[str] = "pqn",
-) -> EmpiricalRate | list[EmpiricalRate]:
-    """Empirical per-user rate from the use-and-then-forget sample statistic.
+    modes: Sequence[str],
+) -> list[EmpiricalRate]:
+    """Empirical per-user rate from the use-and-then-forget sample statistic,
+    one estimate per row designs x modes, design-major.
 
     The cross moment E[x* x_hat] and the output power E[|x_hat|^2] are
     replaced by sample means pooled over symbols, subcarriers, users and
@@ -390,17 +388,12 @@ def empirical_rate(
     Deterministic given the seed; trials use independent substreams reduced
     in index order.
 
-    ``design`` may also be a sequence of design points that share (B_w, M),
-    and ``mode`` a sequence of modes.  The rows design x mode, design-major,
-    then share every trial's block (common random numbers), and a list of
-    one estimate per row comes back.  Each row is bit for bit the estimate
-    of its lone call at the same seed.
+    The designs must share (B_w, M).  The rows then share every trial's
+    block (common random numbers), and each row is bit for bit the estimate
+    of a call with its design and mode alone at the same seed.
     """
     if trials < 1:
         raise ConfigValueError(f"trials must be >= 1, got {trials}")
-    lone = isinstance(design, DesignPoint) and isinstance(mode, str)
-    designs = [design] if isinstance(design, DesignPoint) else list(design)
-    modes = [mode] if isinstance(mode, str) else list(mode)
     plan = plan_block(config, designs, modes)
     seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     children = seq.spawn(trials)
@@ -445,4 +438,4 @@ def empirical_rate(
                 clip_rate=row_clipped / n_rails,
             )
         )
-    return rates[0] if lone else rates
+    return rates

@@ -37,12 +37,13 @@ S_TOLERANCE = 1e-10
 
 @functools.lru_cache(maxsize=QUANTIZER_MEMO_SIZE)
 def _threshold_parts(b: int, x_int: float) -> tuple[float, float]:
-    """Numerator and denominator of the bit-for-bandwidth threshold."""
+    """Numerator and denominator of the bit-for-bandwidth threshold, from E(b) and E(b+1)."""
     e = quantization_distortion_variance(b, x_int)  # validates b and x_int
+    e_next = quantization_distortion_variance(b + 1, x_int)
     al = b / (b + 1.0)
     sq = math.sqrt(al)
-    num = al * (-1.0 - e / 4.0 + 1.0 / sq + e / sq)
-    den = 1.0 + e / 4.0 - sq - e * sq
+    num = al * (-1.0 - e_next + 1.0 / sq + e / sq)
+    den = 1.0 + e_next - sq - e * sq
     return num, den
 
 
@@ -93,8 +94,8 @@ def constraint_curve(config: SystemConfig, b: int) -> ConstraintCurve:
     """The constraint curve at resolution b.
 
     The cap B_w*M*b = C_f is the curve M = 1/s, B_w = (C_f/b)*s over
-    s in [b/C_f, 1]; every relaxed quantity in this module reads the curve,
-    and its domain, from this record.
+    s in [b/C_f, 1]; every relaxed quantity and sufficient condition in this
+    module reads the curve's constants, and its domain, from this record.
     """
     slope = config.C_f / b
     kp = config.K * config.P
@@ -215,22 +216,17 @@ def pade_bandwidth_condition(config: SystemConfig, design: DesignPoint) -> bool:
 
     Derived from a rational lower bound on log(1+x).
     """
-    kp = config.K * config.P
-    u = kp + design.B_w
-    one = 1.0 + quantization_distortion_variance(design.b, config.X_int)
-    lhs = kp / design.B_w
-    rhs = 4.0 * one * one * u * u * config.L / (design.M * config.P**2 * config.n_pilot) + 1.0
-    return lhs > rhs
+    curve = constraint_curve(config, design.b)
+    u = curve.kp + design.B_w
+    return curve.kp / design.B_w > 4.0 * curve.one * curve.one * u * u / (design.M * curve.a) + 1.0
 
 
 def antenna_condition(config: SystemConfig, design: DesignPoint) -> bool:
     """Sufficient condition for more antennas at less bandwidth to win
     (smaller s direction on the constraint curve)."""
-    kp = config.K * config.P
-    u = kp + design.B_w
-    one = 1.0 + quantization_distortion_variance(design.b, config.X_int)
-    rhs = 4.0 * one * one * u * design.B_w * config.L / (config.P**2 * config.n_pilot)
-    return design.M < rhs
+    curve = constraint_curve(config, design.b)
+    u = curve.kp + design.B_w
+    return design.M < 4.0 * curve.one * curve.one * u * design.B_w / curve.a
 
 
 @dataclass(frozen=True)

@@ -11,10 +11,10 @@ sets the link.  The reference SNR is the per-sample SNR in 1 MHz:
 Gamma = P / 1e6.  A link stated as a transmit power P_max, a cell-edge
 path gain beta and a noise variance N_0 has P = P_max * beta / N_0.
 
-The quantizer noise constant E = X_int^2 * 2^(-2b) / 3 is the variance of
-the additive distortion per real ADC when its input is scaled to unit
-variance and X_int is the no-overload half-width in units of the input
-standard deviation.
+A b-bit ADC is its step 2*X_int/2^b (``quantizer_step``) over [-X_int,
+X_int], X_int in units of the input standard deviation once the input is
+scaled to unit variance; E = step^2/12 = X_int^2 * 2^(-2b) / 3 is the
+variance of its additive distortion per real ADC.
 """
 
 from __future__ import annotations
@@ -48,23 +48,27 @@ def require_finite(obj) -> None:
             raise ConfigValueError(f"{f.name} must be finite, got {f.name}={value}")
 
 
-@functools.lru_cache(maxsize=QUANTIZER_MEMO_SIZE)  # invalid input raises, and is not cached
-def quantization_distortion_variance(b: int, x_int: float = 1.0) -> float:
-    """Additive distortion variance of a b-bit uniform ADC, per real component.
+def quantizer_step(b: int, x_int: float = 1.0) -> float:
+    """Step 2*x_int/2^b of a b-bit uniform midrise ADC over [-x_int, x_int].
 
     Args:
         b: resolution in bits per real component, b >= 1.
         x_int: no-overload half-width of the quantizer in units of the
             (unit-variance) input standard deviation.
-
-    Returns:
-        E = x_int^2 * 2^(-2b) / 3.  Exactly quarters for each extra bit.
     """
     if b < 1 or int(b) != b:
         raise ConfigValueError(f"ADC resolution must be a positive integer, got b={b}")
     if x_int <= 0:
         raise ConfigValueError(f"quantizer interval must be positive, got x_int={x_int}")
-    return (x_int * x_int) * 4.0 ** (-int(b)) / 3.0
+    return math.ldexp(x_int, 1 - int(b))
+
+
+@functools.lru_cache(maxsize=QUANTIZER_MEMO_SIZE)  # invalid input raises, and is not cached
+def quantization_distortion_variance(b: int, x_int: float = 1.0) -> float:
+    """Additive distortion variance E = step^2/12 of a b-bit uniform ADC per
+    real component, a uniform error over one step; quarters for each extra bit."""
+    step = quantizer_step(b, x_int)
+    return step * step / 12.0  # a product: ** rounds through the C library's pow
 
 
 @dataclass(frozen=True)

@@ -175,8 +175,8 @@ def test_simulator_matches_closed_form():
     for b in (1, 2, 3):
         design = DesignPoint(B_w=200e6, M=64, b=b)
         closed = achievable_rate(cfg, design).rate_bps
-        pqn = empirical_rate(cfg, design, trials=500, seed=7, mode="pqn")
-        uni = empirical_rate(cfg, design, trials=500, seed=7, mode="uniform")
+        [pqn] = empirical_rate(cfg, [design], trials=500, seed=7, modes=["pqn"])
+        [uni] = empirical_rate(cfg, [design], trials=500, seed=7, modes=["uniform"])
         err_p = abs(pqn.rate_bps - closed) / closed
         err_u = abs(uni.rate_bps - closed) / closed
         lines.append(f"b={b}: pqn {err_p * 100:.2f}%, uniform {err_u * 100:.2f}%")

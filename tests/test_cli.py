@@ -26,6 +26,7 @@ from fronthaul_mimo.cli import (
 )
 from fronthaul_mimo.errors import ConfigSyntaxError, ConfigValueError
 from fronthaul_mimo.linkrate import achievable_rate
+from fronthaul_mimo import montecarlo
 from fronthaul_mimo.montecarlo import empirical_rate
 from fronthaul_mimo.sysmodel import DesignPoint, SystemConfig, reference_snr_from_power
 
@@ -506,7 +507,7 @@ class TestMcValidate:
         ]
         config, _ = parse_config_text(text)
         for point in points:
-            lone = empirical_rate(config, design(point["b"]), 6, 7, point["mode"])
+            [lone] = empirical_rate(config, [design(point["b"])], 6, 7, [point["mode"]])
             assert point["closed_form_bps"] == achievable_rate(config, design(point["b"])).rate_bps
             assert (point["mc_bps"], point["stderr_bps"], point["clip_rate"]) == (
                 lone.rate_bps, lone.stderr_bps, lone.clip_rate
@@ -604,6 +605,34 @@ class TestMcValidate:
         column = header.split(",").index("mc_stderr_bps")
         assert len(rows) == 12 and all(row.split(",")[column] == "" for row in rows)
 
+
+    def test_closed_form_checked_before_any_trial(self, tmp_path, capsys, monkeypatch):
+        # the closed-form rate underflows to zero at B_w = 1e300: one JSON
+        # line naming rate_bps, before any block is simulated
+        blocks = []
+        simulate = montecarlo.simulate_block
+        monkeypatch.setattr(montecarlo, "simulate_block",
+                            lambda *args: blocks.append(args) or simulate(*args))
+        cfg = write_config(tmp_path, "K = 4\nL = 2\nN = 53\ntheta = 2\nX_int = 2.5\n"
+                                     "gamma_ref_db = -15\nB_w = 1e300\nM = 256\n")
+        code = main(["mc-validate", "--config", cfg, "--bits", "1", "--mode", "uniform",
+                     "--trials", "1"])
+        captured = capsys.readouterr()
+        assert_model_error(code, captured.out)
+        assert captured.err == ""
+        assert "rate_bps=0.0" in strict_json(captured.out)["detail"]
+        assert blocks == []
+
+    def test_non_finite_row_named(self, tmp_path, capsys):
+        # 3 trials of 168 symbols zero the plug-in ratio's denominator at
+        # b = 1: the error names the row and the field, not the JSON writer
+        cfg = write_config(tmp_path, "K = 2\nL = 2\nN = 33\ntheta = 1.3\n")
+        code = main(["mc-validate", "--config", cfg, "--bits", "1,2,12", "--mode", "uniform",
+                     "--trials", "3", "--bw", "2e8", "--m", "4096", "--seed", "2"])
+        captured = capsys.readouterr()
+        assert_model_error(code, captured.out)
+        assert captured.err == ""
+        assert strict_json(captured.out)["detail"] == "b=1, mode=uniform: mc_bps is not finite"
 
     @pytest.mark.parametrize("text, detail", [
         # 168 symbols at b = 2 zero the plug-in ratio's denominator

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -11,6 +12,7 @@ from fronthaul_mimo.montecarlo import (
     draw_channel,
     empirical_rate,
     generate_pilots,
+    lmmse_estimate,
     midrise_quantize,
     mrc_combine,
     plan_block,
@@ -18,7 +20,11 @@ from fronthaul_mimo.montecarlo import (
     simulate_block,
 )
 from fronthaul_mimo.optimizer import optimize_full
-from fronthaul_mimo.sysmodel import DesignPoint, SystemConfig
+from fronthaul_mimo.sysmodel import (
+    DesignPoint,
+    SystemConfig,
+    quantization_distortion_variance,
+)
 
 from conftest import max_orthogonality_defect, mrc_combine_time, pilot_correlations
 
@@ -206,6 +212,28 @@ class TestQuantizer:
 
 
 class TestLmmse:
+    def test_gain_is_quality_times_least_squares_gain(self):
+        # the correlator output of a tap h is sqrt(a2)*h plus noise, a2 =
+        # 2*mu*(P/B_w)*N_p, so the least-squares gain is 1/sqrt(a2); the
+        # LMMSE gain is c times it, and equals the per-tap derivation
+        rng = np.random.default_rng(41)
+        for _ in range(300):
+            cfg = SystemConfig.from_reference_snr(
+                float(rng.uniform(-20.0, 40.0)), K=int(rng.integers(1, 30)),
+                L=int(rng.integers(1, 12)), N=4000, theta=float(rng.uniform(1.0, 8.0)),
+                X_int=float(rng.uniform(0.5, 5.0)),
+            )
+            design = DesignPoint(B_w=10.0 ** rng.uniform(5.0, 10.0), M=64,
+                                 b=int(rng.integers(1, 13)))
+            mu = 1.0 / (cfg.K * cfg.P / design.B_w + 1.0)
+            a2 = 2.0 * mu * (cfg.P / design.B_w) * cfg.n_pilot
+            gain = lmmse_estimate(cfg, design)
+            c = estimation_quality(cfg, design)
+            assert gain * math.sqrt(a2) == pytest.approx(c, rel=1e-15)
+            e = quantization_distortion_variance(design.b, cfg.X_int)
+            per_tap = math.sqrt(a2) / cfg.L / (a2 / cfg.L + 2.0 * e + 2.0 * mu)
+            assert gain == pytest.approx(per_tap, rel=1e-14)
+
     def test_error_variance_matches_model(self):
         cfg = small_config(L=4)
         design = DesignPoint(B_w=50e6, M=200, b=2)
@@ -324,8 +352,8 @@ class TestMrc:
         sizes = [16, 32, 64, 128, 256]
         gammas = [
             empirical_rate(
-                cfg, DesignPoint(B_w=100e6, M=m, b=2), trials=40, seed=9, mode="pqn"
-            ).gamma
+                cfg, [DesignPoint(B_w=100e6, M=m, b=2)], trials=40, seed=9, modes=["pqn"]
+            )[0].gamma
             for m in sizes
         ]
         slope = np.polyfit(np.log(sizes), np.log(gammas), 1)[0]
@@ -337,14 +365,14 @@ class TestEmpiricalRate:
         cfg = small_config(K=4, L=4, N=256)
         design = DesignPoint(B_w=200e6, M=64, b=2)
         closed = achievable_rate(cfg, design).rate_bps
-        mc = empirical_rate(cfg, design, trials=150, seed=21, mode="pqn")
+        [mc] = empirical_rate(cfg, [design], trials=150, seed=21, modes=["pqn"])
         assert abs(mc.rate_bps - closed) / closed < 0.03
 
     def test_true_quantizer_tracks_closed_form(self):
         cfg = small_config(K=4, L=4, N=256)
         design = DesignPoint(B_w=200e6, M=64, b=3)
         closed = achievable_rate(cfg, design).rate_bps
-        mc = empirical_rate(cfg, design, trials=150, seed=22, mode="uniform")
+        [mc] = empirical_rate(cfg, [design], trials=150, seed=22, modes=["uniform"])
         assert abs(mc.rate_bps - closed) / closed < 0.10
         assert 0.0 < mc.clip_rate < 0.05
 
@@ -354,7 +382,7 @@ class TestEmpiricalRate:
         design = optimize_full(cfg).best
         assert design.M > 500
         closed = achievable_rate(cfg, design).rate_bps
-        mc = empirical_rate(cfg, design, trials=4, seed=31, mode="pqn")
+        [mc] = empirical_rate(cfg, [design], trials=4, seed=31, modes=["pqn"])
         assert abs(mc.rate_bps - closed) / closed < 0.03
 
     def test_sinqr_error_shrinks_with_trials(self):
@@ -365,7 +393,7 @@ class TestEmpiricalRate:
         for trials in (8, 32, 128):
             errs = [
                 abs(
-                    empirical_rate(cfg, design, trials=trials, seed=100 + s, mode="pqn").gamma
+                    empirical_rate(cfg, [design], trials, seed=100 + s, modes=["pqn"])[0].gamma
                     - target
                 )
                 / target
@@ -380,16 +408,16 @@ class TestEmpiricalRate:
         # noise floor, orders of magnitude below the powered link
         cfg = small_config().replace(P=1e-30)
         design = DesignPoint(B_w=100e6, M=8, b=2)
-        mc = empirical_rate(cfg, design, trials=5, seed=1)
-        powered = empirical_rate(small_config(), design, trials=5, seed=1)
+        [mc] = empirical_rate(cfg, [design], trials=5, seed=1, modes=["pqn"])
+        [powered] = empirical_rate(small_config(), [design], trials=5, seed=1, modes=["pqn"])
         assert mc.gamma < 5e-3
         assert mc.rate_bps < 0.01 * powered.rate_bps
 
     def test_deterministic_given_seed(self):
         cfg = small_config()
         design = DesignPoint(B_w=100e6, M=8, b=1)
-        a = empirical_rate(cfg, design, trials=10, seed=77, mode="uniform")
-        b = empirical_rate(cfg, design, trials=10, seed=77, mode="uniform")
+        [a] = empirical_rate(cfg, [design], trials=10, seed=77, modes=["uniform"])
+        [b] = empirical_rate(cfg, [design], trials=10, seed=77, modes=["uniform"])
         assert a.rate_bps == b.rate_bps
         assert a.gamma == b.gamma
 
@@ -405,10 +433,10 @@ class TestEmpiricalRate:
         stages = {name: getattr(montecarlo, name) for name in
                   ("quantize_block", "midrise_quantize", "lmmse_estimate", "generate_pilots",
                    "simulate_block", "draw_channel", "_complex_normal")}
-        for design, mode, rows, n_uniform, n_designs in (
-            (designs[0], "uniform", 1, 1, 1),
-            (designs[0], "pqn", 1, 0, 1),
-            (designs, ("pqn", "uniform"), 4, 2, 2),
+        for group, modes, rows, n_uniform, n_designs in (
+            (designs[:1], ["uniform"], 1, 1, 1),
+            (designs[:1], ["pqn"], 1, 0, 1),
+            (designs, ["pqn", "uniform"], 4, 2, 2),
         ):
             calls = dict.fromkeys(stages, 0)
             for name, fn in stages.items():
@@ -417,7 +445,7 @@ class TestEmpiricalRate:
                     return _fn(*args, **kwargs)
 
                 monkeypatch.setattr(montecarlo, name, counted)
-            empirical_rate(cfg, design, trials=trials, seed=4, mode=mode)
+            empirical_rate(cfg, group, trials=trials, seed=4, modes=modes)
             assert calls == {
                 "quantize_block": rows * trials,
                 "midrise_quantize": n_uniform * trials,
@@ -426,25 +454,25 @@ class TestEmpiricalRate:
                 "simulate_block": trials,
                 "draw_channel": trials,
                 "_complex_normal": 3 * trials,
-            }, mode
+            }, modes
 
     def test_group_rows_equal_lone_calls(self):
         cfg = small_config(K=4, L=4, N=256)
         designs = [DesignPoint(B_w=200e6, M=64, b=b) for b in (1, 2, 3)]
         modes = ("pqn", "uniform")
-        group = empirical_rate(cfg, designs, trials=5, seed=8, mode=modes)
+        group = empirical_rate(cfg, designs, trials=5, seed=8, modes=modes)
         rows = [(d, m) for d in designs for m in modes]
         assert len(group) == len(rows)
         for (design, mode), shared in zip(rows, group):
-            assert shared == empirical_rate(cfg, design, trials=5, seed=8, mode=mode)
+            assert [shared] == empirical_rate(cfg, [design], trials=5, seed=8, modes=[mode])
 
     def test_group_needs_one_antenna_count_and_bandwidth(self):
         cfg = small_config()
         for other in (DesignPoint(B_w=1e8, M=8, b=2), DesignPoint(B_w=2e8, M=4, b=2)):
             with pytest.raises(ConfigValueError):
-                empirical_rate(cfg, [DesignPoint(B_w=1e8, M=4, b=1), other], 2, 0, "pqn")
+                empirical_rate(cfg, [DesignPoint(B_w=1e8, M=4, b=1), other], 2, 0, ["pqn"])
 
     def test_rejects_bad_mode(self):
         cfg = small_config()
         with pytest.raises(ConfigValueError):
-            empirical_rate(cfg, DesignPoint(B_w=1e8, M=4, b=1), trials=2, seed=0, mode="x")
+            empirical_rate(cfg, [DesignPoint(B_w=1e8, M=4, b=1)], trials=2, seed=0, modes=["x"])

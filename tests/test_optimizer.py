@@ -358,6 +358,31 @@ class TestMaximizeOverS:
 
 
 class TestSufficientConditions:
+    def test_conditions_equal_their_formulas(self):
+        # both conditions read K*P, 1 + E and P^2*N_p/L from the constraint
+        # curve; these are the formulas as derived, each constant inline
+        rng = np.random.default_rng(37)
+        seen = collections.Counter()
+        for _ in range(600):
+            cfg = SystemConfig.from_reference_snr(
+                float(rng.uniform(-10.0, 40.0)), K=int(rng.integers(1, 30)),
+                L=int(rng.integers(1, 12)), N=4000, theta=float(rng.uniform(1.0, 8.0)),
+                X_int=float(rng.uniform(0.5, 5.0)), C_f=10.0 ** rng.uniform(9.0, 12.0),
+            )
+            design = DesignPoint(B_w=10.0 ** rng.uniform(5.0, 11.0),
+                                 M=int(10.0 ** rng.uniform(0.0, 5.0)), b=int(rng.integers(1, 13)))
+            kp = cfg.K * cfg.P
+            u = kp + design.B_w
+            one = 1.0 + quantization_distortion_variance(design.b, cfg.X_int)
+            pilot = cfg.P**2 * cfg.n_pilot
+            pade = kp / design.B_w > 4.0 * one * one * u * u * cfg.L / (design.M * pilot) + 1.0
+            antenna = design.M < 4.0 * one * one * u * design.B_w * cfg.L / pilot
+            assert pade_bandwidth_condition(cfg, design) == pade
+            assert antenna_condition(cfg, design) == antenna
+            seen[pade, antenna] += 1
+        # the grid reaches every outcome the two conditions can give
+        assert seen[True, False] and seen[False, True] and seen[False, False], seen
+
     def test_pade_true_at_high_snr_long_pilots(self):
         cfg = SystemConfig.from_reference_snr(30.0, K=20, theta=4.0, N=4000)
         assert pade_bandwidth_condition(cfg, DesignPoint(B_w=1e8, M=1000, b=3))

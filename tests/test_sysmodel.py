@@ -11,6 +11,7 @@ from fronthaul_mimo.sysmodel import (
     SystemConfig,
     link_budget,
     quantization_distortion_variance,
+    quantizer_step,
     reference_snr_from_power,
     reference_snr_to_power,
 )
@@ -48,6 +49,22 @@ class TestQuantizationDistortion:
             for b, x_int in ((0, 1.0), (1.5, 1.0), (2, 0.0), (2, -1.0)):
                 with pytest.raises(ConfigValueError):
                     quantization_distortion_variance(b, x_int)
+                with pytest.raises(ConfigValueError):
+                    quantizer_step(b, x_int)
+
+    def test_step_defines_distortion(self):
+        # E = step^2/12 = 4*E(b+1) = X_int^2*4^-b/3, bitwise wherever E is a
+        # normal float.  The square is a product: ** goes through the C
+        # library's pow, which is not correctly rounded on every platform.
+        for b in range(1, 31):
+            for decade in range(-100, 101):
+                for mantissa in (1.0, 1.7, 3.3, 7.9):
+                    x_int = mantissa * 10.0**decade
+                    step = quantizer_step(b, x_int)
+                    assert step == 2.0 * x_int / 2.0**b
+                    e = quantization_distortion_variance(b, x_int)
+                    assert e == step * step / 12.0 == (x_int * x_int) * 4.0**-b / 3.0
+                    assert e == 4.0 * quantization_distortion_variance(b + 1, x_int)
 
 
 class TestSystemConfig:

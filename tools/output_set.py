@@ -21,9 +21,12 @@ The set: the 72 paper-grid ``optimize`` runs (SNR {0, 15, 30} dB x C_f
 N=2000), default ``optimize``, ``optimize`` at C_f = 1e60 and at C_f =
 1e300 (an error line), the seven preset CSVs, ``preset fig4`` with
 ``--trials 1`` (an undefined standard error, an empty cell) and with
-``--trials 2``, two ``rate`` calls, and three seeded ``mc-validate`` runs:
+``--trials 2``, two ``rate`` calls, three seeded ``mc-validate`` runs:
 both modes and ``--mode uniform`` at one ``(B_w, M)`` (rows that share a
-block), and ``bind = antennas`` (one ``M``, so one group of rows, per ``b``).
+block), and ``bind = antennas`` (one ``M``, so one group of rows, per ``b``),
+and two ``mc-validate`` error lines (``mc_validate_err_*.json``, exit 2): a
+closed-form rate that underflows to zero, and a row whose simulated rate is
+not finite.
 """
 
 from __future__ import annotations
@@ -87,6 +90,15 @@ def commands(cfg_dir: str, out_dir: str) -> list[tuple[str, list[str]]]:
                    bind="antennas")
     cmds.append(("mc_validate_bind_antennas.json",
                  ["mc-validate", "--config", path, "--trials", "8", "--seed", "12345"]))
+    path = _config(cfg_dir, "mc_zero_rate", K=4, L=2, N=53, theta=2, X_int=2.5,
+                   gamma_ref_db=-15, B_w=1e300, M=256)
+    cmds.append(("mc_validate_err_zero_rate.json",
+                 ["mc-validate", "--config", path, "--bits", "1", "--mode", "uniform",
+                  "--trials", "1"]))
+    path = _config(cfg_dir, "mc_short_block", K=2, L=2, N=33, theta=1.3)
+    cmds.append(("mc_validate_err_non_finite.json",
+                 ["mc-validate", "--config", path, "--bits", "1,2,12", "--mode", "uniform",
+                  "--trials", "3", "--bw", "2e8", "--m", "4096", "--seed", "2"]))
     return [
         (name, argv + ["--out", os.path.join(out_dir, name)] if name.endswith(".csv") else argv)
         for name, argv in cmds
