@@ -523,8 +523,8 @@ def mc_validate_report(
 
 
 class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # usage problems exit 1, not argparse's 2
-        self.print_usage(sys.stderr)
+    def error(self, message):  # one JSON line and exit 1, not argparse's usage and 2
+        sys.stdout.write(json.dumps({"error": "config", "detail": message}) + "\n")
         raise SystemExit(1)
 
 

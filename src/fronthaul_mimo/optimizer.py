@@ -7,6 +7,8 @@ B_w = (C_f/b)*s.  R(s) is unimodal in s, concave through the ascent to its
 maximizer (convex only in the far noise-limited decay), so the maximizer
 is found by bisection on the sign of the closed-form derivative; the
 integer optimum is then the floor or the ceiling of 1/s* (``optimize_full``).
+The search over b stops once the E = 0 rate on the curve of capacity C_f/b
+shows that no design at b bits or more can win (``unquantized_bound_below``).
 """
 
 from __future__ import annotations
@@ -89,17 +91,11 @@ class ConstraintCurve(NamedTuple):
     b: int  # the resolution the curve belongs to
 
 
-@functools.lru_cache(maxsize=B_MAX)  # every b of one search
-def constraint_curve(config: SystemConfig, b: int) -> ConstraintCurve:
-    """The constraint curve at resolution b.
-
-    The cap B_w*M*b = C_f is the curve M = 1/s, B_w = (C_f/b)*s over
-    s in [b/C_f, 1]; every relaxed quantity and sufficient condition in this
-    module reads the curve's constants, and its domain, from this record.
-    """
+def _curve(config: SystemConfig, b: int, e: float) -> ConstraintCurve:
+    """The constraint curve at resolution b for an ADC of distortion variance e."""
     slope = config.C_f / b
     kp = config.K * config.P
-    one = 1.0 + quantization_distortion_variance(b, config.X_int)
+    one = 1.0 + e
     return ConstraintCurve(
         slope=slope,
         inv_slope=1.0 / slope,
@@ -112,6 +108,17 @@ def constraint_curve(config: SystemConfig, b: int) -> ConstraintCurve:
         upsilon=config.n_data * slope / (config.N * _LN2),
         b=b,
     )
+
+
+@functools.lru_cache(maxsize=B_MAX)  # every b of one search
+def constraint_curve(config: SystemConfig, b: int) -> ConstraintCurve:
+    """The constraint curve at resolution b.
+
+    The cap B_w*M*b = C_f is the curve M = 1/s, B_w = (C_f/b)*s over
+    s in [b/C_f, 1]; every relaxed quantity and sufficient condition in this
+    module reads the curve's constants, and its domain, from this record.
+    """
+    return _curve(config, b, quantization_distortion_variance(b, config.X_int))
 
 
 def _in_domain(curve: ConstraintCurve, s: float) -> ConstraintCurve:
@@ -129,11 +136,15 @@ def curve_bandwidth(config: SystemConfig, s: float, b: int) -> float:
 def rate_of_s(config: SystemConfig, s: float, b: int) -> float:
     """Per-user rate (bit/s) on the constraint curve M=1/s, B_w=(C_f/b)*s."""
     curve = _in_domain(constraint_curve(config, b), s)
-    ou = curve.one * (curve.kp + curve.slope * s)
-    omega = curve.a / (s * (ou * (curve.te_kp + ou)))
     # numpy's log1p, not math.log1p: the two differ in the last bit on some
     # inputs, and the reported relaxed rate would move with it
-    return curve.upsilon * s * float(np.log1p(omega))
+    return curve.upsilon * s * float(np.log1p(_omega(curve, s)))
+
+
+def _omega(curve: ConstraintCurve, s: float) -> float:
+    """SINQR on the curve: omega = a/(s*(1+E)u*((theta_eff - 1)KP + (1+E)u)), u = KP + slope*s."""
+    ou = curve.one * (curve.kp + curve.slope * s)
+    return curve.a / (s * (ou * (curve.te_kp + ou)))
 
 
 def rate_of_s_derivative(curve: ConstraintCurve, s: float) -> float:
@@ -198,16 +209,60 @@ def _not_finite(config: SystemConfig, s: float, b: int) -> ConfigValueError:
 
 
 def one_bit_always_optimal(config: SystemConfig, s: float) -> bool:
-    """Whether the global search may stop at b = 1, given the one-bit
-    maximizer s = maximize_over_s(config, 1).
+    """The one-bit certificate, given the one-bit maximizer
+    s = maximize_over_s(config, 1): b = 1 is globally optimal.
 
     Requires the requested pilot excess >= 1 and the bandwidth condition to
     hold where it matters: at the one-bit optimum on the constraint curve.
+    ``optimize_full`` reports it as ``fixed_one_bit``; the search stops by
+    ``unquantized_bound_below`` alone.
     """
     if config.theta < 1.0:
         return False
     design = DesignPoint(B_w=curve_bandwidth(config, s, 1), M=max(1, round(1.0 / s)), b=1)
     return bandwidth_condition(config, design)
+
+
+def unquantized_bound_below(config: SystemConfig, b: int, best_bps: float) -> bool:
+    """True when no design at b bits or more can beat the rate best_bps.
+
+    At a fixed (B_w, M) the rate falls as E grows (c and gamma both fall),
+    and at E = 0 it rises with M, so every design at b is bounded by the
+    maximum G(C_f/b) of the E = 0 rate on the curve of capacity C_f/b; G
+    grows with the capacity, so the bound also covers every b' > b.  Along
+    the curve s rises and omega falls, so on a bracket [lo, hi] of the
+    E = 0 maximizer every rate is at most upsilon*hi*log1p(omega(lo)).  The
+    bracket is bisected on the derivative sign until that bound falls below
+    best_bps (True), or the rate at a bracket end exceeds best_bps, or the
+    bracket reaches the width of ``maximize_over_s`` (False).
+
+    The bound must clear best_bps by a relative 1e-12.  Integer rates come
+    from ``linkrate``'s formulas and the bound from this module's, each
+    within a few ulps (about 1e-15) of the exact value; the margin, a
+    thousand times wider, keeps rounding from lifting a pruned design above
+    best_bps, and a design within it would tie, which goes to fewer bits.
+    A bound or derivative that is not finite never prunes.
+    """
+    curve = _curve(config, b, 0.0)
+    lo, hi = curve.inv_slope, 1.0
+    log_lo = float(np.log1p(_omega(curve, lo)))
+    while True:
+        bound = curve.upsilon * hi * log_lo
+        if bound < _INF and best_bps >= bound * (1.0 + 1e-12):
+            return True
+        if not (hi - lo > S_TOLERANCE or hi - lo > 1e-6 * lo):
+            return False
+        mid = 0.5 * (lo + hi)
+        log_mid = float(np.log1p(_omega(curve, mid)))
+        if curve.upsilon * mid * log_mid > best_bps:
+            return False
+        d = rate_of_s_derivative(curve, mid)
+        if 0.0 < d < _INF:
+            lo, log_lo = mid, log_mid
+        elif -_INF < d <= 0.0:
+            hi = mid
+        else:
+            return False
 
 
 def pade_bandwidth_condition(config: SystemConfig, design: DesignPoint) -> bool:
@@ -245,11 +300,13 @@ class OptimizationResult:
 def optimize_full(config: SystemConfig) -> OptimizationResult:
     """Global maximization of the per-user rate subject to B_w*M*b <= C_f.
 
-    Searches b = 1, 2, ... B_MAX in turn, and stops after b = 1 when the
-    one-bit certificate holds there.  Each b evaluates M = floor(1/s*) and
+    Searches b = 1, 2, ... B_MAX in turn, and stops before a b >= 2 where
+    ``unquantized_bound_below`` shows that no design at b bits or more can
+    beat the best rate found so far.  Each b evaluates M = floor(1/s*) and
     ceil(1/s*) in [1, C_f/b] at B_w = C_f/(M*b): exact, as the design at M
     lies on the curve at s = 1/M, where R is unimodal (above M ~ 1e6, to
     within the search's width).  Ties break toward fewer bits, then antennas.
+    ``fixed_one_bit`` reports the one-bit certificate at b = 1.
     """
     if config.C_f < 1.0:
         raise InfeasibleError(
@@ -261,8 +318,11 @@ def optimize_full(config: SystemConfig) -> OptimizationResult:
     for b in range(1, B_MAX + 1):
         if config.C_f / b < 1.0:
             break
+        if best is not None and unquantized_bound_below(config, b, best[2].rate_bps):
+            break
         s = maximize_over_s(config, b)
-        fixed_one_bit = b == 1 and one_bit_always_optimal(config, s)
+        if b == 1:
+            fixed_one_bit = one_bit_always_optimal(config, s)
         m_lo, m_hi = math.floor(1.0 / s), math.ceil(1.0 / s)
         for m in range(max(1, m_lo), min(math.floor(config.C_f / b), m_hi) + 1):
             design = DesignPoint(B_w=config.C_f / (m * b), M=m, b=b)
@@ -272,8 +332,6 @@ def optimize_full(config: SystemConfig) -> OptimizationResult:
             if best is None or key < best[0]:
                 best = (key, design, breakdown)
                 best_s = s
-        if fixed_one_bit:
-            break
     if best is None:
         raise InfeasibleError("no feasible integer design on the constraint curve")
 

@@ -3,6 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from fronthaul_mimo import optimizer
+from fronthaul_mimo.errors import InfeasibleError
+from fronthaul_mimo.linkrate import achievable_rate
 from fronthaul_mimo.sysmodel import (
     DesignPoint,
     SystemConfig,
@@ -28,6 +31,29 @@ def threshold_f_alt(b: int, x_int: float = 1.0) -> float:
     num = sq * (1.0 + e) - al * (1.0 + e / 4.0)
     den = (1.0 + e / 4.0) - sq * (1.0 + e)
     return num / den
+
+
+def optimize_every_resolution(config: SystemConfig) -> tuple:
+    """optimizer.optimize_full without a stopping rule: every b = 1..12 the
+    fronthaul carries is searched.  Returns (best, rate, relaxed_s,
+    relaxed_rate_bps, fixed_one_bit)."""
+    if config.C_f < 1.0:
+        raise InfeasibleError("C_f < 1")
+    best = None
+    for b in range(1, 13):
+        if config.C_f / b < 1.0:
+            break
+        s = optimizer.maximize_over_s(config, b)
+        if b == 1:
+            fixed_one_bit = optimizer.one_bit_always_optimal(config, s)
+        for m in range(max(1, math.floor(1.0 / s)),
+                       min(math.floor(config.C_f / b), math.ceil(1.0 / s)) + 1):
+            design = DesignPoint(B_w=config.C_f / (m * b), M=m, b=b)
+            rate = achievable_rate(config, design)
+            if best is None or (-rate.rate_bps, b, m) < best[0]:
+                best = ((-rate.rate_bps, b, m), design, rate, s)
+    _, design, rate, s = best
+    return design, rate, s, optimizer.rate_of_s(config, s, design.b), fixed_one_bit
 
 
 def estimation_quality_tapwise(

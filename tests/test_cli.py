@@ -282,12 +282,15 @@ class TestMainRate:
         # python -m fronthaul_mimo.cli
         assert main(["rate", "--bw", "2e8", "--m", "64"]) == 0
         expected = capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            main(["optimise"])
+        usage_error = capsys.readouterr().out
         src = os.path.dirname(os.path.dirname(os.path.abspath(fronthaul_mimo.__file__)))
         env = dict(os.environ, PYTHONPATH=src)
         for module in ("fronthaul_mimo", "fronthaul_mimo.cli"):
             for argv, code, out in (
                 (["rate", "--bw", "2e8", "--m", "64"], 0, expected),
-                (["optimise"], 1, ""),
+                (["optimise"], 1, usage_error),
             ):
                 proc = subprocess.run([sys.executable, "-m", module, *argv],
                                       capture_output=True, text=True, env=env)
@@ -386,10 +389,18 @@ class TestMainOptimize:
         r2 = json.loads(capsys.readouterr().out)["rate_bps"]
         assert r2 > r1
 
-    def test_usage_error_exit_1(self):
-        with pytest.raises(SystemExit) as err:
-            main(["optimise"])
-        assert err.value.code == 1
+    def test_usage_error_exit_1(self, capsys):
+        # argparse's reason, as one JSON line on stdout, nothing on stderr
+        for argv, reason in ((["optimise"], "invalid choice: 'optimise'"),
+                             (["rate", "--bw", "2e8", "--m", "64.5"], "--m: invalid int value"),
+                             ([], "required: command")):
+            with pytest.raises(SystemExit) as err:
+                main(argv)
+            assert err.value.code == 1
+            out, stderr = capsys.readouterr()
+            assert out.count("\n") == 1 and stderr == ""
+            error = strict_json(out)
+            assert error["error"] == "config" and reason in error["detail"], error
 
 SWEEP_MC = """
 K = 2
@@ -768,7 +779,8 @@ class TestParserReuse:
         with pytest.raises(SystemExit) as err:
             main(["rate", "--config", cfg, "--bw", "3e8", "--m"])
         assert err.value.code == 1
-        capsys.readouterr()
+        error = strict_json(capsys.readouterr().out)
+        assert error == {"error": "config", "detail": "argument --m: expected one argument"}
         assert main(["rate", "--config", cfg]) == 0
         again = capsys.readouterr().out
         src = os.path.dirname(os.path.dirname(os.path.abspath(fronthaul_mimo.__file__)))

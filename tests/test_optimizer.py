@@ -21,6 +21,7 @@ from fronthaul_mimo.optimizer import (
     rate_of_s_derivative,
     one_bit_always_optimal,
     threshold_f,
+    unquantized_bound_below,
 )
 from fronthaul_mimo.sysmodel import (
     DesignPoint,
@@ -29,7 +30,20 @@ from fronthaul_mimo.sysmodel import (
     quantization_distortion_variance,
 )
 
-from conftest import threshold_f_alt
+from conftest import optimize_every_resolution, threshold_f_alt
+
+
+@pytest.fixture
+def searched(monkeypatch) -> list[int]:
+    """The resolutions that optimizer.maximize_over_s is called for, in order."""
+    calls = []
+
+    def spy(config, b):
+        calls.append(b)
+        return maximize_over_s(config, b)
+
+    monkeypatch.setattr(optimizer, "maximize_over_s", spy)
+    return calls
 
 
 def best_bits_at_bandwidth(cfg: SystemConfig, b_w: float) -> int:
@@ -154,7 +168,7 @@ class TestFixedBandwidthOptimum:
         res = optimize_full(SystemConfig.from_reference_snr(30.0, K=20, C_f=50e9, theta=0.5))
         assert not res.fixed_one_bit
         per_b = collections.Counter(d.b for d in evaluated)
-        assert set(per_b) == set(range(1, 13))
+        assert sorted(per_b) == list(range(1, len(per_b) + 1))  # stopped at some k
         assert max(per_b.values()) <= 2  # floor and ceil of 1/s* only
         assert res.trace_points == len(evaluated)
 
@@ -446,17 +460,11 @@ class TestOneBitCertificate:
         cfg = SystemConfig(theta=0.5)
         assert not one_bit_always_optimal(cfg, maximize_over_s(cfg, 1))
 
-    def test_certified_matches_brute_force(self, monkeypatch):
-        searched = []
-
-        def spy(config, b):
-            searched.append(b)
-            return maximize_over_s(config, b)
-
-        monkeypatch.setattr(optimizer, "maximize_over_s", spy)
-        # uncertified at theta = 1: every resolution is searched, each once
+    def test_certified_matches_brute_force(self, searched):
+        # uncertified at the default config, where the capacity bound alone
+        # stops the search after b = 1
         assert not optimize_full(SystemConfig.from_reference_snr(15.0)).fixed_one_bit
-        assert searched == list(range(1, 13))
+        assert searched == [1]
         searched.clear()
         cfg = SystemConfig.from_reference_snr(30.0, K=20, C_f=50e9)
         best = optimize_full(cfg)
@@ -469,6 +477,90 @@ class TestOneBitCertificate:
                 d = DesignPoint(B_w=cfg.C_f / (m * b), M=m, b=b)
                 assert achievable_rate(cfg, d).rate_bps <= best.rate.rate_bps * (1 + 1e-9)
         assert best.best.b == 1
+
+
+def small_capacity_configs():
+    """Seeded configs whose every lattice design is cheap to evaluate: three
+    quantizer intervals (b* >= 2 at X_int = 4) times three pilot excesses
+    (the certificate never holds below 1)."""
+    rng = np.random.default_rng(21)
+    for x_int, theta in itertools.product((1.0, 2.5, 4.0), (0.5, 1.0, 3.0)):
+        c_f = float(10.0 ** rng.uniform(1.5, math.log10(3e3)))
+        yield SystemConfig.from_reference_snr(
+            15.0 + 10.0 * math.log10(c_f / 500e9) + float(rng.uniform(0.0, 30.0)),
+            K=int(rng.integers(1, 9)), L=int(rng.integers(1, 5)), N=400,
+            theta=theta, X_int=x_int, C_f=c_f,
+        )
+
+
+class TestCapacityBound:
+    def test_no_design_at_b_or_above_is_pruned_below_its_rate(self):
+        best_bits = set()
+        for cfg in small_capacity_configs():
+            rates = {
+                b: max(achievable_rate(cfg, DesignPoint(B_w=cfg.C_f / (m * b), M=m, b=b)).rate_bps
+                       for m in range(1, math.floor(cfg.C_f / b) + 1))
+                for b in range(1, 13)
+                if cfg.C_f / b >= 1.0
+            }
+            best_bits.add(max(rates, key=rates.get))
+            for b in range(2, max(rates) + 1):
+                above = max(rate for k, rate in rates.items() if k >= b)
+                # a design at rate `above` beats anything below it
+                assert not unquantized_bound_below(cfg, b, math.nextafter(above, 0.0)), (cfg, b)
+        assert max(best_bits) >= 2  # the grid holds optima above one bit
+
+    @pytest.mark.parametrize("x_int, theta", [(1.0, 1.0), (4.0, 1.0), (4.0, 0.5)])
+    def test_paper_scale_designs_at_b_and_above(self, base_config, x_int, theta):
+        cfg = base_config.replace(X_int=x_int, theta=theta)
+        m_grid = sorted({max(1, round(1.0 / s)) for s in np.logspace(-8.0, 0.0, 120)})
+        for b in range(2, 13):
+            above = max(
+                achievable_rate(cfg, DesignPoint(B_w=cfg.C_f / (m * k), M=m, b=k)).rate_bps
+                for k in range(b, 13)
+                for m in m_grid
+            )
+            assert not unquantized_bound_below(cfg, b, math.nextafter(above, 0.0)), b
+
+    def test_tight_at_the_unquantized_maximum(self):
+        # G(C_f/b) from the one-bit search of an ADC whose E underflows in 1 + E
+        for cfg in small_capacity_configs():
+            for b in (2, 3):
+                flat = cfg.replace(C_f=cfg.C_f / b, X_int=1e-30)
+                g = rate_of_s(flat, maximize_over_s(flat, 1), 1)
+                assert unquantized_bound_below(cfg, b, g * (1.0 + 1e-4)), (cfg, b)
+                assert not unquantized_bound_below(cfg, b, g * (1.0 - 1e-9)), (cfg, b)
+
+    def test_search_equals_every_resolution_search(self):
+        # a third of the configs at extremes, where formulas leave the float
+        # range and both searches must fail alike
+        def outcome(search, cfg):
+            try:
+                res = search(cfg)
+            except (ValueError, ArithmeticError) as exc:
+                return type(exc).__name__
+            if isinstance(res, tuple):
+                return repr(res)
+            return repr((res.best, res.rate, res.relaxed_s, res.relaxed_rate_bps,
+                         res.fixed_one_bit))
+
+        rng = np.random.default_rng(2117)
+        kinds = collections.Counter()
+        for i in range(150):
+            snr, log_cf, log_x = (
+                (rng.uniform(-300.0, 300.0), rng.uniform(-1.0, 300.0), rng.uniform(-30.0, 30.0))
+                if i % 3 == 0
+                else (rng.uniform(-20.0, 50.0), rng.uniform(3.0, 14.0), rng.uniform(-0.5, 0.7))
+            )
+            cfg = SystemConfig.from_reference_snr(
+                float(snr), C_f=float(10.0 ** log_cf), X_int=float(10.0 ** log_x),
+                K=int(rng.integers(1, 21)), L=int(rng.integers(1, 11)),
+                N=int(rng.integers(500, 5001)), theta=float(rng.uniform(0.3, 2.0)),
+            )
+            expected = outcome(optimize_every_resolution, cfg)
+            assert outcome(optimize_full, cfg) == expected, cfg
+            kinds[expected.startswith("(")] += 1
+        assert min(kinds.values()) >= 10  # both results and errors are compared
 
 
 class TestOptimizeFull:
@@ -532,9 +624,9 @@ class TestOptimizeFull:
         assert res.best == DesignPoint(B_w=1.0, M=1, b=1)
         assert res.relaxed_s == 1.0
 
-    def test_trace_and_relaxed_reported(self, base_config):
+    def test_trace_and_relaxed_reported(self, base_config, searched):
         res = optimize_full(base_config)
-        assert res.trace_points >= 5
+        assert res.trace_points == 2 * len(searched)  # floor and ceil of 1/s* at each b
         assert 1.0 / base_config.C_f < res.relaxed_s <= 1.0
         assert res.relaxed_rate_bps >= res.rate.rate_bps * (1 - 1e-6)
 

@@ -13,8 +13,11 @@ With ``--against OTHER`` the script writes both sets with its own command
 list, SRC's into ``OUTDIR/src`` and OTHER's into ``OUTDIR/against``, each in
 a fresh interpreter, and prints the files that differ in two groups:
 closed form, and Monte Carlo (``mc_validate*.json`` and ``*trials*.csv``,
-whose seeded values a change to the simulator's draws may move).  It exits
-1 when a closed-form file differs, and 0 otherwise.
+whose seeded values a change to the simulator's draws may move).  Then it
+prints one line per differing ``.json`` file that both sets hold as JSON,
+naming the keys whose values differ (``optimize_grid07.json:
+trace_points``; a nested key as ``points[0].mc_bps``).  It exits 1 when a
+closed-form file differs, and 0 otherwise.
 
 The set: the 72 paper-grid ``optimize`` runs (SNR {0, 15, 30} dB x C_f
 {50, 500} Gbit/s x theta {1, 2, 4, 8} x X_int {1, 2.5, 4}, K=20, L=10,
@@ -36,6 +39,7 @@ import contextlib
 import filecmp
 import fnmatch
 import io
+import json
 import os
 import subprocess
 import sys
@@ -129,6 +133,25 @@ def write_set(outdir: str, src: str) -> int:
     return 0
 
 
+def differing_keys(a, b, path: str = "") -> list[str]:
+    """Paths of the values that differ between two parsed JSON documents."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        return [key for k in sorted(a.keys() | b.keys())
+                for key in differing_keys(a.get(k), b.get(k), f"{path}.{k}" if path else k)]
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        return [key for i, (x, y) in enumerate(zip(a, b))
+                for key in differing_keys(x, y, f"{path}[{i}]")]
+    return [] if a == b and type(a) is type(b) else [path or "(document)"]
+
+
+def _load_json(path: str):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError):
+        return None
+
+
 def compare_sets(outdir: str, src: str, against: str) -> int:
     """Write both trees' sets, each in a fresh interpreter, and list the
     files that differ; 1 when a closed-form file does."""
@@ -148,6 +171,10 @@ def compare_sets(outdir: str, src: str, against: str) -> int:
     print(f"{len(names) - len(differ)} of {len(names)} files byte-identical")
     print("closed form differs:", " ".join(closed_form) or "none")
     print("Monte Carlo differs:", " ".join(monte_carlo) or "none")
+    for name in (n for n in differ if n.endswith(".json")):
+        docs = [_load_json(os.path.join(outdir, side, name)) for side in sides]
+        if None not in docs:
+            print(f"{name}: {', '.join(differing_keys(*docs)) or 'same values, other bytes'}")
     return 1 if closed_form else 0
 
 
