@@ -17,6 +17,7 @@ import functools
 import json
 import math
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -287,55 +288,146 @@ def _point_design(
     return cfg, design, s
 
 
-def _evaluate_point(
-    config: SystemConfig,
-    spec: SweepSpec,
-    index: int,
-    value: float,
-    preset: str | None,
-) -> dict:
+class _Designs(NamedTuple):
+    """The designs of one sweep run at one b: arrays of B_w and M (one of
+    them may be a fixed number), each element checked as ``DesignPoint``
+    checks a design.  The closed forms read it as they read a design."""
+
+    B_w: np.ndarray | float
+    M: np.ndarray | int
+    b: int
+
+    fronthaul_load = DesignPoint.fronthaul_load
+    is_feasible = DesignPoint.is_feasible
+
+
+def _cells(column, n: int) -> list:
+    """A column of n cells: an array's elements as Python numbers, or a fixed value n times."""
+    return column.tolist() if isinstance(column, np.ndarray) else [column] * n
+
+
+def _closed_form_rows(
+    cfg: SystemConfig, spec: SweepSpec, preset: str | None, values, s, design, breakdown
+) -> list[dict]:
+    """The rows of one run in grid order: ``values`` its grid values, and
+    ``s``, ``design`` and ``breakdown`` one point's or the run's arrays."""
+    n = len(values)
+    snr_db = reference_snr_from_power(cfg)
+    f_b = optimizer.threshold_f(design.b, cfg.X_int)
+    columns = zip(
+        values, _cells(design.B_w, n), _cells(design.M, n), _cells(s, n),
+        *(_cells(column, n) for column in breakdown),
+        _cells(optimizer.bandwidth_condition(cfg, design), n),
+        _cells(optimizer.pade_bandwidth_condition(cfg, design), n),
+        _cells(optimizer.antenna_condition(cfg, design), n),
+    )
+    mc_mode, trials = (spec.mc_mode, spec.trials) if spec.trials else (None, None)
+    return [
+        {
+            "preset": preset,
+            "axis": spec.axis,
+            "axis_value": value,
+            "theta": cfg.theta,
+            "snr_db": snr_db,
+            "K": cfg.K,
+            "C_f_bps": cfg.C_f,
+            "B_w_hz": b_w,
+            "M": int(m),
+            "b": design.b,
+            "s": s_cell,
+            "N": cfg.N,
+            "N_p": cfg.n_pilot,
+            "L": cfg.L,
+            "x_int": cfg.X_int,
+            "c": c,
+            "gamma": gamma,
+            "rate_bps": rate_bps,
+            "sum_rate_bps": sum_rate_bps,
+            "f_b": f_b,
+            "bandwidth_cond": bandwidth_cond,
+            "pade_cond": pade_cond,
+            "antenna_cond": antenna_cond,
+            "mc_mode": mc_mode,
+            "trials": trials,
+            "mc_rate_bps": None,
+            "mc_stderr_bps": None,
+            "clip_rate": None,
+        }
+        for (value, b_w, m, s_cell, c, gamma, rate_bps, sum_rate_bps,
+             bandwidth_cond, pade_cond, antenna_cond) in columns
+    ]
+
+
+def _point_row(
+    config: SystemConfig, spec: SweepSpec, value: float, preset: str | None
+) -> tuple[SystemConfig, dict]:
+    """One grid point's config and closed-form row, every check raising in turn."""
     cfg, design, s = _point_design(config, spec, value)
     breakdown = achievable_rate(cfg, design)
     _require_positive_rate(breakdown.rate_bps)
-    row = {
-        "preset": preset,
-        "axis": spec.axis,
-        "axis_value": value,
-        "theta": cfg.theta,
-        "snr_db": reference_snr_from_power(cfg),
-        "K": cfg.K,
-        "C_f_bps": cfg.C_f,
-        "B_w_hz": design.B_w,
-        "M": design.M,
-        "b": design.b,
-        "s": s,
-        "N": cfg.N,
-        "N_p": cfg.n_pilot,
-        "L": cfg.L,
-        "x_int": cfg.X_int,
-        "c": breakdown.c,
-        "gamma": breakdown.gamma,
-        "rate_bps": breakdown.rate_bps,
-        "sum_rate_bps": breakdown.sum_rate_bps,
-        "f_b": optimizer.threshold_f(design.b, cfg.X_int),
-        "bandwidth_cond": optimizer.bandwidth_condition(cfg, design),
-        "pade_cond": optimizer.pade_bandwidth_condition(cfg, design),
-        "antenna_cond": optimizer.antenna_condition(cfg, design),
-        "mc_mode": spec.mc_mode if spec.trials else None,
-        "trials": spec.trials if spec.trials else None,
-        "mc_rate_bps": None,
-        "mc_stderr_bps": None,
-        "clip_rate": None,
-    }
-    if spec.trials:
-        seq = np.random.SeedSequence(entropy=spec.seed, spawn_key=(index,))
-        [mc] = montecarlo.empirical_rate(cfg, [design], spec.trials, seq, [spec.mc_mode])
-        if not math.isfinite(mc.rate_bps):  # few symbols can zero the ratio's denominator
-            raise ConfigValueError(f"mc_rate_bps={mc.rate_bps}: the simulated rate is not finite")
-        row["mc_rate_bps"] = mc.rate_bps
-        row["mc_stderr_bps"] = _defined(mc.stderr_bps)
-        row["clip_rate"] = mc.clip_rate
-    return row
+    [row] = _closed_form_rows(cfg, spec, preset, [value], s, design, breakdown)
+    return cfg, row
+
+
+_CURVE_AXES = ("B_w", "M", "s")  # the axes along which every point shares (config, b)
+
+
+def _curve_rows(config: SystemConfig, spec: SweepSpec, preset: str | None) -> list[dict] | None:
+    """The closed-form rows of a sweep along B_w, M or s as one run: its
+    designs resolved as arrays, as ``_point_design`` resolves each point,
+    then one call of each closed form.
+
+    None when a point fails a check, or when a step raises or leaves the
+    float range (numpy flags what Python raises on, or rounds to inf or
+    NaN): the row path then names the first failing point in grid order.
+    """
+    b = 1 if spec.b is None else spec.b
+    grid = np.array(spec.values, dtype=float)
+    b_w = grid if spec.axis == "B_w" else spec.B_w
+    m = grid if spec.axis == "M" else spec.M
+    s = grid if spec.axis == "s" else None
+    if not isinstance(b, int) or b < 1:
+        return None
+    try:
+        with np.errstate(all="raise", under="ignore"):
+            ok = True
+            if s is not None:
+                curve = optimizer.constraint_curve(config, b)
+                ok = (curve.inv_slope <= s) & (s <= 1.0)
+                b_w = curve.slope * s
+                m = np.maximum(1.0, np.rint(1.0 / s))
+            if spec.bind == "antennas":
+                m = np.floor(config.C_f / (b_w * b))
+            elif spec.bind == "bandwidth":
+                b_w = config.C_f / (m * b)
+            if b_w is None or m is None:
+                return None
+            design = _Designs(B_w=b_w, M=m, b=b)
+            ok = ok & np.isfinite(b_w) & (b_w > 0) & np.isfinite(m) & (m >= 1) & (m == np.floor(m))
+            if spec.bind != "none":
+                ok = ok & design.is_feasible(config.C_f)
+            if not np.all(ok):
+                return None
+            breakdown = achievable_rate(config, design)
+            if not np.all((breakdown.rate_bps > 0.0) & (breakdown.rate_bps < math.inf)):
+                return None
+            return _closed_form_rows(config, spec, preset, spec.values, s, design, breakdown)
+    # FloatingPointError is an ArithmeticError; numpy raises TypeError on an
+    # int beyond the float range
+    except (ValueError, ArithmeticError, TypeError):
+        return None
+
+
+def _monte_carlo(cfg: SystemConfig, spec: SweepSpec, index: int, row: dict) -> None:
+    """Fill a row's Monte Carlo cells: its design simulated on the grid index's substream."""
+    design = DesignPoint(B_w=row["B_w_hz"], M=row["M"], b=row["b"])
+    seq = np.random.SeedSequence(entropy=spec.seed, spawn_key=(index,))
+    [mc] = montecarlo.empirical_rate(cfg, [design], spec.trials, seq, [spec.mc_mode])
+    if not math.isfinite(mc.rate_bps):  # few symbols can zero the ratio's denominator
+        raise ConfigValueError(f"mc_rate_bps={mc.rate_bps}: the simulated rate is not finite")
+    row["mc_rate_bps"] = mc.rate_bps
+    row["mc_stderr_bps"] = _defined(mc.stderr_bps)
+    row["clip_rate"] = mc.clip_rate
 
 
 def run_sweep(
@@ -346,28 +438,41 @@ def run_sweep(
 ) -> list[dict]:
     """Evaluate every grid point, in grid order regardless of parallelism.
 
-    Only Monte Carlo rows (``spec.trials`` set) go to a pool of ``threads``;
-    a closed-form row costs less than handing it to a thread.
+    A sweep along B_w, M or s is one run of points that share (config, b):
+    its closed-form columns come from one call of each closed form on
+    arrays.  Along b, theta or snr_db each point is a run of its own, and
+    a run with any failing point is evaluated point by point, so the error
+    names the first failing point as a point-by-point sweep would.
+    Only Monte Carlo rows (``spec.trials`` set) go to a pool of ``threads``,
+    one simulation per row; a closed-form row costs less than handing it
+    to a thread.
     """
     if threads < 1:
         raise ConfigSyntaxError(f"--threads must be at least 1, got {threads}")
     if spec.axis is None:
         raise ConfigSyntaxError("sweep needs a sweep_axis key")
+    rows = _curve_rows(config, spec, preset) if spec.axis in _CURVE_AXES else None
+    if rows is not None and not spec.trials:
+        return rows
 
-    def job(iv):
-        index, value = iv
+    def job(index):
+        value = spec.values[index]
         try:
-            return _evaluate_point(config, spec, index, value, preset)
+            cfg, row = ((config, rows[index]) if rows is not None
+                        else _point_row(config, spec, value, preset))
+            if spec.trials:
+                _monte_carlo(cfg, spec, index, row)
+            return row
         except (ValueError, ArithmeticError) as exc:
             raise SweepPointError(
                 f"{spec.axis}={value} (grid index {index}): {exc}"
             ) from exc
 
-    items = list(enumerate(spec.values))
+    indices = range(len(spec.values))
     if threads <= 1 or not spec.trials:
-        return [job(iv) for iv in items]
+        return [job(i) for i in indices]
     with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(job, items))
+        return list(pool.map(job, indices))
 
 
 # --- figure presets -------------------------------------------------------

@@ -3,12 +3,20 @@ channel-inversion power control with MRC reception.
 
 All log2 terms are computed from the natural log so the optimizer's
 nats-based constant and these rates agree to machine precision.
+
+A design's ``B_w`` and ``M`` may be numpy arrays (one of them may stay a
+number) at one int ``b``: every formula here is then evaluated elementwise
+and equals, bit for bit, its value at each design alone; a sweep evaluates
+a whole constraint curve in one call.  Nothing here validates a design:
+``DesignPoint`` does, or the caller that builds the arrays.
 """
 
 from __future__ import annotations
 
 import math
 from typing import NamedTuple
+
+import numpy as np
 
 from .errors import ConfigValueError
 from .sysmodel import DesignPoint, SystemConfig, link_budget
@@ -46,9 +54,13 @@ def sinqr(config: SystemConfig, design: DesignPoint) -> float:
 
 def rate_from_sinqr(config: SystemConfig, B_w: float, gamma: float) -> float:
     """Per-user rate in bit/s after bandwidth and pilot-overhead scaling."""
-    if gamma < 0:
+    array = isinstance(gamma, np.ndarray)
+    if (gamma < 0).any() if array else gamma < 0:
         raise ConfigValueError(f"gamma must be non-negative, got {gamma}")
-    return B_w * (config.n_data / config.N) * math.log1p(gamma) / _LN2
+    # math.log1p, per element of an array: numpy's log1p differs from it in
+    # the last bit on some inputs, and the rate would move with it
+    log1p = np.array([math.log1p(g) for g in gamma.tolist()]) if array else math.log1p(gamma)
+    return B_w * (config.n_data / config.N) * log1p / _LN2
 
 
 def achievable_rate(config: SystemConfig, design: DesignPoint) -> RateBreakdown:

@@ -189,9 +189,11 @@ def reference_snr_from_power(config: SystemConfig) -> float:
 
 
 def link_budget(config: SystemConfig, B_w: float, b: int) -> LinkBudget:
-    """Assemble the derived link quantities for one (B_w, b) operating point."""
-    if B_w <= 0:
-        raise ConfigValueError(f"B_w must be positive, got B_w={B_w}")
+    """Assemble the derived link quantities for one (B_w, b) operating point.
+
+    B_w is a validated bandwidth: a ``DesignPoint``'s, or a numpy array of
+    them checked by the caller, which gives array I_total, P_rx and mu.
+    """
     i_total = config.K * config.P / B_w
     p_rx = i_total + 1.0
     return LinkBudget(

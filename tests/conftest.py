@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from fronthaul_mimo import optimizer
-from fronthaul_mimo.errors import InfeasibleError
+from fronthaul_mimo.cli import _point_design
+from fronthaul_mimo.errors import ConfigValueError, InfeasibleError, SweepPointError
 from fronthaul_mimo.linkrate import achievable_rate
 from fronthaul_mimo.sysmodel import (
     DesignPoint,
     SystemConfig,
     link_budget,
     quantization_distortion_variance,
+    reference_snr_from_power,
 )
 
 
@@ -97,3 +99,51 @@ def max_orthogonality_defect(phi: np.ndarray, n_taps: int) -> float:
     k = np.arange(phi.shape[0])
     target[k, k, 0] = phi.shape[1]
     return float(np.max(np.abs(corr - target)))
+
+
+def sweep_rows_point_by_point(config: SystemConfig, spec) -> list[dict]:
+    """The closed-form rows of cli.run_sweep, one grid point at a time: a
+    DesignPoint, achievable_rate, the threshold and the three conditions per
+    row.  A failing point raises SweepPointError naming it, as the sweep does."""
+    rows = []
+    for index, value in enumerate(spec.values):
+        try:
+            cfg, design, s = _point_design(config, spec, value)
+            rate = achievable_rate(cfg, design)
+            if not 0.0 < rate.rate_bps < math.inf:
+                raise ConfigValueError(
+                    f"rate_bps={rate.rate_bps}: an input is beyond the float range"
+                )
+            rows.append({
+                "preset": None,
+                "axis": spec.axis,
+                "axis_value": value,
+                "theta": cfg.theta,
+                "snr_db": reference_snr_from_power(cfg),
+                "K": cfg.K,
+                "C_f_bps": cfg.C_f,
+                "B_w_hz": design.B_w,
+                "M": design.M,
+                "b": design.b,
+                "s": s,
+                "N": cfg.N,
+                "N_p": cfg.n_pilot,
+                "L": cfg.L,
+                "x_int": cfg.X_int,
+                "c": rate.c,
+                "gamma": rate.gamma,
+                "rate_bps": rate.rate_bps,
+                "sum_rate_bps": rate.sum_rate_bps,
+                "f_b": optimizer.threshold_f(design.b, cfg.X_int),
+                "bandwidth_cond": optimizer.bandwidth_condition(cfg, design),
+                "pade_cond": optimizer.pade_bandwidth_condition(cfg, design),
+                "antenna_cond": optimizer.antenna_condition(cfg, design),
+                "mc_mode": spec.mc_mode if spec.trials else None,
+                "trials": spec.trials if spec.trials else None,
+                "mc_rate_bps": None,
+                "mc_stderr_bps": None,
+                "clip_rate": None,
+            })
+        except (ValueError, ArithmeticError) as exc:
+            raise SweepPointError(f"{spec.axis}={value} (grid index {index}): {exc}") from exc
+    return rows

@@ -10,6 +10,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fronthaul_mimo
@@ -24,11 +25,14 @@ from fronthaul_mimo.cli import (
     run_sweep,
     rows_to_csv,
 )
-from fronthaul_mimo.errors import ConfigSyntaxError, ConfigValueError
+from fronthaul_mimo.errors import ConfigSyntaxError, ConfigValueError, SweepPointError
 from fronthaul_mimo.linkrate import achievable_rate
 from fronthaul_mimo import montecarlo
 from fronthaul_mimo.montecarlo import empirical_rate
 from fronthaul_mimo.sysmodel import DesignPoint, SystemConfig, reference_snr_from_power
+
+from conftest import sweep_rows_point_by_point
+
 
 def write_config(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
@@ -56,6 +60,55 @@ def assert_model_error(code, out):
     assert code == 2
     assert out.count("\n") == 1
     assert strict_json(out)["error"] == "model"
+
+
+# every (sweep axis, bind mode) pair a sweep accepts
+AXIS_BINDS = [
+    ("b", "none"), ("b", "antennas"), ("b", "bandwidth"),
+    ("B_w", "none"), ("B_w", "antennas"),
+    ("M", "none"), ("M", "bandwidth"),
+    ("s", "none"),
+    ("theta", "none"), ("theta", "antennas"), ("theta", "bandwidth"),
+    ("snr_db", "none"), ("snr_db", "antennas"), ("snr_db", "bandwidth"),
+]
+
+
+def random_sweep(rng, axis, bind):
+    """A random config and a sweep along axis under bind, at most 30 points,
+    every design in the model's range."""
+    c_f = 10 ** rng.uniform(10, 12)
+    config = SystemConfig.from_reference_snr(
+        rng.uniform(-10.0, 40.0), K=rng.randint(1, 30), C_f=c_f, N=4000,
+        theta=rng.choice((0.5, 1.0, 1.3, 2.0, 4.0)), X_int=rng.choice((1.0, 2.5, 4.0)),
+    )
+    n, b = rng.randint(2, 30), rng.randint(1, 12)
+    grid = {
+        "b": lambda: rng.sample(range(1, 13), min(n, 12)),
+        "B_w": lambda: [10 ** rng.uniform(5, 8.5) for _ in range(n)],
+        "M": lambda: rng.sample(range(1, 5000), n),
+        "s": lambda: [10 ** rng.uniform(math.log10(b / c_f), 0) for _ in range(n)],
+        "theta": lambda: [rng.uniform(0.5, 6.0) for _ in range(n)],
+        "snr_db": lambda: [rng.uniform(-20.0, 50.0) for _ in range(n)],
+    }[axis]
+    fields = dict(axis=axis, values=tuple(sorted(set(map(float, grid())))), bind=bind)
+    if axis != "b":
+        fields["b"] = b
+    if axis not in ("B_w", "s") and bind != "bandwidth":
+        fields["B_w"] = 10 ** rng.uniform(6, 8.5)
+    if axis not in ("M", "s") and bind != "antennas":
+        fields["M"] = rng.randint(1, 2000)
+    return config, SweepSpec(**fields)
+
+
+def outcome(sweep):
+    """A sweep's rows, every cell as its type and repr (equal means equal bit
+    for bit), or the message of the SweepPointError it raises."""
+    try:
+        rows = sweep()
+    except SweepPointError as exc:
+        return str(exc)
+    return [{key: (type(value), repr(value)) for key, value in row.items()} for row in rows]
+
 
 class TestParseConfig:
     def test_empty_gives_defaults(self):
@@ -199,11 +252,123 @@ class TestSweep:
             assert "--threads" in error["detail"]
 
 
+class TestCurveRuns:
+    """A sweep along B_w, M or s evaluates its closed forms once, on arrays;
+    its rows and errors are those of a point-by-point sweep."""
+
+    @pytest.mark.parametrize("axis, bind", AXIS_BINDS)
+    def test_rows_equal_point_by_point(self, axis, bind):
+        rng = random.Random(f"{axis}/{bind}")
+        for _ in range(8):
+            config, spec = random_sweep(rng, axis, bind)
+            assert outcome(lambda: run_sweep(config, spec)) == outcome(
+                lambda: sweep_rows_point_by_point(config, spec)
+            ), spec
+
+    def test_extreme_grids_equal_point_by_point(self):
+        # the Monte Carlo input grid's sweeps in closed form: inputs from the
+        # bottom to the top of the float range, rows or the same error
+        sweeps = [parse_config_text(text) for text, argv in mc_input_grid(seed=2024, count=60)
+                  if argv[0] == "sweep"]
+        for config, spec in sweeps:
+            spec = dataclasses.replace(spec, trials=0)
+            assert outcome(lambda: run_sweep(config, spec)) == outcome(
+                lambda: sweep_rows_point_by_point(config, spec)
+            ), spec
+
+    @pytest.mark.parametrize("axis, values, bind", [
+        ("M", (2.0, 8.0, 32.0), "bandwidth"),
+        ("s", (1 / 32, 1 / 8, 1 / 2), "none"),
+        ("B_w", (4e8, 1e9, 3e9), "antennas"),
+    ])
+    def test_monte_carlo_rows(self, axis, values, bind):
+        # closed-form columns from the arrays, one simulation per row on its
+        # grid index's substream
+        config = SystemConfig.from_reference_snr(15.0, K=2, L=2, N=48, C_f=1e10, X_int=2.5)
+        spec = SweepSpec(axis=axis, values=values, bind=bind, b=1, trials=2, seed=9,
+                         mc_mode="uniform")
+        rows = run_sweep(config, spec, threads=2)
+        mc_cells = ("mc_rate_bps", "mc_stderr_bps", "clip_rate")
+        closed = [{k: v for k, v in row.items() if k not in mc_cells} for row in outcome(lambda: rows)]
+        expected = [{k: v for k, v in row.items() if k not in mc_cells}
+                    for row in outcome(lambda: sweep_rows_point_by_point(config, spec))]
+        assert closed == expected
+        for index, row in enumerate(rows):
+            design = DesignPoint(B_w=row["B_w_hz"], M=row["M"], b=row["b"])
+            seq = np.random.SeedSequence(entropy=9, spawn_key=(index,))
+            [mc] = empirical_rate(config, [design], 2, seq, ["uniform"])
+            assert (row["mc_rate_bps"], row["clip_rate"]) == (mc.rate_bps, mc.clip_rate)
+
+    @pytest.mark.parametrize("name, calls", [
+        ("fig2", 12), ("fig4", 12), ("fig5", 1), ("fig6", 36), ("fig8", 4),
+    ])
+    def test_one_rate_call_per_run(self, monkeypatch, name, calls):
+        # a curve is one run; along b each point is a run of its own
+        from fronthaul_mimo import cli
+
+        seen = []
+        monkeypatch.setattr(cli, "achievable_rate",
+                            lambda *args: seen.append(args) or achievable_rate(*args))
+        run_preset(name)
+        assert len(seen) == calls
+
+    @pytest.mark.parametrize("text, detail", [
+        ("sweep_axis = b\nsweep_values = 1,2.5\nbind = antennas\nB_w = 2e8\n",
+         "b=2.5 (grid index 1): b must be a positive integer, got b=2.5"),
+        ("sweep_axis = M\nsweep_values = 64,64.5\nB_w = 2e8\n",
+         "M=64.5 (grid index 1): M must be a positive integer, got M=64.5"),
+        ("sweep_axis = M\nsweep_values = 64,64.5\nbind = bandwidth\n",
+         "M=64.5 (grid index 1): M must be a positive integer, got M=64.5"),
+        ("sweep_axis = s\nsweep_values = 0.5,2\n",
+         "s=2.0 (grid index 1): s must lie in [b/C_f, 1] = [2e-12, 1] at b=1"),
+        ("sweep_axis = B_w\nsweep_values = 1e8,1e12\nbind = antennas\n",
+         "B_w=1000000000000.0 (grid index 1): no antenna fits at B_w=1000000000000.0, b=1, "
+         "C_f=500000000000.0"),
+        # B_w = C_f/(M*b) is subnormal, too coarse to keep the load within the cap
+        ("P = 1e-160\nC_f = 1e-320\nbind = bandwidth\nsweep_axis = M\nsweep_values = 1,3\n",
+         "M=3.0 (grid index 1): constraint violated: load 1.0005e-320 > C_f 1e-320"),
+        ("sweep_axis = B_w\nsweep_values = 2e8,1e300\nM = 64\n",
+         "B_w=1e+300 (grid index 1): rate_bps=0.0: an input is beyond the float range"),
+        ("K = 4\nL = 3\nN = 62\ntheta = 0.5\nX_int = 1e-30\nsweep_axis = M\n"
+         "sweep_values = 1,256\nB_w = 1e-300\n",
+         "M=256.0 (grid index 1): rate_bps=inf: an input is beyond the float range"),
+        # P*P underflows: a condition divides by zero at every point, as
+        # Python does and numpy would not without being told to raise
+        ("P = 1e-165\nsweep_axis = B_w\nsweep_values = 1e-170,2e-170\nM = 64\n",
+         "B_w=1e-170 (grid index 0): float division by zero"),
+        # a simulated rate fails at index 1 before the fractional M at index 2
+        ("K = 2\nL = 2\nN = 33\ntheta = 1.3\ntrials = 3\nmc_mode = uniform\nseed = 0\n"
+         "sweep_axis = M\nsweep_values = 64,4096,4096.5\nB_w = 2e8\nb = 2\n",
+         "M=4096.0 (grid index 1): mc_rate_bps=inf: the simulated rate is not finite"),
+    ], ids=["fractional_b", "fractional_M", "fractional_M_bound", "s_outside_curve",
+            "no_antenna", "broken_cap", "zero_rate", "non_finite_rate", "zero_division",
+            "monte_carlo_first"])
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_first_failing_point_named(self, tmp_path, capsys, text, detail, threads):
+        cfg = write_config(tmp_path, text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["sweep", "--config", cfg, "--threads", threads])
+        captured = capsys.readouterr()
+        assert_model_error(code, captured.out)
+        assert strict_json(captured.out)["detail"] == detail
+        assert captured.err == ""
+
+
 class TestPresets:
     def test_axis_values_are_python_floats(self):
-        # no numpy scalar reaches the CSV writer, which writes str(value)
-        for name in PRESETS:
-            assert all(type(row["axis_value"]) is float for row in run_preset(name)), name
+        # no numpy scalar reaches the CSV writer, which writes str(value) (a
+        # numpy bool as True): every axis value is a float, and every cell of
+        # every preset and of a sweep under each axis and bind a Python float,
+        # int, bool, str or None
+        rng = random.Random(5)
+        runs = {name: run_preset(name) for name in PRESETS}
+        runs.update({f"{axis}/{bind}": run_sweep(*random_sweep(rng, axis, bind))
+                     for axis, bind in AXIS_BINDS})
+        for name, rows in runs.items():
+            assert all(type(row["axis_value"]) is float for row in rows), name
+            types = {type(value) for row in rows for value in row.values()}
+            assert types <= {float, int, bool, str, type(None)}, (name, types)
 
     def test_fig2_peaks_at_one_bit(self):
         rows = run_preset("fig2")

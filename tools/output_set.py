@@ -27,9 +27,14 @@ N=2000), default ``optimize``, ``optimize`` at C_f = 1e60 and at C_f =
 ``--trials 2``, two ``rate`` calls, three seeded ``mc-validate`` runs:
 both modes and ``--mode uniform`` at one ``(B_w, M)`` (rows that share a
 block), and ``bind = antennas`` (one ``M``, so one group of rows, per ``b``),
-and two ``mc-validate`` error lines (``mc_validate_err_*.json``, exit 2): a
+two ``mc-validate`` error lines (``mc_validate_err_*.json``, exit 2): a
 closed-form rate that underflows to zero, and a row whose simulated rate is
-not finite.
+not finite; closed-form ``sweep`` CSVs along ``B_w``, ``M``, ``theta`` and
+``snr_db`` (the axes no preset sweeps) under each ``bind`` the axis takes,
+each with its ``.effective`` echo; and seven ``sweep`` error lines
+(``sweep_err_*.json``, exit 2), one per way a grid point fails: fractional
+``b`` or ``M``, ``s`` off the curve, no antenna under the cap, a load over
+the cap, a zero rate, and a division by zero.
 """
 
 from __future__ import annotations
@@ -56,6 +61,28 @@ PAPER_GRID = [
 ]
 PRESETS = ("fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8")
 MONTE_CARLO = ("mc_validate*.json", "*trials*.csv")
+# (axis, grid, {bind: fixed keys}) of the sweeps along the axes no preset sweeps
+SWEEP_AXES = (
+    ("B_w", "1e7,5e7,2e8,1e9,5e9", {"none": dict(M=256, b=2), "antennas": dict(b=1)}),
+    ("M", "16,64,256,1024,4096", {"none": dict(B_w=2e8, b=3), "bandwidth": dict(b=1)}),
+    ("theta", "1,1.3,2,4,8", {"none": dict(B_w=2e8, M=256, b=2), "antennas": dict(B_w=2e8, b=2),
+                              "bandwidth": dict(M=256, b=2)}),
+    ("snr_db", "-10,0,15,30,45", {"none": dict(B_w=2e8, M=256), "antennas": dict(B_w=2e8),
+                                  "bandwidth": dict(M=256)}),
+)
+# one sweep per way a grid point fails, each after a point that does not
+# (the zero division fails at every point); a non-finite rate is left to the
+# tests, as its error line names "inf", which no output of the set may hold
+SWEEP_ERRORS = {
+    "fractional_b": dict(sweep_axis="b", sweep_values="1,2.5", bind="antennas", B_w=2e8),
+    "fractional_m": dict(sweep_axis="M", sweep_values="64,64.5", B_w=2e8),
+    "s_outside_curve": dict(sweep_axis="s", sweep_values="0.5,2"),
+    "no_antenna": dict(sweep_axis="B_w", sweep_values="1e8,1e12", bind="antennas"),
+    "broken_cap": dict(P=1e-160, C_f=1e-320, bind="bandwidth", sweep_axis="M",
+                       sweep_values="1,3"),
+    "zero_rate": dict(sweep_axis="B_w", sweep_values="2e8,1e300", M=64),
+    "zero_division": dict(P=1e-165, sweep_axis="B_w", sweep_values="1e-170,2e-170", M=64),
+}
 
 
 def _config(cfg_dir: str, name: str, **keys) -> str:
@@ -103,6 +130,14 @@ def commands(cfg_dir: str, out_dir: str) -> list[tuple[str, list[str]]]:
     cmds.append(("mc_validate_err_non_finite.json",
                  ["mc-validate", "--config", path, "--bits", "1,2,12", "--mode", "uniform",
                   "--trials", "3", "--bw", "2e8", "--m", "4096", "--seed", "2"]))
+    for axis, values, fixed in SWEEP_AXES:
+        for bind, anchors in fixed.items():
+            path = _config(cfg_dir, f"sweep_{axis}_{bind}", sweep_axis=axis, sweep_values=values,
+                           bind=bind, **anchors)
+            cmds.append((f"sweep_{axis}_{bind}.csv", ["sweep", "--config", path]))
+    for kind, keys in SWEEP_ERRORS.items():
+        path = _config(cfg_dir, "sweep_err_" + kind, **keys)
+        cmds.append((f"sweep_err_{kind}.json", ["sweep", "--config", path]))
     return [
         (name, argv + ["--out", os.path.join(out_dir, name)] if name.endswith(".csv") else argv)
         for name, argv in cmds
