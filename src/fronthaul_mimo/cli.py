@@ -209,8 +209,13 @@ def parse_config_text(text: str, source: str = "<config>") -> tuple[SystemConfig
 
 
 def parse_config(path: str) -> tuple[SystemConfig, SweepSpec]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read(), source=path)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:  # an OS error's reason, not its path again
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigSyntaxError(f"cannot read config {path}: {reason}") from exc
+    return parse_config_text(text, source=path)
 
 
 def effective_config_text(config: SystemConfig, spec: SweepSpec) -> str:
@@ -230,15 +235,55 @@ def effective_config_text(config: SystemConfig, spec: SweepSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
-def rows_to_csv(rows: list[dict]) -> str:
-    """One line per row: None is an empty cell, a bool 1 or 0, anything else
-    its str (a float's shortest round-trip repr)."""
+class SweepRun(NamedTuple):
+    """The rows of one sweep run as columns, keyed by ``CSV_COLUMNS``: a
+    list holds one cell per row; any other value is the one cell that
+    every row of the run shares."""
+
+    n: int
+    columns: dict
+
+
+def _cell(value) -> str:
+    """One CSV cell: None is empty, a bool 1 or 0, anything else its str (a
+    float's shortest round-trip repr)."""
+    return "" if value is None else ("1" if value else "0") if value.__class__ is bool else str(value)
+
+
+_FLAG_COLUMNS = frozenset(("bandwidth_cond", "pade_cond", "antenna_cond"))
+_MC_COLUMNS = ("mc_rate_bps", "mc_stderr_bps", "clip_rate")
+
+
+def rows_to_csv(runs: list[SweepRun]) -> str:
+    """The CSV text of a sweep's runs, one line per row, each column
+    formatted once per run.
+
+    A shared value is formatted once.  A list column is formatted by
+    ``str`` over its floats or ints, a condition column as 1 or 0, and a
+    Monte Carlo column cell by cell (an undefined standard error is an
+    empty cell).  A list that fills two columns (an ``s`` sweep's grid is
+    its ``axis_value`` and its ``s``) is formatted once.
+    """
     lines = [f"# {CSV_VERSION}", ",".join(CSV_COLUMNS)]
-    for row in rows:
-        lines.append(",".join([
-            "" if v is None else ("1" if v else "0") if v.__class__ is bool else str(v)
-            for v in map(row.get, CSV_COLUMNS)
-        ]))
+    for run in runs:
+        formatted: dict[int, list[str]] = {}
+        columns = []
+        for name in CSV_COLUMNS:
+            column = run.columns[name]
+            if column.__class__ is not list:
+                columns.append([_cell(column)] * run.n)
+                continue
+            texts = formatted.get(id(column))
+            if texts is None:
+                if name in _FLAG_COLUMNS:
+                    texts = ["1" if flag else "0" for flag in column]
+                elif name in _MC_COLUMNS:
+                    texts = list(map(_cell, column))
+                else:
+                    texts = list(map(str, column))
+                formatted[id(column)] = texts
+            columns.append(texts)
+        lines.extend(map(",".join, zip(*columns)))
     return "\n".join(lines) + "\n"
 
 
@@ -301,81 +346,71 @@ class _Designs(NamedTuple):
     is_feasible = DesignPoint.is_feasible
 
 
-def _cells(column, n: int) -> list:
-    """A column of n cells: an array's elements as Python numbers, or a fixed value n times."""
-    return column.tolist() if isinstance(column, np.ndarray) else [column] * n
+def _column(value):
+    """An array as a list of Python numbers, one per row; anything else as
+    it is, one value that every row shares."""
+    return value.tolist() if isinstance(value, np.ndarray) else value
 
 
-def _closed_form_rows(
-    cfg: SystemConfig, spec: SweepSpec, preset: str | None, values, s, design, breakdown
-) -> list[dict]:
-    """The rows of one run in grid order: ``values`` its grid values, and
-    ``s``, ``design`` and ``breakdown`` one point's or the run's arrays."""
-    n = len(values)
-    snr_db = reference_snr_from_power(cfg)
-    f_b = optimizer.threshold_f(design.b, cfg.X_int)
-    columns = zip(
-        values, _cells(design.B_w, n), _cells(design.M, n), _cells(s, n),
-        *(_cells(column, n) for column in breakdown),
-        _cells(optimizer.bandwidth_condition(cfg, design), n),
-        _cells(optimizer.pade_bandwidth_condition(cfg, design), n),
-        _cells(optimizer.antenna_condition(cfg, design), n),
-    )
+def _closed_form_run(
+    cfg: SystemConfig, spec: SweepSpec, preset: str | None, n: int, axis_value, s, design,
+    breakdown,
+) -> SweepRun:
+    """The closed-form columns of a run of n rows: ``axis_value`` and ``s``
+    the run's grid list or one point's values, ``design`` and ``breakdown``
+    the run's arrays or one point's numbers.  The Monte Carlo cells are
+    empty."""
+    m = design.M
     mc_mode, trials = (spec.mc_mode, spec.trials) if spec.trials else (None, None)
-    return [
-        {
-            "preset": preset,
-            "axis": spec.axis,
-            "axis_value": value,
-            "theta": cfg.theta,
-            "snr_db": snr_db,
-            "K": cfg.K,
-            "C_f_bps": cfg.C_f,
-            "B_w_hz": b_w,
-            "M": int(m),
-            "b": design.b,
-            "s": s_cell,
-            "N": cfg.N,
-            "N_p": cfg.n_pilot,
-            "L": cfg.L,
-            "x_int": cfg.X_int,
-            "c": c,
-            "gamma": gamma,
-            "rate_bps": rate_bps,
-            "sum_rate_bps": sum_rate_bps,
-            "f_b": f_b,
-            "bandwidth_cond": bandwidth_cond,
-            "pade_cond": pade_cond,
-            "antenna_cond": antenna_cond,
-            "mc_mode": mc_mode,
-            "trials": trials,
-            "mc_rate_bps": None,
-            "mc_stderr_bps": None,
-            "clip_rate": None,
-        }
-        for (value, b_w, m, s_cell, c, gamma, rate_bps, sum_rate_bps,
-             bandwidth_cond, pade_cond, antenna_cond) in columns
-    ]
+    return SweepRun(n, {
+        "preset": preset,
+        "axis": spec.axis,
+        "axis_value": axis_value,
+        "theta": cfg.theta,
+        "snr_db": reference_snr_from_power(cfg),
+        "K": cfg.K,
+        "C_f_bps": cfg.C_f,
+        "B_w_hz": _column(design.B_w),
+        "M": list(map(int, m.tolist())) if isinstance(m, np.ndarray) else int(m),
+        "b": design.b,
+        "s": s,
+        "N": cfg.N,
+        "N_p": cfg.n_pilot,
+        "L": cfg.L,
+        "x_int": cfg.X_int,
+        "c": _column(breakdown.c),
+        "gamma": _column(breakdown.gamma),
+        "rate_bps": _column(breakdown.rate_bps),
+        "sum_rate_bps": _column(breakdown.sum_rate_bps),
+        "f_b": optimizer.threshold_f(design.b, cfg.X_int),
+        "bandwidth_cond": _column(optimizer.bandwidth_condition(cfg, design)),
+        "pade_cond": _column(optimizer.pade_bandwidth_condition(cfg, design)),
+        "antenna_cond": _column(optimizer.antenna_condition(cfg, design)),
+        "mc_mode": mc_mode,
+        "trials": trials,
+        "mc_rate_bps": None,
+        "mc_stderr_bps": None,
+        "clip_rate": None,
+    })
 
 
-def _point_row(
+def _point_run(
     config: SystemConfig, spec: SweepSpec, value: float, preset: str | None
-) -> tuple[SystemConfig, dict]:
-    """One grid point's config and closed-form row, every check raising in turn."""
+) -> tuple[SystemConfig, DesignPoint, SweepRun]:
+    """One grid point's config, design and one-row run, every check raising in turn."""
     cfg, design, s = _point_design(config, spec, value)
     breakdown = achievable_rate(cfg, design)
     _require_positive_rate(breakdown.rate_bps)
-    [row] = _closed_form_rows(cfg, spec, preset, [value], s, design, breakdown)
-    return cfg, row
+    return cfg, design, _closed_form_run(cfg, spec, preset, 1, value, s, design, breakdown)
 
 
 _CURVE_AXES = ("B_w", "M", "s")  # the axes along which every point shares (config, b)
 
 
-def _curve_rows(config: SystemConfig, spec: SweepSpec, preset: str | None) -> list[dict] | None:
-    """The closed-form rows of a sweep along B_w, M or s as one run: its
-    designs resolved as arrays, as ``_point_design`` resolves each point,
-    then one call of each closed form.
+def _curve_run(config: SystemConfig, spec: SweepSpec, preset: str | None) -> SweepRun | None:
+    """A closed-form sweep along B_w, M or s as one run: its designs
+    resolved as arrays, as ``_point_design`` resolves each point, then one
+    call of each closed form.
 
     None when a point fails a check, or when a step raises or leaves the
     float range (numpy flags what Python raises on, or rounds to inf or
@@ -411,23 +446,25 @@ def _curve_rows(config: SystemConfig, spec: SweepSpec, preset: str | None) -> li
             breakdown = achievable_rate(config, design)
             if not np.all((breakdown.rate_bps > 0.0) & (breakdown.rate_bps < math.inf)):
                 return None
-            return _closed_form_rows(config, spec, preset, spec.values, s, design, breakdown)
+            values = list(spec.values)
+            return _closed_form_run(config, spec, preset, len(values), values,
+                                    values if s is not None else None, design, breakdown)
     # FloatingPointError is an ArithmeticError; numpy raises TypeError on an
     # int beyond the float range
     except (ValueError, ArithmeticError, TypeError):
         return None
 
 
-def _monte_carlo(cfg: SystemConfig, spec: SweepSpec, index: int, row: dict) -> None:
-    """Fill a row's Monte Carlo cells: its design simulated on the grid index's substream."""
-    design = DesignPoint(B_w=row["B_w_hz"], M=row["M"], b=row["b"])
+def _monte_carlo(
+    cfg: SystemConfig, spec: SweepSpec, index: int, design: DesignPoint
+) -> tuple[float, float | None, float]:
+    """A design's Monte Carlo cells (rate, standard error, clip rate),
+    simulated on the grid index's substream."""
     seq = np.random.SeedSequence(entropy=spec.seed, spawn_key=(index,))
     [mc] = montecarlo.empirical_rate(cfg, [design], spec.trials, seq, [spec.mc_mode])
     if not math.isfinite(mc.rate_bps):  # few symbols can zero the ratio's denominator
-        raise ConfigValueError(f"mc_rate_bps={mc.rate_bps}: the simulated rate is not finite")
-    row["mc_rate_bps"] = mc.rate_bps
-    row["mc_stderr_bps"] = _defined(mc.stderr_bps)
-    row["clip_rate"] = mc.clip_rate
+        raise ConfigValueError("mc_rate_bps is not finite: the simulated rate left the float range")
+    return mc.rate_bps, _defined(mc.stderr_bps), mc.clip_rate
 
 
 def run_sweep(
@@ -435,34 +472,39 @@ def run_sweep(
     spec: SweepSpec,
     threads: int = 1,
     preset: str | None = None,
-) -> list[dict]:
-    """Evaluate every grid point, in grid order regardless of parallelism.
+) -> list[SweepRun]:
+    """Evaluate every grid point, as runs in grid order regardless of
+    parallelism.
 
     A sweep along B_w, M or s is one run of points that share (config, b):
     its closed-form columns come from one call of each closed form on
-    arrays.  Along b, theta or snr_db each point is a run of its own, and
-    a run with any failing point is evaluated point by point, so the error
-    names the first failing point as a point-by-point sweep would.
-    Only Monte Carlo rows (``spec.trials`` set) go to a pool of ``threads``,
-    one simulation per row; a closed-form row costs less than handing it
-    to a thread.
+    arrays.  Along b, theta or snr_db each point is a one-row run of its
+    own, and a run with any failing point is evaluated point by point, so
+    the error names the first failing point as a point-by-point sweep
+    would.  Only Monte Carlo cells (``spec.trials`` set) go to a pool of
+    ``threads``, one simulation per grid index; a closed-form row costs
+    less than handing it to a thread.
     """
     if threads < 1:
         raise ConfigSyntaxError(f"--threads must be at least 1, got {threads}")
     if spec.axis is None:
         raise ConfigSyntaxError("sweep needs a sweep_axis key")
-    rows = _curve_rows(config, spec, preset) if spec.axis in _CURVE_AXES else None
-    if rows is not None and not spec.trials:
-        return rows
+    curve = _curve_run(config, spec, preset) if spec.axis in _CURVE_AXES else None
+    if curve is not None and not spec.trials:
+        return [curve]
 
     def job(index):
+        """A curve point's Monte Carlo cells, or a point's one-row run."""
         value = spec.values[index]
         try:
-            cfg, row = ((config, rows[index]) if rows is not None
-                        else _point_row(config, spec, value, preset))
+            if curve is not None:
+                cells = [curve.columns[name] for name in ("B_w_hz", "M", "b")]
+                design = DesignPoint(*(c[index] if c.__class__ is list else c for c in cells))
+                return _monte_carlo(config, spec, index, design)
+            cfg, design, run = _point_run(config, spec, value, preset)
             if spec.trials:
-                _monte_carlo(cfg, spec, index, row)
-            return row
+                run.columns.update(zip(_MC_COLUMNS, _monte_carlo(cfg, spec, index, design)))
+            return run
         except (ValueError, ArithmeticError) as exc:
             raise SweepPointError(
                 f"{spec.axis}={value} (grid index {index}): {exc}"
@@ -470,9 +512,14 @@ def run_sweep(
 
     indices = range(len(spec.values))
     if threads <= 1 or not spec.trials:
-        return [job(i) for i in indices]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(job, indices))
+        results = [job(i) for i in indices]
+    else:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
+            results = list(pool.map(job, indices))
+    if curve is None:
+        return results
+    curve.columns.update(zip(_MC_COLUMNS, map(list, zip(*results))))
+    return [curve]
 
 
 # --- figure presets -------------------------------------------------------
@@ -515,13 +562,13 @@ def _preset(curves, sweep, trials, seed) -> list[tuple[SystemConfig, SweepSpec]]
 PRESETS = {name: functools.partial(_preset, *row) for name, row in _PRESET_TABLE.items()}
 
 
-def run_preset(name: str, trials: int = 0, seed: int = 0, threads: int = 1) -> list[dict]:
+def run_preset(name: str, trials: int = 0, seed: int = 0, threads: int = 1) -> list[SweepRun]:
     if name not in PRESETS:
         raise ConfigSyntaxError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
-    rows: list[dict] = []
+    runs: list[SweepRun] = []
     for config, spec in PRESETS[name](trials, seed):
-        rows.extend(run_sweep(config, spec, threads=threads, preset=name))
-    return rows
+        runs.extend(run_sweep(config, spec, threads=threads, preset=name))
+    return runs
 
 
 # --- reports --------------------------------------------------------------
@@ -535,7 +582,9 @@ def _defined(stderr_bps: float) -> float | None:
 
 def _require_positive_rate(rate_bps: float) -> None:
     # a rate underflows to zero, or an SINR overflows, only on an extreme input
-    if not 0.0 < rate_bps < math.inf:
+    if not math.isfinite(rate_bps):
+        raise ConfigValueError("rate_bps is not finite: an input is beyond the float range")
+    if rate_bps <= 0.0:
         raise ConfigValueError(f"rate_bps={rate_bps}: an input is beyond the float range")
 
 
@@ -692,11 +741,14 @@ def _load(args, **changes) -> tuple[SystemConfig, SweepSpec]:
 
 
 def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise ConfigSyntaxError(f"cannot write {out_path}: {exc.strerror or exc}") from exc
 
 
 def _emit_json(report: dict, out_path: str | None) -> None:
@@ -720,8 +772,8 @@ def main(argv=None) -> int:
             _emit_json(report, args.out)
         elif args.command == "sweep":
             config, spec = _load(args)
-            rows = run_sweep(config, spec, threads=args.threads)
-            _emit(rows_to_csv(rows), args.out)
+            runs = run_sweep(config, spec, threads=args.threads)
+            _emit(rows_to_csv(runs), args.out)
             if args.out:
                 _emit(effective_config_text(config, spec), args.out + ".effective")
         elif args.command == "mc-validate":
@@ -737,9 +789,9 @@ def main(argv=None) -> int:
             modes = ("pqn", "uniform") if args.mode == "both" else (args.mode,)
             _emit_json(mc_validate_report(config, spec, bits, modes), args.out)
         elif args.command == "preset":
-            rows = run_preset(args.name, trials=args.trials, seed=args.seed,
+            runs = run_preset(args.name, trials=args.trials, seed=args.seed,
                               threads=args.threads)
-            _emit(rows_to_csv(rows), args.out)
+            _emit(rows_to_csv(runs), args.out)
         return 0
     except (ConfigError, InfeasibleError, SweepPointError, ArithmeticError) as exc:
         detail = str(exc)

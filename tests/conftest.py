@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from fronthaul_mimo import optimizer
-from fronthaul_mimo.cli import _point_design
+from fronthaul_mimo.cli import CSV_COLUMNS, CSV_VERSION, PRESETS, _point_design
 from fronthaul_mimo.errors import ConfigValueError, InfeasibleError, SweepPointError
 from fronthaul_mimo.linkrate import achievable_rate
+from fronthaul_mimo.montecarlo import empirical_rate
 from fronthaul_mimo.sysmodel import (
     DesignPoint,
     SystemConfig,
@@ -101,21 +102,24 @@ def max_orthogonality_defect(phi: np.ndarray, n_taps: int) -> float:
     return float(np.max(np.abs(corr - target)))
 
 
-def sweep_rows_point_by_point(config: SystemConfig, spec) -> list[dict]:
-    """The closed-form rows of cli.run_sweep, one grid point at a time: a
-    DesignPoint, achievable_rate, the threshold and the three conditions per
-    row.  A failing point raises SweepPointError naming it, as the sweep does."""
+def sweep_rows_point_by_point(config: SystemConfig, spec, preset: str | None = None) -> list[dict]:
+    """The rows of cli.run_sweep, one grid point at a time: a DesignPoint,
+    achievable_rate, the threshold and the three conditions per row, and
+    with ``spec.trials`` set one simulation on the grid index's substream.
+    A failing point raises SweepPointError naming it, as the sweep does."""
     rows = []
     for index, value in enumerate(spec.values):
         try:
             cfg, design, s = _point_design(config, spec, value)
             rate = achievable_rate(cfg, design)
-            if not 0.0 < rate.rate_bps < math.inf:
+            if not math.isfinite(rate.rate_bps):
+                raise ConfigValueError("rate_bps is not finite: an input is beyond the float range")
+            if rate.rate_bps <= 0.0:
                 raise ConfigValueError(
                     f"rate_bps={rate.rate_bps}: an input is beyond the float range"
                 )
-            rows.append({
-                "preset": None,
+            row = {
+                "preset": preset,
                 "axis": spec.axis,
                 "axis_value": value,
                 "theta": cfg.theta,
@@ -143,7 +147,45 @@ def sweep_rows_point_by_point(config: SystemConfig, spec) -> list[dict]:
                 "mc_rate_bps": None,
                 "mc_stderr_bps": None,
                 "clip_rate": None,
-            })
+            }
+            if spec.trials:
+                seq = np.random.SeedSequence(entropy=spec.seed, spawn_key=(index,))
+                [mc] = empirical_rate(cfg, [design], spec.trials, seq, [spec.mc_mode])
+                if not math.isfinite(mc.rate_bps):
+                    raise ConfigValueError(
+                        "mc_rate_bps is not finite: the simulated rate left the float range"
+                    )
+                row.update(mc_rate_bps=mc.rate_bps, clip_rate=mc.clip_rate,
+                           mc_stderr_bps=mc.stderr_bps if math.isfinite(mc.stderr_bps) else None)
+            rows.append(row)
         except (ValueError, ArithmeticError) as exc:
             raise SweepPointError(f"{spec.axis}={value} (grid index {index}): {exc}") from exc
     return rows
+
+
+def preset_rows_point_by_point(name: str, trials: int = 0, seed: int = 0) -> list[dict]:
+    """The rows of cli.run_preset, every curve of the preset point by point."""
+    return [row for config, spec in PRESETS[name](trials, seed)
+            for row in sweep_rows_point_by_point(config, spec, preset=name)]
+
+
+def reference_csv(rows: list[dict]) -> str:
+    """The sweep CSV written one row dict at a time: None is an empty cell, a
+    bool 1 or 0, anything else its str (a float's shortest round-trip repr)."""
+    lines = [f"# {CSV_VERSION}", ",".join(CSV_COLUMNS)]
+    for row in rows:
+        lines.append(",".join([
+            "" if v is None else ("1" if v else "0") if v.__class__ is bool else str(v)
+            for v in map(row.get, CSV_COLUMNS)
+        ]))
+    return "\n".join(lines) + "\n"
+
+
+def rows_of(runs) -> list[dict]:
+    """A sweep's runs as row dicts: each column's cell at every row, a list
+    column's element or the value a shared column gives every row."""
+    return [
+        {name: column[i] if column.__class__ is list else column
+         for name, column in run.columns.items()}
+        for run in runs for i in range(run.n)
+    ]

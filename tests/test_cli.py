@@ -5,6 +5,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import warnings
@@ -18,6 +19,7 @@ from fronthaul_mimo.cli import (
     CSV_COLUMNS,
     KNOWN_KEYS,
     PRESETS,
+    SweepRun,
     SweepSpec,
     main,
     parse_config_text,
@@ -31,7 +33,12 @@ from fronthaul_mimo import montecarlo
 from fronthaul_mimo.montecarlo import empirical_rate
 from fronthaul_mimo.sysmodel import DesignPoint, SystemConfig, reference_snr_from_power
 
-from conftest import sweep_rows_point_by_point
+from conftest import (
+    preset_rows_point_by_point,
+    reference_csv,
+    rows_of,
+    sweep_rows_point_by_point,
+)
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -110,6 +117,19 @@ def outcome(sweep):
     return [{key: (type(value), repr(value)) for key, value in row.items()} for row in rows]
 
 
+def csv_outcome(config, spec, threads=1):
+    """The CSV text of a sweep and of its point-by-point reference, or the
+    message of the SweepPointError each raises."""
+    def text(write):
+        try:
+            return write()
+        except SweepPointError as exc:
+            return str(exc)
+
+    return (text(lambda: rows_to_csv(run_sweep(config, spec, threads=threads))),
+            text(lambda: reference_csv(sweep_rows_point_by_point(config, spec))))
+
+
 class TestParseConfig:
     def test_empty_gives_defaults(self):
         config, spec = parse_config_text("")
@@ -175,7 +195,7 @@ class TestSweep:
     def test_constraint_rebinding_antennas(self):
         config, _ = parse_config_text("")
         spec = SweepSpec(axis="b", values=(1.0, 2.0, 4.0), bind="antennas", B_w=2e8)
-        rows = run_sweep(config, spec)
+        rows = rows_of(run_sweep(config, spec))
         for row in rows:
             assert row["M"] == math.floor(config.C_f / (2e8 * row["b"]))
             assert row["B_w_hz"] * row["M"] * row["b"] <= config.C_f * (1 + 1e-9)
@@ -183,26 +203,42 @@ class TestSweep:
     def test_rows_carry_conditions_and_threshold(self):
         config, _ = parse_config_text("")
         spec = SweepSpec(axis="b", values=(1.0, 2.0), bind="antennas", B_w=2e8)
-        rows = run_sweep(config, spec)
+        rows = rows_of(run_sweep(config, spec))
         assert rows[0]["f_b"] > 1.0 > rows[1]["f_b"]
         for row in rows:
             assert row["bandwidth_cond"] in (True, False)
 
     def test_csv_cells(self):
         # None is empty, a bool 1 or 0, anything else its str: an int as
-        # digits, a float as its shortest round-trip repr, text as it is
-        row = {"preset": "fig2", "axis": "b", "axis_value": 1.0, "K": 20, "C_f_bps": 5e11,
-               "M": 64, "c": 0.1, "gamma": 1e-300, "rate_bps": 123456789.125,
-               "bandwidth_cond": True, "pade_cond": False, "antenna_cond": True,
-               "mc_mode": "pqn", "trials": 3, "mc_stderr_bps": None}
-        header, line = rows_to_csv([row]).splitlines()[1:]
-        cells = dict(zip(header.split(","), line.split(",")))
-        assert cells == {col: "" for col in CSV_COLUMNS} | {
-            "preset": "fig2", "axis": "b", "axis_value": "1.0", "K": "20",
-            "C_f_bps": "500000000000.0", "M": "64", "c": "0.1", "gamma": "1e-300",
-            "rate_bps": "123456789.125", "bandwidth_cond": "1", "pade_cond": "0",
-            "antenna_cond": "1", "mc_mode": "pqn", "trials": "3",
+        # digits, a float as its shortest round-trip repr, text as it is; a
+        # shared value fills every row of its run, a list one cell per row
+        shared = {"preset": "fig2", "axis": "s", "K": 20, "C_f_bps": 5e11, "c": 0.1,
+                  "pade_cond": False, "antenna_cond": True, "mc_mode": "pqn", "trials": 3}
+        grid = [1e-4, 0.5]
+        per_row = {"axis_value": grid, "s": grid, "M": [10000, 2], "gamma": [1e-300, 2.0],
+                   "rate_bps": [123456789.125, 1.5], "bandwidth_cond": [True, False],
+                   "mc_rate_bps": [3.0, 4.0], "mc_stderr_bps": [None, 0.25]}
+        run = SweepRun(2, dict.fromkeys(CSV_COLUMNS) | shared | per_row)
+        # a one-row run, every column a shared value: its second row alone
+        point = SweepRun(1, run.columns | {k: v[1] for k, v in per_row.items()}
+                         | {"axis": "b", "s": None})
+        header, *lines = rows_to_csv([run, point]).splitlines()[1:]
+        cells = [dict(zip(header.split(","), line.split(","))) for line in lines]
+        common = {col: "" for col in CSV_COLUMNS} | {
+            "preset": "fig2", "axis": "s", "K": "20", "C_f_bps": "500000000000.0", "c": "0.1",
+            "pade_cond": "0", "antenna_cond": "1", "mc_mode": "pqn", "trials": "3",
         }
+        assert cells == [
+            common | {"axis_value": "0.0001", "s": "0.0001", "M": "10000", "gamma": "1e-300",
+                      "rate_bps": "123456789.125", "bandwidth_cond": "1",
+                      "mc_rate_bps": "3.0"},
+            common | {"axis_value": "0.5", "s": "0.5", "M": "2", "gamma": "2.0",
+                      "rate_bps": "1.5", "bandwidth_cond": "0", "mc_rate_bps": "4.0",
+                      "mc_stderr_bps": "0.25"},
+            common | {"axis": "b", "axis_value": "0.5", "M": "2", "gamma": "2.0",
+                      "rate_bps": "1.5", "bandwidth_cond": "0", "mc_rate_bps": "4.0",
+                      "mc_stderr_bps": "0.25"},
+        ]
 
     def test_csv_shape(self):
         config, _ = parse_config_text("")
@@ -261,9 +297,11 @@ class TestCurveRuns:
         rng = random.Random(f"{axis}/{bind}")
         for _ in range(8):
             config, spec = random_sweep(rng, axis, bind)
-            assert outcome(lambda: run_sweep(config, spec)) == outcome(
+            assert outcome(lambda: rows_of(run_sweep(config, spec))) == outcome(
                 lambda: sweep_rows_point_by_point(config, spec)
             ), spec
+            text, reference = csv_outcome(config, spec)
+            assert text == reference, spec
 
     def test_extreme_grids_equal_point_by_point(self):
         # the Monte Carlo input grid's sweeps in closed form: inputs from the
@@ -272,9 +310,11 @@ class TestCurveRuns:
                   if argv[0] == "sweep"]
         for config, spec in sweeps:
             spec = dataclasses.replace(spec, trials=0)
-            assert outcome(lambda: run_sweep(config, spec)) == outcome(
+            assert outcome(lambda: rows_of(run_sweep(config, spec))) == outcome(
                 lambda: sweep_rows_point_by_point(config, spec)
             ), spec
+            text, reference = csv_outcome(config, spec)
+            assert text == reference, spec
 
     @pytest.mark.parametrize("axis, values, bind", [
         ("M", (2.0, 8.0, 32.0), "bandwidth"),
@@ -287,12 +327,9 @@ class TestCurveRuns:
         config = SystemConfig.from_reference_snr(15.0, K=2, L=2, N=48, C_f=1e10, X_int=2.5)
         spec = SweepSpec(axis=axis, values=values, bind=bind, b=1, trials=2, seed=9,
                          mc_mode="uniform")
-        rows = run_sweep(config, spec, threads=2)
-        mc_cells = ("mc_rate_bps", "mc_stderr_bps", "clip_rate")
-        closed = [{k: v for k, v in row.items() if k not in mc_cells} for row in outcome(lambda: rows)]
-        expected = [{k: v for k, v in row.items() if k not in mc_cells}
-                    for row in outcome(lambda: sweep_rows_point_by_point(config, spec))]
-        assert closed == expected
+        rows = rows_of(run_sweep(config, spec, threads=2))
+        assert outcome(lambda: rows) == outcome(lambda: sweep_rows_point_by_point(config, spec))
+        assert csv_outcome(config, spec, threads=2) == (rows_to_csv(run_sweep(config, spec)),) * 2
         for index, row in enumerate(rows):
             design = DesignPoint(B_w=row["B_w_hz"], M=row["M"], b=row["b"])
             seq = np.random.SeedSequence(entropy=9, spawn_key=(index,))
@@ -331,7 +368,7 @@ class TestCurveRuns:
          "B_w=1e+300 (grid index 1): rate_bps=0.0: an input is beyond the float range"),
         ("K = 4\nL = 3\nN = 62\ntheta = 0.5\nX_int = 1e-30\nsweep_axis = M\n"
          "sweep_values = 1,256\nB_w = 1e-300\n",
-         "M=256.0 (grid index 1): rate_bps=inf: an input is beyond the float range"),
+         "M=256.0 (grid index 1): rate_bps is not finite: an input is beyond the float range"),
         # P*P underflows: a condition divides by zero at every point, as
         # Python does and numpy would not without being told to raise
         ("P = 1e-165\nsweep_axis = B_w\nsweep_values = 1e-170,2e-170\nM = 64\n",
@@ -339,7 +376,8 @@ class TestCurveRuns:
         # a simulated rate fails at index 1 before the fractional M at index 2
         ("K = 2\nL = 2\nN = 33\ntheta = 1.3\ntrials = 3\nmc_mode = uniform\nseed = 0\n"
          "sweep_axis = M\nsweep_values = 64,4096,4096.5\nB_w = 2e8\nb = 2\n",
-         "M=4096.0 (grid index 1): mc_rate_bps=inf: the simulated rate is not finite"),
+         "M=4096.0 (grid index 1): mc_rate_bps is not finite: the simulated rate left the "
+         "float range"),
     ], ids=["fractional_b", "fractional_M", "fractional_M_bound", "s_outside_curve",
             "no_antenna", "broken_cap", "zero_rate", "non_finite_rate", "zero_division",
             "monte_carlo_first"])
@@ -362,8 +400,8 @@ class TestPresets:
         # every preset and of a sweep under each axis and bind a Python float,
         # int, bool, str or None
         rng = random.Random(5)
-        runs = {name: run_preset(name) for name in PRESETS}
-        runs.update({f"{axis}/{bind}": run_sweep(*random_sweep(rng, axis, bind))
+        runs = {name: rows_of(run_preset(name)) for name in PRESETS}
+        runs.update({f"{axis}/{bind}": rows_of(run_sweep(*random_sweep(rng, axis, bind)))
                      for axis, bind in AXIS_BINDS})
         for name, rows in runs.items():
             assert all(type(row["axis_value"]) is float for row in rows), name
@@ -371,13 +409,13 @@ class TestPresets:
             assert types <= {float, int, bool, str, type(None)}, (name, types)
 
     def test_fig2_peaks_at_one_bit(self):
-        rows = run_preset("fig2")
+        rows = rows_of(run_preset("fig2"))
         best = max(rows, key=lambda r: r["rate_bps"])
         assert best["b"] == 1
         assert rows[0]["M"] == 2500
 
     def test_fig3_threshold_column(self):
-        rows = run_preset("fig3")
+        rows = rows_of(run_preset("fig3"))
         by_bits = {row["b"]: row["f_b"] for row in rows}
         assert by_bits[1] > 1.0
         assert all(by_bits[b] < 1.0 for b in range(2, 13))
@@ -386,7 +424,7 @@ class TestPresets:
         # at 15 dB the one-bit point of this trajectory sits below the
         # bandwidth threshold (I = 0.25 < f(1)), so the one-bit shortcut
         # is uncertified and the curve genuinely peaks at b = 2
-        rows = run_preset("fig4")
+        rows = rows_of(run_preset("fig4"))
         for row in rows:
             assert row["B_w_hz"] == pytest.approx(500e9 / (200 * row["b"]), rel=1e-12)
         by_bits = {row["b"]: row for row in rows}
@@ -395,14 +433,14 @@ class TestPresets:
         assert best["b"] == 2
 
     def test_fig5_interior_argmax(self):
-        rows = run_preset("fig5")
+        rows = rows_of(run_preset("fig5"))
         best = max(range(len(rows)), key=lambda i: rows[i]["rate_bps"])
         assert 0 < best < len(rows) - 1  # interior, not a grid endpoint
         assert rows[best]["b"] == 1
         assert 200 <= rows[best]["M"] <= 600
 
     def test_fig8_pilot_excess_trend(self):
-        rows = run_preset("fig8")
+        rows = rows_of(run_preset("fig8"))
         argmax_s, peak = {}, {}
         for theta in (1.0, 2.0, 4.0, 8.0):
             sub = [r for r in rows if r["theta"] == theta]
@@ -416,7 +454,7 @@ class TestPresets:
 
     def test_fig6_fig7_snr_families(self):
         for name, anchor in (("fig6", "M"), ("fig7", "B_w_hz")):
-            rows = run_preset(name)
+            rows = rows_of(run_preset(name))
             assert len(rows) == 36  # 12 resolutions x 3 reference SNRs
             snrs = sorted({r["snr_db"] for r in rows})
             assert snrs == [0.0, 15.0, 30.0]  # exact, so each cell prints as typed
@@ -426,6 +464,62 @@ class TestPresets:
     def test_unknown_preset(self):
         with pytest.raises(ConfigSyntaxError):
             run_preset("fig99")
+
+class TestByteReference:
+    """The CSV bytes of a run, column by column, equal those of the
+    point-by-point rows written one row dict at a time."""
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_preset_closed_form(self, tmp_path, name):
+        out = tmp_path / f"{name}.csv"
+        assert main(["preset", name, "--out", str(out)]) == 0
+        assert out.read_bytes() == reference_csv(preset_rows_point_by_point(name)).encode()
+
+    @pytest.mark.parametrize("trials, threads", [(1, ("1",)), (2, ("1", "2"))])
+    def test_preset_monte_carlo(self, tmp_path, trials, threads):
+        # one trial leaves every standard error undefined, an empty cell
+        expected = reference_csv(preset_rows_point_by_point("fig4", trials=trials)).encode()
+        for count in threads:
+            out = tmp_path / f"fig4-{count}.csv"
+            argv = ["preset", "fig4", "--trials", str(trials), "--threads", count]
+            assert main([*argv, "--out", str(out)]) == 0
+            assert out.read_bytes() == expected
+
+
+class TestPathErrors:
+    """A path that cannot be read or written is one JSON line naming it,
+    exit 1, and nothing on stderr."""
+
+    def test_unreadable_config_exit_1(self, tmp_path, capsys):
+        binary = tmp_path / "binary.cfg"
+        binary.write_bytes(b"K = 2\n\xff\n")
+        for path, reason in ((tmp_path / "missing.cfg", "No such file or directory"),
+                             (tmp_path, "Is a directory"),
+                             (binary, "can't decode byte 0xff")):
+            for argv in (["optimize"], ["sweep"], ["rate", "--bw", "2e8", "--m", "64"]):
+                code = main([*argv, "--config", str(path)])
+                out, err = capsys.readouterr()
+                assert code == 1 and out.count("\n") == 1 and err == ""
+                error = strict_json(out)
+                assert error["error"] == "config"
+                assert error["detail"].startswith(f"cannot read config {path}: ")
+                assert reason in error["detail"]
+
+    def test_unwritable_out_exit_1(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing" / "x.csv")
+        for argv, path, reason in (
+            (["preset", "fig2"], missing, "No such file or directory"),
+            (["optimize"], missing, "No such file or directory"),
+            (["rate", "--bw", "2e8", "--m", "64"], missing, "No such file or directory"),
+            (["preset", "fig2"], str(tmp_path), "Is a directory"),
+        ):
+            code = main([*argv, "--out", path])
+            out, err = capsys.readouterr()
+            assert code == 1 and out.count("\n") == 1 and err == ""
+            assert strict_json(out) == {"error": "config",
+                                        "detail": f"cannot write {path}: {reason}"}
+        assert not os.path.exists(os.path.dirname(missing))
+
 
 class TestMainRate:
     def test_rate_json(self, capsys):
@@ -814,18 +908,20 @@ class TestMcValidate:
         # 168 symbols at b = 2 zero the plug-in ratio's denominator
         ("K = 2\nL = 2\nN = 33\ntheta = 1.3\ntrials = 3\nmc_mode = uniform\n"
          "sweep_axis = b\nsweep_values = 1,2,12\nB_w = 2e8\nM = 4096\n",
-         "b=2.0 (grid index 1): mc_rate_bps=inf"),
+         "b=2.0 (grid index 1): mc_rate_bps is not finite"),
         # a per-sample SNR near 1e307 overflows the closed-form SINR
         ("K = 4\nL = 3\nN = 62\ntheta = 0.5\nX_int = 1e-30\nsweep_axis = M\n"
          "sweep_values = 1,256\nB_w = 1e-300\n",
-         "M=256.0 (grid index 1): rate_bps=inf"),
+         "M=256.0 (grid index 1): rate_bps is not finite"),
     ], ids=["monte_carlo", "closed_form"])
     def test_non_finite_sweep_rate_exit_2(self, tmp_path, capsys, text, detail):
+        # the field is named, not its value: no output line holds inf or nan
         code = main(["sweep", "--config", write_config(tmp_path, text)])
         captured = capsys.readouterr()
         assert_model_error(code, captured.out)
         assert captured.err == ""
         assert detail in strict_json(captured.out)["detail"]
+        assert not re.search(r"\b(inf|nan)\b", captured.out, re.IGNORECASE)
 
 
 # magnitudes from the bottom to the top of the float range

@@ -31,10 +31,16 @@ two ``mc-validate`` error lines (``mc_validate_err_*.json``, exit 2): a
 closed-form rate that underflows to zero, and a row whose simulated rate is
 not finite; closed-form ``sweep`` CSVs along ``B_w``, ``M``, ``theta`` and
 ``snr_db`` (the axes no preset sweeps) under each ``bind`` the axis takes,
-each with its ``.effective`` echo; and seven ``sweep`` error lines
+each with its ``.effective`` echo; eight ``sweep`` error lines
 (``sweep_err_*.json``, exit 2), one per way a grid point fails: fractional
 ``b`` or ``M``, ``s`` off the curve, no antenna under the cap, a load over
-the cap, a zero rate, and a division by zero.
+the cap, a zero rate, a rate that is not finite, and a division by zero;
+and two path error lines (``path_err_*.json``, exit 1): a config that
+cannot be read and an ``--out`` that cannot be written.
+
+A command that raises out of ``main`` (a tree that prints a traceback
+where this one prints an error line) is recorded in ``exit_codes.txt`` as
+``raised`` and the exception's type, and its output file stays empty.
 """
 
 from __future__ import annotations
@@ -71,8 +77,7 @@ SWEEP_AXES = (
                                   "bandwidth": dict(M=256)}),
 )
 # one sweep per way a grid point fails, each after a point that does not
-# (the zero division fails at every point); a non-finite rate is left to the
-# tests, as its error line names "inf", which no output of the set may hold
+# (the zero division fails at every point)
 SWEEP_ERRORS = {
     "fractional_b": dict(sweep_axis="b", sweep_values="1,2.5", bind="antennas", B_w=2e8),
     "fractional_m": dict(sweep_axis="M", sweep_values="64,64.5", B_w=2e8),
@@ -81,6 +86,8 @@ SWEEP_ERRORS = {
     "broken_cap": dict(P=1e-160, C_f=1e-320, bind="bandwidth", sweep_axis="M",
                        sweep_values="1,3"),
     "zero_rate": dict(sweep_axis="B_w", sweep_values="2e8,1e300", M=64),
+    "non_finite_rate": dict(K=4, L=3, N=62, theta=0.5, X_int=1e-30, sweep_axis="M",
+                            sweep_values="1,256", B_w=1e-300),
     "zero_division": dict(P=1e-165, sweep_axis="B_w", sweep_values="1e-170,2e-170", M=64),
 }
 
@@ -138,6 +145,9 @@ def commands(cfg_dir: str, out_dir: str) -> list[tuple[str, list[str]]]:
     for kind, keys in SWEEP_ERRORS.items():
         path = _config(cfg_dir, "sweep_err_" + kind, **keys)
         cmds.append((f"sweep_err_{kind}.json", ["sweep", "--config", path]))
+    # fixed paths, so that the error lines of two runs compare byte for byte
+    cmds.append(("path_err_config.json", ["optimize", "--config", "/nonexistent/fhmimo.cfg"]))
+    cmds.append(("path_err_out.json", ["preset", "fig2", "--out", "/nonexistent/fhmimo.csv"]))
     return [
         (name, argv + ["--out", os.path.join(out_dir, name)] if name.endswith(".csv") else argv)
         for name, argv in cmds
@@ -157,8 +167,11 @@ def write_set(outdir: str, src: str) -> int:
     with tempfile.TemporaryDirectory() as cfg_dir:
         for name, argv in commands(cfg_dir, outdir):
             buf = io.StringIO()
-            with contextlib.redirect_stdout(buf):
-                code = cli.main(argv)
+            try:
+                with contextlib.redirect_stdout(buf):
+                    code = cli.main(argv)
+            except Exception as exc:
+                code, buf = f"raised {type(exc).__name__}", io.StringIO()
             if not name.endswith(".csv"):
                 with open(os.path.join(outdir, name), "w", encoding="utf-8") as fh:
                     fh.write(buf.getvalue())
