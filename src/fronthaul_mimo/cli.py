@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import dataclasses
 import functools
 import json
 import math
+import os
 import sys
 from typing import NamedTuple
 
@@ -31,6 +33,7 @@ from .errors import (
 )
 from .linkrate import achievable_rate
 from .sysmodel import (
+    Design,
     DesignPoint,
     SystemConfig,
     reference_snr_from_power,
@@ -188,7 +191,8 @@ def parse_config_text(text: str, source: str = "<config>") -> tuple[SystemConfig
     for key in _POSITIVE_KEYS:
         if key in raw:
             value, lineno = raw[key]
-            if not isinstance(value, tuple) and value <= 0:
+            # -inf is left to the finiteness check, whose message names no value
+            if not isinstance(value, tuple) and -math.inf < value <= 0:
                 raise ConfigValueError(
                     f"key '{key}' must be positive (line {lineno}), got {value}"
                 )
@@ -333,19 +337,6 @@ def _point_design(
     return cfg, design, s
 
 
-class _Designs(NamedTuple):
-    """The designs of one sweep run at one b: arrays of B_w and M (one of
-    them may be a fixed number), each element checked as ``DesignPoint``
-    checks a design.  The closed forms read it as they read a design."""
-
-    B_w: np.ndarray | float
-    M: np.ndarray | int
-    b: int
-
-    fronthaul_load = DesignPoint.fronthaul_load
-    is_feasible = DesignPoint.is_feasible
-
-
 def _column(value):
     """An array as a list of Python numbers, one per row; anything else as
     it is, one value that every row shares."""
@@ -428,7 +419,7 @@ def _curve_run(config: SystemConfig, spec: SweepSpec, preset: str | None) -> Swe
             ok = True
             if s is not None:
                 curve = optimizer.constraint_curve(config, b)
-                ok = (curve.inv_slope <= s) & (s <= 1.0)
+                ok = (1.0 / curve.slope <= s) & (s <= 1.0)
                 b_w = curve.slope * s
                 m = np.maximum(1.0, np.rint(1.0 / s))
             if spec.bind == "antennas":
@@ -437,7 +428,7 @@ def _curve_run(config: SystemConfig, spec: SweepSpec, preset: str | None) -> Swe
                 b_w = config.C_f / (m * b)
             if b_w is None or m is None:
                 return None
-            design = _Designs(B_w=b_w, M=m, b=b)
+            design = Design(B_w=b_w, M=m, b=b)
             ok = ok & np.isfinite(b_w) & (b_w > 0) & np.isfinite(m) & (m >= 1) & (m == np.floor(m))
             if spec.bind != "none":
                 ok = ok & design.is_feasible(config.C_f)
@@ -456,7 +447,7 @@ def _curve_run(config: SystemConfig, spec: SweepSpec, preset: str | None) -> Swe
 
 
 def _monte_carlo(
-    cfg: SystemConfig, spec: SweepSpec, index: int, design: DesignPoint
+    cfg: SystemConfig, spec: SweepSpec, index: int, design: Design
 ) -> tuple[float, float | None, float]:
     """A design's Monte Carlo cells (rate, standard error, clip rate),
     simulated on the grid index's substream."""
@@ -499,12 +490,14 @@ def run_sweep(
         try:
             if curve is not None:
                 cells = [curve.columns[name] for name in ("B_w_hz", "M", "b")]
-                design = DesignPoint(*(c[index] if c.__class__ is list else c for c in cells))
+                design = Design(*(c[index] if c.__class__ is list else c for c in cells))
                 return _monte_carlo(config, spec, index, design)
             cfg, design, run = _point_run(config, spec, value, preset)
             if spec.trials:
                 run.columns.update(zip(_MC_COLUMNS, _monte_carlo(cfg, spec, index, design)))
             return run
+        except ConfigSyntaxError:  # no B_w or M at any point: a usage error, as in rate
+            raise
         except (ValueError, ArithmeticError) as exc:
             raise SweepPointError(
                 f"{spec.axis}={value} (grid index {index}): {exc}"
@@ -740,15 +733,25 @@ def _load(args, **changes) -> tuple[SystemConfig, SweepSpec]:
     return config, dataclasses.replace(spec, **changes)
 
 
-def _emit(text: str, out_path: str | None) -> None:
+def _emit(text: str, out_path: str | None, echo: str | None = None) -> None:
+    """Write text to out_path, or to stdout when there is none; ``echo``, when
+    given, to out_path + ".effective".  A failed write leaves no file that
+    this call opened."""
     if not out_path:
         sys.stdout.write(text)
         return
+    files = {out_path: text} if echo is None else {out_path: text, out_path + ".effective": echo}
+    opened = []
     try:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        for path, content in files.items():
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                opened.append(path)
+                fh.write(content)
     except OSError as exc:
-        raise ConfigSyntaxError(f"cannot write {out_path}: {exc.strerror or exc}") from exc
+        for done in opened:
+            with contextlib.suppress(OSError):
+                os.remove(done)
+        raise ConfigSyntaxError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _emit_json(report: dict, out_path: str | None) -> None:
@@ -773,9 +776,8 @@ def main(argv=None) -> int:
         elif args.command == "sweep":
             config, spec = _load(args)
             runs = run_sweep(config, spec, threads=args.threads)
-            _emit(rows_to_csv(runs), args.out)
-            if args.out:
-                _emit(effective_config_text(config, spec), args.out + ".effective")
+            echo = effective_config_text(config, spec) if args.out else None
+            _emit(rows_to_csv(runs), args.out, echo)
         elif args.command == "mc-validate":
             config, spec = _load(args, axis=None, values=())
             try:

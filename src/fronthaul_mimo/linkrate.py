@@ -4,11 +4,11 @@ channel-inversion power control with MRC reception.
 All log2 terms are computed from the natural log so the optimizer's
 nats-based constant and these rates agree to machine precision.
 
-A design's ``B_w`` and ``M`` may be numpy arrays (one of them may stay a
-number) at one int ``b``: every formula here is then evaluated elementwise
+A ``Design``'s ``B_w`` and ``M`` may be numpy arrays (one of them may stay
+a number) at one int ``b``: every formula here is then evaluated elementwise
 and equals, bit for bit, its value at each design alone; a sweep evaluates
-a whole constraint curve in one call.  Nothing here validates a design:
-``DesignPoint`` does, or the caller that builds the arrays.
+a whole constraint curve in one call.  Nothing here checks a design: only
+outside input is checked, as a ``DesignPoint``.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigValueError
-from .sysmodel import DesignPoint, SystemConfig, link_budget
+from .sysmodel import Design, SystemConfig, link_budget
 
 _LN2 = math.log(2.0)
 
@@ -33,7 +33,7 @@ class RateBreakdown(NamedTuple):
     sum_rate_bps: float
 
 
-def estimation_quality(config: SystemConfig, design: DesignPoint) -> float:
+def estimation_quality(config: SystemConfig, design: Design) -> float:
     """Channel estimation quality c in [0, 1) for a uniform power delay profile.
 
     c = theta*I / (theta*I + 1 + P_rx*E), with unit noise; rises with pilot
@@ -44,7 +44,7 @@ def estimation_quality(config: SystemConfig, design: DesignPoint) -> float:
     return ti / (ti + 1.0 + budget.P_rx * budget.E)
 
 
-def sinqr(config: SystemConfig, design: DesignPoint) -> float:
+def sinqr(config: SystemConfig, design: Design) -> float:
     """Effective SINR including quantization distortion, for MRC reception."""
     budget = link_budget(config, design.B_w, design.b)
     c = estimation_quality(config, design)
@@ -63,7 +63,7 @@ def rate_from_sinqr(config: SystemConfig, B_w: float, gamma: float) -> float:
     return B_w * (config.n_data / config.N) * log1p / _LN2
 
 
-def achievable_rate(config: SystemConfig, design: DesignPoint) -> RateBreakdown:
+def achievable_rate(config: SystemConfig, design: Design) -> RateBreakdown:
     """Full rate breakdown for one design point."""
     c = estimation_quality(config, design)
     g = sinqr(config, design)

@@ -61,7 +61,7 @@ import numpy as np
 
 from .errors import ConfigValueError
 from .linkrate import estimation_quality, rate_from_sinqr
-from .sysmodel import DesignPoint, SystemConfig, link_budget, quantizer_step
+from .sysmodel import Design, SystemConfig, link_budget, quantizer_step
 
 QUANTIZE_MODES = ("uniform", "pqn")
 N_BATCHES = 10  # trial batches behind the standard error
@@ -194,7 +194,7 @@ def quantize_block(
     return 0
 
 
-def lmmse_estimate(config: SystemConfig, design: DesignPoint) -> float:
+def lmmse_estimate(config: SystemConfig, design: Design) -> float:
     """Per-tap LMMSE gain on the unit-gain pilot correlator outputs, uniform
     power delay profile, ADC domain: c = ``linkrate.estimation_quality`` times
     the least-squares gain 1/sqrt(a2), a2 = 2*mu*(P/B_w)*N_p the pilot energy
@@ -252,7 +252,7 @@ class BlockPlan:
 
 
 def plan_block(
-    config: SystemConfig, designs: Sequence[DesignPoint], modes: Sequence[str]
+    config: SystemConfig, designs: Sequence[Design], modes: Sequence[str]
 ) -> BlockPlan:
     """Build the shared block set-up of the rows designs x modes, uniform
     power delay profile.  The designs must share (B_w, M), and each
@@ -374,7 +374,7 @@ def _gamma_from_moments(s1: complex, s2: float, n: int) -> float:
 
 def empirical_rate(
     config: SystemConfig,
-    designs: Sequence[DesignPoint],
+    designs: Sequence[Design],
     trials: int,
     seed,
     modes: Sequence[str],

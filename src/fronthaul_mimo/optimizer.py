@@ -24,6 +24,7 @@ from .errors import ConfigValueError, InfeasibleError
 from .linkrate import RateBreakdown, achievable_rate
 from .sysmodel import (
     QUANTIZER_MEMO_SIZE,
+    Design,
     DesignPoint,
     SystemConfig,
     link_budget,
@@ -61,7 +62,7 @@ def threshold_f(b: int, x_int: float = 1.0) -> float:
     return num / den
 
 
-def bandwidth_condition(config: SystemConfig, design: DesignPoint) -> bool:
+def bandwidth_condition(config: SystemConfig, design: Design) -> bool:
     """True when the interference-to-noise ratio K*P/B_w strictly
     exceeds the bit-for-bandwidth threshold at this design's resolution.
 
@@ -79,13 +80,10 @@ def bandwidth_condition(config: SystemConfig, design: DesignPoint) -> bool:
 class ConstraintCurve(NamedTuple):
     """Constants of the constraint curve at one (config, b)."""
 
-    slope: float  # dB_w/ds = C_f/b
-    inv_slope: float  # b/C_f, the lower end of the domain of s
+    slope: float  # dB_w/ds = C_f/b; s lies in [1/slope, 1]
     kp: float  # K*P
     one: float  # 1 + E
     te_kp: float  # (theta_eff - 1)*K*P
-    one_slope: float  # (1 + E)*slope
-    two_one: float  # 2*(1 + E)
     a: float  # pilot factor P^2*N_p/L
     upsilon: float  # rate scale N_d*slope/(N*ln 2)
     b: int  # the resolution the curve belongs to
@@ -98,12 +96,9 @@ def _curve(config: SystemConfig, b: int, e: float) -> ConstraintCurve:
     one = 1.0 + e
     return ConstraintCurve(
         slope=slope,
-        inv_slope=1.0 / slope,
         kp=kp,
         one=one,
         te_kp=(config.theta_eff - 1.0) * kp,
-        one_slope=one * slope,
-        two_one=2.0 * one,
         a=config.P * config.P * config.n_pilot / config.L,
         upsilon=config.n_data * slope / (config.N * _LN2),
         b=b,
@@ -123,8 +118,8 @@ def constraint_curve(config: SystemConfig, b: int) -> ConstraintCurve:
 
 def _in_domain(curve: ConstraintCurve, s: float) -> ConstraintCurve:
     """The curve, once s is checked to lie in its domain."""
-    if not curve.inv_slope <= s <= 1.0:
-        raise ValueError(f"s must lie in [b/C_f, 1] = [{curve.inv_slope}, 1] at b={curve.b}")
+    if not 1.0 / curve.slope <= s <= 1.0:
+        raise ValueError(f"s must lie in [b/C_f, 1] = [{1.0 / curve.slope}, 1] at b={curve.b}")
     return curve
 
 
@@ -152,13 +147,13 @@ def rate_of_s_derivative(curve: ConstraintCurve, s: float) -> float:
     the ascent direction.  The bisection's inner step: only the terms that
     depend on s are computed here.
     """
-    slope, _, kp, one, te_kp, one_slope, two_one, a, upsilon, _ = _in_domain(curve, s)
+    slope, kp, one, te_kp, a, upsilon, _ = _in_domain(curve, s)
     u = kp + slope * s
     ou = one * u
     # omega = a/(s*denom), denom = tau(theta, s) + (1+E)^2 u^2,
     # with tau = (theta_eff - 1) KP (1+E) u
     denom = ou * (te_kp + ou)
-    denom_dot = one_slope * (te_kp + two_one * u)
+    denom_dot = one * slope * (te_kp + 2.0 * one * u)
     g = s * denom
     omega = a / g
     omega_dot = -omega * (denom + s * denom_dot) / g  # not a/g^2: g^2 overflows
@@ -177,7 +172,7 @@ def maximize_over_s(config: SystemConfig, b: int) -> float:
     """
     curve = constraint_curve(config, b)
     hi = 1.0
-    lo = min(hi, curve.inv_slope * (1.0 + 1e-9))
+    lo = min(hi, 1.0 / curve.slope * (1.0 + 1e-9))
     d_lo = rate_of_s_derivative(curve, lo)
     if not math.isfinite(d_lo):
         raise _not_finite(config, lo, b)
@@ -219,7 +214,7 @@ def one_bit_always_optimal(config: SystemConfig, s: float) -> bool:
     """
     if config.theta < 1.0:
         return False
-    design = DesignPoint(B_w=curve_bandwidth(config, s, 1), M=max(1, round(1.0 / s)), b=1)
+    design = Design(B_w=curve_bandwidth(config, s, 1), M=max(1, round(1.0 / s)), b=1)
     return bandwidth_condition(config, design)
 
 
@@ -244,7 +239,7 @@ def unquantized_bound_below(config: SystemConfig, b: int, best_bps: float) -> bo
     A bound or derivative that is not finite never prunes.
     """
     curve = _curve(config, b, 0.0)
-    lo, hi = curve.inv_slope, 1.0
+    lo, hi = 1.0 / curve.slope, 1.0
     log_lo = float(np.log1p(_omega(curve, lo)))
     while True:
         bound = curve.upsilon * hi * log_lo
@@ -265,7 +260,7 @@ def unquantized_bound_below(config: SystemConfig, b: int, best_bps: float) -> bo
             return False
 
 
-def pade_bandwidth_condition(config: SystemConfig, design: DesignPoint) -> bool:
+def pade_bandwidth_condition(config: SystemConfig, design: Design) -> bool:
     """Sufficient condition for the rate to grow toward larger bandwidth
     (larger s) on the constraint curve.
 
@@ -276,7 +271,7 @@ def pade_bandwidth_condition(config: SystemConfig, design: DesignPoint) -> bool:
     return curve.kp / design.B_w > 4.0 * curve.one * curve.one * u * u / (design.M * curve.a) + 1.0
 
 
-def antenna_condition(config: SystemConfig, design: DesignPoint) -> bool:
+def antenna_condition(config: SystemConfig, design: Design) -> bool:
     """Sufficient condition for more antennas at less bandwidth to win
     (smaller s direction on the constraint curve)."""
     curve = constraint_curve(config, design.b)
@@ -325,7 +320,7 @@ def optimize_full(config: SystemConfig) -> OptimizationResult:
             fixed_one_bit = one_bit_always_optimal(config, s)
         m_lo, m_hi = math.floor(1.0 / s), math.ceil(1.0 / s)
         for m in range(max(1, m_lo), min(math.floor(config.C_f / b), m_hi) + 1):
-            design = DesignPoint(B_w=config.C_f / (m * b), M=m, b=b)
+            design = Design(B_w=config.C_f / (m * b), M=m, b=b)
             breakdown = achievable_rate(config, design)
             trace_points += 1
             key = (-breakdown.rate_bps, b, m)
@@ -338,7 +333,7 @@ def optimize_full(config: SystemConfig) -> OptimizationResult:
     _, design, breakdown = best
     slack = abs(design.fronthaul_load - config.C_f)
     return OptimizationResult(
-        best=design,
+        best=DesignPoint._make(design),
         rate=breakdown,
         trace_points=trace_points,
         binding=slack <= design.B_w * design.b,

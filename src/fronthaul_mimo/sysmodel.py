@@ -1,5 +1,5 @@
-"""Shared physical layer: scenario constants, quantization noise, AGC
-and power control.
+"""Shared physical layer: scenario constants, designs, quantization
+noise, AGC and power control.
 
 Unit conventions
 ----------------
@@ -36,7 +36,7 @@ QUANTIZER_MEMO_SIZE = 256
 
 def require_finite(obj) -> None:
     """Reject NaN and infinite numbers in a dataclass's fields, including
-    the entries of tuple fields."""
+    the entries of tuple fields; the message names the field, not its value."""
     # getattr, not vars(): materializing __dict__ slows every later attribute read
     for f in dataclasses.fields(obj):
         value = getattr(obj, f.name)
@@ -45,7 +45,7 @@ def require_finite(obj) -> None:
         else:
             finite = not isinstance(value, tuple) or all(map(math.isfinite, value))
         if not finite:
-            raise ConfigValueError(f"{f.name} must be finite, got {f.name}={value}")
+            raise ConfigValueError(f"{f.name} must be finite")
 
 
 def quantizer_step(b: int, x_int: float = 1.0) -> float:
@@ -126,24 +126,14 @@ class SystemConfig:
         return cls(P=reference_snr_to_power(gamma_ref_db), **fields)
 
 
-@dataclass(frozen=True)
-class DesignPoint:
-    """Decision variables: bandwidth (Hz), antenna count, ADC bits per real rail."""
+class Design(NamedTuple):
+    """Decision variables: bandwidth (Hz), antenna count, ADC bits per real
+    rail; unchecked, as the program builds them.  ``B_w`` and ``M`` may be
+    numpy arrays (one may stay a number) at one int ``b``: a curve's designs."""
 
     B_w: float
     M: int
     b: int
-
-    def __post_init__(self) -> None:
-        # inline checks, not require_finite: a design is built per evaluated point
-        if not (math.isfinite(self.B_w) and self.B_w > 0):
-            raise ConfigValueError(f"B_w must be positive and finite, got B_w={self.B_w}")
-        if not math.isfinite(self.M) or self.M < 1 or int(self.M) != self.M:
-            raise ConfigValueError(f"M must be a positive integer, got M={self.M}")
-        if not math.isfinite(self.b) or self.b < 1 or int(self.b) != self.b:
-            raise ConfigValueError(f"b must be a positive integer, got b={self.b}")
-        object.__setattr__(self, "M", int(self.M))  # an integral float, as an int
-        object.__setattr__(self, "b", int(self.b))
 
     @property
     def fronthaul_load(self) -> float:
@@ -152,6 +142,32 @@ class DesignPoint:
 
     def is_feasible(self, c_f: float) -> bool:
         return self.fronthaul_load <= c_f * (1.0 + FEASIBILITY_REL_TOL)
+
+
+def _refused(rule: str, name: str, value: float) -> ConfigValueError:
+    """The error for a design value that breaks rule, echoing the value only
+    when it is finite."""
+    return ConfigValueError(f"{rule}, got {name}={value}" if math.isfinite(value) else rule)
+
+
+class DesignPoint(Design):
+    """A ``Design`` checked as outside input: B_w positive and finite, M and
+    b positive integers (an integral float becomes an int)."""
+
+    __slots__ = ()
+
+    def __new__(cls, B_w: float, M: int, b: int) -> "DesignPoint":
+        if not (math.isfinite(B_w) and B_w > 0):
+            raise _refused("B_w must be positive and finite", "B_w", B_w)
+        if not math.isfinite(M) or M < 1 or int(M) != M:
+            raise _refused("M must be a positive integer", "M", M)
+        if not math.isfinite(b) or b < 1 or int(b) != b:
+            raise _refused("b must be a positive integer", "b", b)
+        return super().__new__(cls, B_w, int(M), int(b))
+
+    @classmethod
+    def _make(cls, iterable) -> "DesignPoint":  # and so _replace: both check
+        return cls(*iterable)
 
 
 class LinkBudget(NamedTuple):
@@ -173,7 +189,7 @@ class LinkBudget(NamedTuple):
 def reference_snr_to_power(gamma_ref_db: float) -> float:
     """P such that the per-sample SNR in 1 MHz equals gamma_ref_db."""
     if not math.isfinite(gamma_ref_db):
-        raise ConfigValueError(f"gamma_ref_db must be finite, got {gamma_ref_db}")
+        raise ConfigValueError("gamma_ref_db must be finite")
     try:
         gamma_lin = 10.0 ** (gamma_ref_db / 10.0)
     except OverflowError:
@@ -191,8 +207,8 @@ def reference_snr_from_power(config: SystemConfig) -> float:
 def link_budget(config: SystemConfig, B_w: float, b: int) -> LinkBudget:
     """Assemble the derived link quantities for one (B_w, b) operating point.
 
-    B_w is a validated bandwidth: a ``DesignPoint``'s, or a numpy array of
-    them checked by the caller, which gives array I_total, P_rx and mu.
+    B_w is a valid bandwidth, a ``Design``'s: a number, or a numpy array
+    of them, which gives array I_total, P_rx and mu.
     """
     i_total = config.K * config.P / B_w
     p_rx = i_total + 1.0

@@ -5,7 +5,12 @@ import pytest
 
 from fronthaul_mimo import optimizer
 from fronthaul_mimo.cli import CSV_COLUMNS, CSV_VERSION, PRESETS, _point_design
-from fronthaul_mimo.errors import ConfigValueError, InfeasibleError, SweepPointError
+from fronthaul_mimo.errors import (
+    ConfigSyntaxError,
+    ConfigValueError,
+    InfeasibleError,
+    SweepPointError,
+)
 from fronthaul_mimo.linkrate import achievable_rate
 from fronthaul_mimo.montecarlo import empirical_rate
 from fronthaul_mimo.sysmodel import (
@@ -158,6 +163,8 @@ def sweep_rows_point_by_point(config: SystemConfig, spec, preset: str | None = N
                 row.update(mc_rate_bps=mc.rate_bps, clip_rate=mc.clip_rate,
                            mc_stderr_bps=mc.stderr_bps if math.isfinite(mc.stderr_bps) else None)
             rows.append(row)
+        except ConfigSyntaxError:  # no B_w or M: a usage error, not a failing point
+            raise
         except (ValueError, ArithmeticError) as exc:
             raise SweepPointError(f"{spec.axis}={value} (grid index {index}): {exc}") from exc
     return rows

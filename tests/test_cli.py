@@ -21,6 +21,7 @@ from fronthaul_mimo.cli import (
     PRESETS,
     SweepRun,
     SweepSpec,
+    effective_config_text,
     main,
     parse_config_text,
     run_preset,
@@ -276,6 +277,24 @@ class TestSweep:
             assert_model_error(code, out)
             assert "grid index 0" in strict_json(out)["detail"]
 
+    @pytest.mark.parametrize("text, threads", [
+        ("sweep_axis = b\nsweep_values = 1,2\nB_w = 2e8\n", 1),
+        ("sweep_axis = M\nsweep_values = 16,64\nb = 1\ntrials = 2\n", 2),
+    ], ids=["point-axis", "curve-axis-monte-carlo"])
+    def test_no_design_exit_1_as_in_rate(self, tmp_path, capsys, monkeypatch, text, threads):
+        # no B_w or M at any point is a usage error, not a failing grid
+        # point: rate's exit code and detail, and no block is simulated
+        blocks = []
+        monkeypatch.setattr(montecarlo, "simulate_block", lambda *args: blocks.append(args))
+        assert main(["rate"]) == 1
+        rate = capsys.readouterr().out
+        cfg = write_config(tmp_path, text)
+        code = main(["sweep", "--config", cfg, "--threads", str(threads)])
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (1, rate, "")
+        assert strict_json(out)["detail"].startswith("a design point needs B_w and M")
+        assert blocks == []
+
     def test_threads_below_one_exit_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "sweep_axis = b\nsweep_values = 1,2\nB_w = 2e8\nM = 64\n")
         for argv in (["sweep", "--config", cfg, "--threads", "0"],
@@ -373,6 +392,9 @@ class TestCurveRuns:
         # Python does and numpy would not without being told to raise
         ("P = 1e-165\nsweep_axis = B_w\nsweep_values = 1e-170,2e-170\nM = 64\n",
          "B_w=1e-170 (grid index 0): float division by zero"),
+        # B_w = C_f/M overflows: named, not echoed
+        ("sweep_axis = M\nsweep_values = 1e-320,1\nbind = bandwidth\n",
+         "M=1e-320 (grid index 0): B_w must be positive and finite"),
         # a simulated rate fails at index 1 before the fractional M at index 2
         ("K = 2\nL = 2\nN = 33\ntheta = 1.3\ntrials = 3\nmc_mode = uniform\nseed = 0\n"
          "sweep_axis = M\nsweep_values = 64,4096,4096.5\nB_w = 2e8\nb = 2\n",
@@ -380,7 +402,7 @@ class TestCurveRuns:
          "float range"),
     ], ids=["fractional_b", "fractional_M", "fractional_M_bound", "s_outside_curve",
             "no_antenna", "broken_cap", "zero_rate", "non_finite_rate", "zero_division",
-            "monte_carlo_first"])
+            "infinite_bandwidth", "monte_carlo_first"])
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_first_failing_point_named(self, tmp_path, capsys, text, detail, threads):
         cfg = write_config(tmp_path, text)
@@ -520,6 +542,26 @@ class TestPathErrors:
                                         "detail": f"cannot write {path}: {reason}"}
         assert not os.path.exists(os.path.dirname(missing))
 
+    def test_sweep_out_pair_written_whole_or_not_at_all(self, tmp_path, capsys):
+        text = "sweep_axis = b\nsweep_values = 1,2\nB_w = 2e8\nM = 64\n"
+        cfg = write_config(tmp_path, text)
+        assert main(["sweep", "--config", cfg]) == 0
+        csv = capsys.readouterr().out
+        out = tmp_path / "x.csv"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        assert out.read_text(encoding="utf-8") == csv
+        assert Path(f"{out}.effective").read_text(encoding="utf-8") == effective_config_text(
+            *parse_config_text(text))
+        # either file unwritable: exit 1, and neither left on disk
+        for name, blocked in (("y.csv", "y.csv.effective"), ("z.csv", "z.csv")):
+            (tmp_path / blocked).mkdir()
+            code = main(["sweep", "--config", cfg, "--out", str(tmp_path / name)])
+            line, err = capsys.readouterr()
+            assert code == 1 and err == ""
+            assert strict_json(line) == {
+                "error": "config", "detail": f"cannot write {tmp_path / blocked}: Is a directory"}
+            assert sorted(p.name for p in tmp_path.glob(name + "*")) == [blocked]
+
 
 class TestMainRate:
     def test_rate_json(self, capsys):
@@ -554,6 +596,21 @@ class TestMainRate:
                 proc = subprocess.run([sys.executable, "-m", module, *argv],
                                       capture_output=True, text=True, env=env)
                 assert (proc.returncode, proc.stdout) == (code, out)
+
+    @pytest.mark.parametrize("text, argv, detail", [
+        ("", ["rate", "--bw", "inf", "--m", "64"], "B_w must be finite"),
+        ("gamma_ref_db = nan\n", ["optimize"], "gamma_ref_db must be finite"),
+        ("C_f = inf\n", ["optimize"], "C_f must be finite"),
+        ("C_f = -inf\n", ["optimize"], "C_f must be finite"),
+        ("sweep_axis = b\nsweep_values = 1,inf\nB_w = 2e8\nM = 64\n", ["sweep"],
+         "values must be finite"),
+    ], ids=["bw-inf", "gamma-nan", "c_f-inf", "c_f-minus-inf", "grid-inf"])
+    def test_non_finite_input_named_not_echoed(self, tmp_path, capsys, text, argv, detail):
+        cfg = write_config(tmp_path, text)
+        code = main([argv[0], "--config", cfg, *argv[1:]])
+        out = capsys.readouterr().out
+        assert_model_error(code, out)
+        assert strict_json(out)["detail"] == detail
 
     def test_non_finite_input_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "gamma_ref_db = nan\n")

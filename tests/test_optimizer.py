@@ -630,6 +630,26 @@ class TestOptimizeFull:
         assert 1.0 / base_config.C_f < res.relaxed_s <= 1.0
         assert res.relaxed_rate_bps >= res.rate.rate_bps * (1 - 1e-6)
 
+    def test_one_checked_design_per_search(self, monkeypatch):
+        # the candidates are plain Designs, valid by construction; only the
+        # best one a search returns is built as a checked DesignPoint
+        built = []
+        new = DesignPoint.__new__
+        monkeypatch.setattr(DesignPoint, "__new__",
+                            lambda cls, *args, **kwargs: built.append(args or kwargs)
+                            or new(cls, *args, **kwargs))
+        for snr, c_f, theta, x_int in itertools.product(
+            (0.0, 15.0, 30.0), (50e9, 500e9), (1.0, 2.0, 4.0, 8.0), (1.0, 2.5, 4.0)
+        ):
+            cfg = SystemConfig.from_reference_snr(
+                snr, K=20, L=10, N=2000, C_f=c_f, theta=theta, X_int=x_int
+            )
+            before = len(built)
+            res = optimize_full(cfg)
+            assert len(built) == before + 1 and type(res.best) is DesignPoint
+            assert built[-1] == tuple(res.best)
+        assert len(built) == 72
+
 
 class TestConcavityAndDominance:
     def test_concave_through_ascent_convex_tail(self, base_config):

@@ -7,6 +7,7 @@ import pytest
 from fronthaul_mimo.cli import KNOWN_KEYS
 from fronthaul_mimo.errors import ConfigValueError, PilotOverheadError
 from fronthaul_mimo.sysmodel import (
+    Design,
     DesignPoint,
     SystemConfig,
     link_budget,
@@ -182,3 +183,46 @@ class TestLinkBudget:
             for value in (math.nan, math.inf):
                 with pytest.raises(ConfigValueError, match=f"{field} must be"):
                     DesignPoint(**{"B_w": 2e8, "M": 2500, "b": 1, field: value})
+
+
+def _bad_designs(field, rule, values):
+    """(field, value), message: a finite value is echoed, a non-finite one
+    named only."""
+    return [((field, v), f"{rule}, got {field}={v}" if math.isfinite(v) else rule)
+            for v in (math.nan, math.inf, -math.inf, *values)]
+
+
+# every input a design point refused as a frozen dataclass
+_BAD_DESIGNS = [
+    *_bad_designs("B_w", "B_w must be positive and finite", (0.0, -2e8)),
+    *_bad_designs("M", "M must be a positive integer", (0, -64, 0.5, 64.5)),
+    *_bad_designs("b", "b must be a positive integer", (0, -1, 1.5)),
+]
+
+
+class TestDesign:
+    def test_design_point_is_a_checked_design(self):
+        d = DesignPoint(B_w=2e8, M=64.0, b=2.0)
+        assert isinstance(d, Design) and d == Design(2e8, 64, 2)
+        assert (type(d.M), type(d.b)) == (int, int)  # integral floats, as ints
+        for copy in (d._replace(M=32.0), DesignPoint._make((2e8, 32.0, 2.0))):
+            assert type(copy) is DesignPoint and copy == (2e8, 32, 2)
+            assert (type(copy.M), type(copy.b)) == (int, int)
+
+    def test_design_holds_arrays(self):
+        # a plain Design is unchecked: a constraint curve's arrays at one b
+        d = Design(B_w=np.array([1e8, 2e8]), M=np.array([10, 20]), b=2)
+        assert d.fronthaul_load.tolist() == [2e9, 8e9]
+        assert d.is_feasible(2e9).tolist() == [True, False]
+
+    @pytest.mark.parametrize("change, message", _BAD_DESIGNS)
+    def test_every_constructor_checks(self, change, message):
+        field, value = change
+        good = {"B_w": 2e8, "M": 64, "b": 1}
+        bad = {**good, field: value}
+        for build in (lambda: DesignPoint(**bad),
+                      lambda: DesignPoint._make(bad.values()),
+                      lambda: DesignPoint(**good)._replace(**{field: value})):
+            with pytest.raises(ConfigValueError) as info:
+                build()
+            assert str(info.value) == message

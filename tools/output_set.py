@@ -31,12 +31,18 @@ two ``mc-validate`` error lines (``mc_validate_err_*.json``, exit 2): a
 closed-form rate that underflows to zero, and a row whose simulated rate is
 not finite; closed-form ``sweep`` CSVs along ``B_w``, ``M``, ``theta`` and
 ``snr_db`` (the axes no preset sweeps) under each ``bind`` the axis takes,
-each with its ``.effective`` echo; eight ``sweep`` error lines
+each with its ``.effective`` echo; nine ``sweep`` error lines
 (``sweep_err_*.json``, exit 2), one per way a grid point fails: fractional
 ``b`` or ``M``, ``s`` off the curve, no antenna under the cap, a load over
-the cap, a zero rate, a rate that is not finite, and a division by zero;
-and two path error lines (``path_err_*.json``, exit 1): a config that
-cannot be read and an ``--out`` that cannot be written.
+the cap, a zero rate, a rate that is not finite, a division by zero, and a
+bound bandwidth beyond the float range; a
+seeded Monte Carlo ``sweep`` along ``s`` (``sweep_s_trials2.csv``, the
+curve run's simulated cells); three non-finite input lines
+(``rate_err_*.json`` and ``optimize_err_*.json``, exit 2): ``--bw inf``,
+``gamma_ref_db = nan`` and ``C_f = inf``; two path error lines
+(``path_err_*.json``, exit 1): a config that cannot be read and an
+``--out`` that cannot be written; and a sweep with no ``M`` at any point
+(``config_err_sweep_no_design.json``, exit 1).
 
 A command that raises out of ``main`` (a tree that prints a traceback
 where this one prints an error line) is recorded in ``exit_codes.txt`` as
@@ -77,7 +83,8 @@ SWEEP_AXES = (
                                   "bandwidth": dict(M=256)}),
 )
 # one sweep per way a grid point fails, each after a point that does not
-# (the zero division fails at every point)
+# (the zero division fails at every point, and an infinite bandwidth at the
+# first)
 SWEEP_ERRORS = {
     "fractional_b": dict(sweep_axis="b", sweep_values="1,2.5", bind="antennas", B_w=2e8),
     "fractional_m": dict(sweep_axis="M", sweep_values="64,64.5", B_w=2e8),
@@ -89,6 +96,7 @@ SWEEP_ERRORS = {
     "non_finite_rate": dict(K=4, L=3, N=62, theta=0.5, X_int=1e-30, sweep_axis="M",
                             sweep_values="1,256", B_w=1e-300),
     "zero_division": dict(P=1e-165, sweep_axis="B_w", sweep_values="1e-170,2e-170", M=64),
+    "infinite_bandwidth": dict(bind="bandwidth", sweep_axis="M", sweep_values="1e-320,1"),
 }
 
 
@@ -145,9 +153,19 @@ def commands(cfg_dir: str, out_dir: str) -> list[tuple[str, list[str]]]:
     for kind, keys in SWEEP_ERRORS.items():
         path = _config(cfg_dir, "sweep_err_" + kind, **keys)
         cmds.append((f"sweep_err_{kind}.json", ["sweep", "--config", path]))
+    path = _config(cfg_dir, "sweep_s_trials2", K=4, L=4, N=256, X_int=2.5, C_f=12.8e9,
+                   sweep_axis="s", sweep_values="0.015625,0.03125,0.0625", b=1, trials=2,
+                   seed=3)
+    cmds.append(("sweep_s_trials2.csv", ["sweep", "--config", path]))
+    cmds.append(("rate_err_bw_inf.json", ["rate", "--bw", "inf", "--m", "64"]))
+    for name, keys in (("gamma_nan", dict(gamma_ref_db="nan")), ("cf_inf", dict(C_f="inf"))):
+        path = _config(cfg_dir, "non_finite_" + name, **keys)
+        cmds.append((f"optimize_err_{name}.json", ["optimize", "--config", path]))
     # fixed paths, so that the error lines of two runs compare byte for byte
     cmds.append(("path_err_config.json", ["optimize", "--config", "/nonexistent/fhmimo.cfg"]))
     cmds.append(("path_err_out.json", ["preset", "fig2", "--out", "/nonexistent/fhmimo.csv"]))
+    path = _config(cfg_dir, "sweep_no_design", sweep_axis="b", sweep_values="1,2", B_w=2e8)
+    cmds.append(("config_err_sweep_no_design.json", ["sweep", "--config", path]))
     return [
         (name, argv + ["--out", os.path.join(out_dir, name)] if name.endswith(".csv") else argv)
         for name, argv in cmds
