@@ -18,6 +18,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 from typing import NamedTuple
 
@@ -158,12 +159,33 @@ _KEY_PARSERS["gamma_ref_db"] = float
 KNOWN_KEYS = set(_KEY_PARSERS)
 
 
+def _echo(text: str) -> str:
+    """``text`` quoted for an error detail; words instead when an item of it
+    reads as a NaN or infinite float, as the finiteness checks name no such
+    value."""
+    for item in text.split(","):
+        try:
+            if not math.isfinite(float(item)):
+                return "a non-finite value"
+        except ValueError:
+            pass
+    return repr(text)
+
+
+def _int_flag(text: str) -> int:
+    """An integer flag value, read as argparse's ``int`` is."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {_echo(text)}") from None
+
+
 def _parse_scalar(key: str, text: str, lineno: int):
     try:
         return _KEY_PARSERS[key](text)
     except ValueError as exc:
         raise ConfigSyntaxError(
-            f"cannot parse value for key '{key}' (line {lineno}): {text!r}"
+            f"cannot parse value for key '{key}' (line {lineno}): {_echo(text)}"
         ) from exc
 
 
@@ -670,6 +692,17 @@ def mc_validate_report(
 
 
 class _Parser(argparse.ArgumentParser):
+    # A flag value that starts with "-" is read as an option unless it
+    # matches argparse's negative-number pattern, which has no exponent and
+    # no inf or nan: "--bw -1e8" would be a missing value, "--bw=-1e8" not.
+    NEGATIVE_NUMBER = re.compile(
+        r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE
+    )
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = self.NEGATIVE_NUMBER  # sub-commands too
+
     def error(self, message):  # one JSON line and exit 1, not argparse's usage and 2
         sys.stdout.write(json.dumps({"error": "config", "detail": message}) + "\n")
         raise SystemExit(1)
@@ -688,35 +721,37 @@ def _build_parser() -> _Parser:
         p.add_argument("--config", help="key=value config file")
         p.add_argument("--out", help="output path (default: stdout)")
         if monte_carlo:
-            p.add_argument("--seed", type=int, help="RNG seed override")
-            p.add_argument("--trials", type=int, help="Monte Carlo trials override")
+            p.add_argument("--seed", type=_int_flag, help="RNG seed override")
+            p.add_argument("--trials", type=_int_flag, help="Monte Carlo trials override")
 
     p_rate = sub.add_parser("rate", help="closed-form rate at one design point")
     common(p_rate)
     p_rate.add_argument("--bw", type=float, help="bandwidth in Hz (overrides config)")
-    p_rate.add_argument("--m", type=int, help="antenna count (overrides config)")
-    p_rate.add_argument("--b", type=int, help="ADC bits (overrides config)")
+    p_rate.add_argument("--m", type=_int_flag, help="antenna count (overrides config)")
+    p_rate.add_argument("--b", type=_int_flag, help="ADC bits (overrides config)")
 
     p_opt = sub.add_parser("optimize", help="maximize rate under the fronthaul cap")
     common(p_opt)
 
     p_sweep = sub.add_parser("sweep", help="evaluate a config-defined grid to CSV")
     common(p_sweep, monte_carlo=True)
-    p_sweep.add_argument("--threads", type=int, default=1, help="threads for Monte Carlo rows")
+    p_sweep.add_argument("--threads", type=_int_flag, default=1,
+                         help="threads for Monte Carlo rows")
 
     p_mc = sub.add_parser("mc-validate", help="simulator vs closed form comparison")
     common(p_mc, monte_carlo=True)
     p_mc.add_argument("--bits", default="1,2,3", help="comma list of resolutions")
     p_mc.add_argument("--mode", choices=("pqn", "uniform", "both"), default="both")
     p_mc.add_argument("--bw", type=float, help="bandwidth in Hz (overrides config)")
-    p_mc.add_argument("--m", type=int, help="antenna count (overrides config)")
+    p_mc.add_argument("--m", type=_int_flag, help="antenna count (overrides config)")
 
     p_preset = sub.add_parser("preset", help="run a bundled scenario sweep")
     p_preset.add_argument("name", choices=sorted(PRESETS))
     p_preset.add_argument("--out", help="output path (default: stdout)")
-    p_preset.add_argument("--seed", type=int, default=0)
-    p_preset.add_argument("--trials", type=int, default=0)
-    p_preset.add_argument("--threads", type=int, default=1, help="threads for Monte Carlo rows")
+    p_preset.add_argument("--seed", type=_int_flag, default=0)
+    p_preset.add_argument("--trials", type=_int_flag, default=0)
+    p_preset.add_argument("--threads", type=_int_flag, default=1,
+                          help="threads for Monte Carlo rows")
     return parser
 
 
@@ -784,7 +819,7 @@ def main(argv=None) -> int:
                 bits = tuple(int(v) for v in args.bits.split(","))
             except ValueError:
                 raise ConfigSyntaxError(
-                    f"--bits must be a comma list of integers, got {args.bits!r}"
+                    f"--bits must be a comma list of integers, got {_echo(args.bits)}"
                 ) from None
             if len(set(bits)) < len(bits):
                 raise ConfigSyntaxError(f"--bits repeats a resolution: {args.bits!r}")

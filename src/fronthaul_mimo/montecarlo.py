@@ -1,9 +1,10 @@
 """Link-level simulator: multipath channel draws, constant-amplitude
 orthogonal pilots, AGC + quantization (true uniform quantizer or its
 additive-noise surrogate), per-tap LMMSE estimation, MRC combining, and
-the use-and-then-forget empirical rate.  A coherence block is one received
-(M, N) array, as the antennas digitize it: pilots in columns [0, N_p), data
-in [N_p, N), through one quantizer call.
+the use-and-then-forget empirical rate.  A coherence block is the N
+samples of each of M antennas, as they digitize them: pilots at times
+[0, N_p), data at [N_p, N).  It is received in chunks of antennas, each one
+time-major (N, chunk) array through one quantizer call per row.
 
 Everything downstream of the ADC lives in the "ADC domain": each real rail
 is scaled to unit variance before quantization (the complex sample is
@@ -21,26 +22,36 @@ closed form does.
 Reproducibility: each trial draws from its own counter-derived substream
 (SeedSequence spawn keyed by trial index) and aggregates are reduced in
 trial order, so results do not depend on scheduling.  Within a trial the
-draws come in this order: the data symbols x (K, N_d), the channel taps
-(M, K, L), the noise (M, N), and last, only when a ``pqn`` row is
-simulated, one unit-uniform array of the shape of the noise's interleaved
-real view.  Each complex array is one standard-normal draw into its
-interleaved real view, real and imaginary part of each entry in turn.  x
-and the taps are drawn in float64, the noise and the unit uniforms in
-float32.
+block runs over chunks of ``ANTENNA_CHUNK`` antennas, a module constant, and
+the draws come in this order: first the data symbols x (N_d, K); then, per
+chunk, its channel taps (chunk, K, L), its noise, and last, only when a
+``pqn`` row is simulated, one unit-uniform array of the shape of the noise's
+interleaved real view.  A group without a ``pqn`` row advances the
+generator past those uniforms instead, so that the next chunk's draws do not
+depend on the modes simulated.  x and the taps are each one float64
+standard-normal draw into the interleaved real view of a complex128 array,
+real and imaginary part of each entry in turn.  The noise is drawn by
+Box-Muller (G. E. P. Box and M. E. Muller, Ann. Math. Statist. 29(2), 1958)
+from float32 uniforms: sqrt(-2 ln(1 - u1)) * (cos, sin)(2 pi u2).  A float32
+uniform is a multiple of 2**-24, so the noise is cut at sqrt(48 ln 2), about
+5.77 standard deviations per rail: the normal's mass beyond it is about 8e-9
+and the cut lowers the noise variance by about 3e-7 relative, far below the
+statistic's MC standard error.
 
-Precision: every (M, .) array of a block -- the received array and its
-working buffer, the ``pqn`` unit uniforms, the plan's shift matrix and
-correlator, the gathered symbols, the channel estimates and the MRC output
--- has the dtype ``PIPELINE_DTYPE``, complex64 on float32 rails: the
-statistic's MC standard error, near 1%, is far above float32 rounding
-(6e-8).  The small (K, N_d) symbols and (M, K*L) taps are drawn in float64
-and cast.  The moment sums stay in float64: the MRC output is widened to
-complex128 before the two ``np.vdot``, because gamma divides by
-power - |cross|^2, which cancels at high SINR.  ``plan_block`` refuses a
-quantizer whose range, from its step to X_int, leaves float32, and a block
-whose working set passes ``BLOCK_BUDGET``, before anything of size M is
-allocated.
+Precision: every array of a chunk -- the received array and its working
+buffer, the ``pqn`` unit uniforms, the taps, the channel estimates -- and
+the plan's shift matrix and correlator, the gathered symbols and the
+rows' matched-filter products have the dtype ``PIPELINE_DTYPE``, complex64
+on float32 rails: the statistic's MC standard error, near 1%, is far above
+float32 rounding (6e-8).  The small (N_d, K) symbols and the taps are drawn
+in float64 and cast.  The moment sums stay in float64: the lag combine of
+each row's product is summed in complex128 before the two ``np.vdot``,
+because gamma divides by power - |cross|^2, which cancels at high SINR.
+``plan_block`` refuses a quantizer whose range, from its step to X_int,
+leaves float32, and a block whose draws and kept products pass
+``BLOCK_BUDGET``, before anything of size M is allocated.  A block holds one
+chunk at a time, so its memory does not grow with M; the budget bounds the
+work of a block, which does.
 
 Rows that share (B_w, M) -- every resolution b and both modes of an
 ``mc-validate`` point -- share each trial's block: none of these draws
@@ -73,7 +84,8 @@ RAIL_MAX = float(np.finfo(RAIL_DTYPE).max)
 # by the step without overflow, and the pilot correlator's sums of rails of
 # size X_int stay finite.
 RAIL_HEADROOM = 2.0**10
-BLOCK_BUDGET = 2**30  # bytes: the largest working set plan_block admits
+BLOCK_BUDGET = 2**30  # bytes: the largest draws and kept products plan_block admits
+ANTENNA_CHUNK = 128  # antennas per chunk of a block, so its memory is flat in M
 
 
 @dataclass(frozen=True)
@@ -99,15 +111,36 @@ class PowerDelayProfile:
         return self.sigma2.size
 
 
-def _complex_normal(
-    rng: np.random.Generator, shape: tuple[int, ...], dtype: np.dtype = np.dtype(complex)
-) -> np.ndarray:
-    """Complex array whose real and imaginary parts are i.i.d. standard
+def _complex_normal(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """Complex128 array whose real and imaginary parts are i.i.d. standard
     normal, drawn in one call into its interleaved real view."""
-    z = np.empty(shape, dtype=dtype)
-    rails = z.view(np.finfo(dtype).dtype)
-    rng.standard_normal(out=rails, dtype=rails.dtype)
+    z = np.empty(shape, dtype=complex)
+    rng.standard_normal(out=z.view(float))
     return z
+
+
+def _box_muller(rng: np.random.Generator, rails: np.ndarray, std: float) -> None:
+    """Fill the contiguous real array ``rails``, of even size, with i.i.d.
+    normals of standard deviation ``std`` by the Box-Muller transform of one
+    uniform draw (u1, u2) in the rails' dtype, each half the rails' size:
+    std*sqrt(-2 ln(1 - u1)) times cos(2 pi u2) fills the first half of the
+    rails and times sin(2 pi u2) the second.  The uniforms are drawn into
+    the rails themselves.  A float32 uniform is a multiple of 2**-24 below
+    1, so no value exceeds std*sqrt(48 ln 2), about 5.77 std.
+    """
+    flat = rails.reshape(-1)
+    half = flat.size // 2
+    rng.random(out=flat, dtype=flat.dtype)
+    radius, angle = flat[:half], flat[half:]
+    np.negative(radius, out=radius)
+    np.log1p(radius, out=radius)
+    radius *= -2.0 * std * std
+    np.sqrt(radius, out=radius)
+    angle *= 2.0 * math.pi
+    cosine = np.cos(angle)
+    np.sin(angle, out=angle)
+    angle *= radius
+    radius *= cosine
 
 
 def draw_channel(
@@ -204,23 +237,20 @@ def lmmse_estimate(config: SystemConfig, design: Design) -> float:
     return estimation_quality(config, design) / math.sqrt(a2)
 
 
-def mrc_combine(y_q: np.ndarray, h_hat: np.ndarray, n_data: int) -> np.ndarray:
-    """MRC as the L-tap matched filter in time, c[k, n] =
+def mrc_combine(z: np.ndarray) -> np.ndarray:
+    """MRC as the L-tap matched filter in time, c[n, k] =
     sum_{m,l} conj(h_hat[m, k, l]) * y[m, (n + l) mod N_d], whose unitary
     DFT is the frequency-domain output sum_m conj(H_hat[m, k, v]) * Y[m, v].
 
-    The sum over antennas is one product for all taps, z[k, l, n] =
-    sum_m conj(h_hat[m, k, l]) * y[m, n]; each tap's (K, N_d) slice is then
-    advanced by its lag and summed.
+    Takes the antenna sums z[n, l, k] = sum_m conj(h_hat[m, k, l]) * y[m, n],
+    shape (N_d, L, K): each tap's (N_d, K) slice is advanced by its lag and
+    summed, in complex128.
     """
-    m_ant, k_users, n_taps = h_hat.shape
-    z = (h_hat.reshape(m_ant, k_users * n_taps).conj().T @ y_q).reshape(
-        k_users, n_taps, n_data
-    )
-    c = z[:, 0].copy()
+    n_data, n_taps, _ = z.shape
+    c = z[:, 0].astype(complex)
     for lag in range(1, n_taps):
-        c[:, : n_data - lag] += z[:, lag, lag:]
-        c[:, n_data - lag :] += z[:, lag, :lag]
+        c[: n_data - lag] += z[lag:, lag]
+        c[n_data - lag :] += z[:lag, lag]
     return c
 
 
@@ -236,7 +266,15 @@ class BlockPlan:
     ``data_gain`` carry the AGC factor sqrt(2*mu) and the amplitude
     sqrt(P/B_w), and ``noise_std`` is the ADC-domain noise standard
     deviation per rail, so the received array is synthesized directly in
-    the ADC domain.
+    the ADC domain.  The matrices are time-major, as the received chunks
+    are: one row per sample, one column per antenna or per tap and user
+    (l, k), tap-major.
+
+    ``scratch`` is the working memory of one chunk: its received rails, the
+    rows' working copy and the ``pqn`` unit uniforms.  Every block of the
+    group reuses it, so that no block allocates and frees these arrays (which
+    made the allocator return and refetch their pages on every block), and
+    a plan simulates one block at a time.
     """
 
     config: SystemConfig
@@ -244,19 +282,21 @@ class BlockPlan:
     M: int
     rows: tuple[tuple[int, str, float], ...]  # (b, mode, LMMSE gain) per row
     pdp: PowerDelayProfile
-    pilot_shift: np.ndarray  # (K*L, N_p) ADC-domain shifted pilots, PIPELINE_DTYPE
-    correlator: np.ndarray  # (N_p, K*L) unit-gain pilot correlator, PIPELINE_DTYPE
-    data_index: np.ndarray  # (L, N_d) gather index (n - l) mod N_d
+    pilot_shift: np.ndarray  # (N_p, L*K) ADC-domain shifted pilots, PIPELINE_DTYPE
+    correlator: np.ndarray  # (L*K, N_p) unit-gain pilot correlator, PIPELINE_DTYPE
+    data_index: np.ndarray  # (N_d, L) gather index (n - l) mod N_d
     data_gain: float  # ADC-domain amplitude of a standard complex normal symbol
     noise_std: float
+    scratch: np.ndarray  # (3, 2*N*chunk) RAIL_DTYPE: received, working copy, unit uniforms
 
 
 def plan_block(
     config: SystemConfig, designs: Sequence[Design], modes: Sequence[str]
 ) -> BlockPlan:
     """Build the shared block set-up of the rows designs x modes, uniform
-    power delay profile.  The designs must share (B_w, M), and each
-    quantizer's range must fit the rails' dtype with ``RAIL_HEADROOM``."""
+    power delay profile.  The designs must share (B_w, M), each quantizer's
+    range must fit the rails' dtype with ``RAIL_HEADROOM``, and the block
+    must fit ``BLOCK_BUDGET``."""
     b_w, m_ant = designs[0].B_w, designs[0].M
     if any((d.B_w, d.M) != (b_w, m_ant) for d in designs):
         raise ConfigValueError("the designs of one block must share B_w and M")
@@ -267,21 +307,21 @@ def plan_block(
                 f"X_int={config.X_int} at b={d.b} (quantizer step {step}) leaves the "
                 f"{RAIL_DTYPE} range of the simulator's rails"
             )
-    n_p, n_d, n_taps = config.n_pilot, config.n_data, config.L
-    # peak working set: the (M, N) received array, then the larger of a
-    # synthesis product and the rows' (M, N) working buffer and unit uniforms;
-    # the (M, K*L) taps and estimates; the (K*L, N_d) gather and MRC product
-    k_l = config.K * n_taps
-    extra = (len(designs) * len(modes) > 1) + ("pqn" in modes)
-    per_antenna = config.N + max(n_p, n_d, extra * config.N) + 2 * k_l
-    block_bytes = PIPELINE_DTYPE.itemsize * (m_ant * float(per_antenna) + 2 * k_l * n_d)
-    if block_bytes > BLOCK_BUDGET:
-        raise ConfigValueError(f"a block at B_w={b_w}, M={m_ant} needs {block_bytes:.3g} "
+    k_users, n_p, n_d, n_taps = config.K, config.n_pilot, config.n_data, config.L
+    k_l = k_users * n_taps
+    # what a block draws: x, then per antenna its taps, its Box-Muller
+    # uniforms and, with a pqn row, its unit uniforms; and what it keeps at
+    # any M: the gathered symbols and one (N_d, L*K) product per row
+    normal = np.dtype(complex).itemsize  # x and the taps are complex128
+    uniforms = 2 * config.N * RAIL_DTYPE.itemsize * (1 + ("pqn" in modes))
+    drawn = normal * k_users * n_d + m_ant * (normal * k_l + float(uniforms))
+    kept = PIPELINE_DTYPE.itemsize * k_l * n_d * (1 + len(designs) * len(modes))
+    if drawn + kept > BLOCK_BUDGET:
+        raise ConfigValueError(f"a block at B_w={b_w}, M={m_ant} needs {drawn + kept:.3g} "
                                f"bytes, above the simulator's budget of {BLOCK_BUDGET}")
-    phi = generate_pilots(config.K, n_taps, n_p)
-    # row (k, l) of the shift matrix is phi_k[(n - l) mod N_p]
-    shift = np.stack([np.roll(phi, lag, axis=1) for lag in range(n_taps)], axis=1)
-    shift = shift.reshape(config.K * n_taps, n_p)
+    phi = generate_pilots(k_users, n_taps, n_p)
+    # row (l, k) of the shift matrix is phi_k[(n - l) mod N_p]
+    shift = np.stack([np.roll(phi, lag, axis=1) for lag in range(n_taps)]).reshape(k_l, n_p)
     agc = math.sqrt(2.0 * link_budget(config, b_w, designs[0].b).mu)  # mu needs B_w only
     amp = agc * math.sqrt(config.P / b_w)
     gains = [lmmse_estimate(config, d) for d in designs]
@@ -291,11 +331,12 @@ def plan_block(
         M=m_ant,
         rows=tuple((d.b, mode, gain) for d, gain in zip(designs, gains) for mode in modes),
         pdp=PowerDelayProfile.uniform(n_taps),
-        pilot_shift=(amp * shift).astype(PIPELINE_DTYPE),
-        correlator=(shift.conj().T / math.sqrt(n_p)).astype(PIPELINE_DTYPE),
-        data_index=(np.arange(n_d)[None, :] - np.arange(n_taps)[:, None]) % n_d,
+        pilot_shift=(amp * shift.T).astype(PIPELINE_DTYPE, order="C"),
+        correlator=(shift.conj() / math.sqrt(n_p)).astype(PIPELINE_DTYPE),
+        data_index=(np.arange(n_d)[:, None] - np.arange(n_taps)) % n_d,
         data_gain=amp / math.sqrt(2.0),  # the symbols are drawn with variance 2
         noise_std=agc * math.sqrt(0.5),  # unit noise, half per rail
+        scratch=np.empty((3, 2 * config.N * min(m_ant, ANTENNA_CHUNK)), RAIL_DTYPE),
     )
 
 
@@ -306,12 +347,15 @@ def simulate_block(
 
     Channel-inversion power control is folded into a common received
     amplitude sqrt(P/B_w) per user; the AGC gain is the analytic 1/P_rx.
-    The group draws its block once, in the order of the module docstring:
-    one (M, N) noise array, onto whose pilot and data columns the two cyclic
-    convolutions are added, each one matrix product of the (M, K*L) taps
-    with a (K*L, N_p) or (K*L, N_d) matrix of shifted sequences, so memory
-    grows as O(M*N).  Every row but the last quantizes the array into one
-    working buffer shared by the rows; the last row quantizes it in place.
+    The group draws its block once, in the order of the module docstring,
+    over chunks of ``ANTENNA_CHUNK`` antennas.  A chunk is one time-major
+    (N, chunk) noise array, onto whose pilot and data rows the two cyclic
+    convolutions are added, each one matrix product of an (N_p, L*K) or
+    (N_d, L*K) matrix of shifted sequences with the chunk's (L*K, chunk)
+    taps.  Every row but the last quantizes the chunk into one working
+    buffer shared by the rows; the last row quantizes it in place.  Each row
+    adds its chunk's matched-filter product to its own (N_d, L*K) sum, and
+    the lag combine runs once per row, after the last chunk.
 
     Returns, per row, the moment sums sum(conj(x) * c) and sum(|c|^2) over
     the block's K*N_d unit-power symbols x and matched-filter outputs c, in
@@ -319,37 +363,49 @@ def simulate_block(
     the number of clipped rails out of 2*M*(N_p + N_d).
     """
     config = plan.config
-    n_p, n_d, m_ant, k_users, n_taps = config.n_pilot, config.n_data, plan.M, config.K, config.L
-
-    x = _complex_normal(rng, (k_users, n_d))
+    n_p, n_d, k_users = config.n_pilot, config.n_data, config.K
+    x = _complex_normal(rng, (n_d, k_users))
     symbols = x / math.sqrt(2.0)  # unit power, complex128 for the moment sums
     x = (x * plan.data_gain).astype(PIPELINE_DTYPE)
-    taps = draw_channel(rng, m_ant, k_users, plan.pdp).reshape(m_ant, k_users * n_taps)
-    taps = taps.astype(PIPELINE_DTYPE)
-    y = _complex_normal(rng, (m_ant, config.N), PIPELINE_DTYPE)  # pilots, then data
-    y *= plan.noise_std
-    y[:, :n_p] += taps @ plan.pilot_shift
-    # data phase: block-circular channel, row (k, l) is x_k[(n - l) mod N_d]
-    y[:, n_p:] += taps @ x[:, plan.data_index].reshape(k_users * n_taps, n_d)
-    rails = y.view(RAIL_DTYPE)
+    # data phase: block-circular channel, column (l, k) is x_k[(n - l) mod N_d]
+    gathered = x[plan.data_index].reshape(n_d, -1)
+    draws_unit = any(mode == "pqn" for _, mode, _ in plan.rows)
     last = len(plan.rows) - 1
-    work = np.empty_like(rails) if last else None
-    unit = None  # drawn by the first pqn row
-
+    products = [None] * len(plan.rows)  # per row, its (N_d, L*K) sum over antennas
+    clipped = [0] * len(plan.rows)
+    for start in range(0, plan.M, ANTENNA_CHUNK):
+        m_chunk = min(ANTENNA_CHUNK, plan.M - start)
+        taps = draw_channel(rng, m_chunk, k_users, plan.pdp).transpose(2, 1, 0)
+        taps = taps.astype(PIPELINE_DTYPE, order="C").reshape(-1, m_chunk)  # (L*K, chunk)
+        # time-major (N, chunk) views of the plan's scratch: pilots, then data
+        rails, work, unit = plan.scratch[:, : 2 * config.N * m_chunk].reshape(3, config.N, -1)
+        y = rails.view(PIPELINE_DTYPE)
+        _box_muller(rng, rails, plan.noise_std)
+        y[:n_p] += plan.pilot_shift @ taps
+        y[n_p:] += gathered @ taps
+        if draws_unit:
+            rng.random(out=unit, dtype=RAIL_DTYPE)
+        else:  # as if drawn, so the next chunk's draws do not depend on the modes
+            unit = None
+            rng.bit_generator.advance(rails.size // 2)  # two float32 per 64-bit output
+        for row, (b, mode, lmmse_gain) in enumerate(plan.rows):
+            out = work if row < last else None
+            clipped[row] += quantize_block(rails, b, config.X_int, mode, unit, out)
+            y_q = (rails if out is None else out).view(PIPELINE_DTYPE)
+            # MRC weights: the conjugate (L*K, chunk) channel estimates
+            weights = plan.correlator @ y_q[:n_p]
+            np.conjugate(weights, out=weights)
+            weights *= lmmse_gain
+            # the sum over the chunk's antennas, freed as soon as it is added
+            if products[row] is None:
+                products[row] = y_q[n_p:] @ weights.T
+            else:
+                products[row] += y_q[n_p:] @ weights.T
     sums = []
-    for row, (b, mode, lmmse_gain) in enumerate(plan.rows):
-        if mode == "pqn" and unit is None:
-            unit = rng.random(rails.shape, dtype=RAIL_DTYPE)
-        out = work if row < last else None
-        clipped = quantize_block(rails, b, config.X_int, mode, unit, out)
-        if out is None:
-            unit = None  # the last row is done with the draws
-        y_q = (rails if out is None else out).view(PIPELINE_DTYPE)
-        h_hat = (y_q[:, :n_p] @ plan.correlator).reshape(m_ant, k_users, n_taps)
-        h_hat *= lmmse_gain
+    for product, n_clipped in zip(products, clipped):
         # gamma divides by power - |cross|^2, which cancels at high SINR
-        c = mrc_combine(y_q[:, n_p:], h_hat, n_d).astype(complex)
-        sums.append((np.vdot(symbols, c), np.vdot(c, c).real, clipped))
+        c = mrc_combine(product.reshape(n_d, config.L, k_users))
+        sums.append((np.vdot(symbols, c), np.vdot(c, c).real, n_clipped))
     return sums
 
 

@@ -612,6 +612,49 @@ class TestMainRate:
         assert_model_error(code, out)
         assert strict_json(out)["detail"] == detail
 
+    @pytest.mark.parametrize("text, argv, detail", [
+        ("K = inf\n", ["optimize"], "cannot parse value for key 'K' (line 1): a non-finite value"),
+        ("seed = nan\n", ["optimize"],
+         "cannot parse value for key 'seed' (line 1): a non-finite value"),
+        ("sweep_values = 1,-inf,x\n", ["optimize"],
+         "cannot parse value for key 'sweep_values' (line 1): a non-finite value"),
+        ("", ["rate", "--bw", "2e8", "--m", "inf"], "argument --m: invalid int value: "
+         "a non-finite value"),
+        ("", ["rate", "--bw", "2e8", "--m", "-inf"], "argument --m: invalid int value: "
+         "a non-finite value"),
+        ("", ["sweep", "--seed", "nan"], "argument --seed: invalid int value: a non-finite value"),
+        ("", ["mc-validate", "--bits", "1,inf"],
+         "--bits must be a comma list of integers, got a non-finite value"),
+        ("", ["rate", "--bw", "2e8", "--m", "64.5"], "argument --m: invalid int value: '64.5'"),
+    ], ids=["K-inf", "seed-nan", "grid-minus-inf", "m-inf", "m-minus-inf", "seed-flag-nan",
+            "bits-inf", "m-fraction"])
+    def test_non_finite_literal_named_not_echoed(self, tmp_path, capsys, text, argv, detail):
+        # an integer key or flag (or a grid) that cannot hold the literal: a
+        # usage error that names it, with no inf or nan token; a finite
+        # literal is still echoed
+        cfg = write_config(tmp_path, text)
+        try:
+            code = main([argv[0], "--config", cfg, *argv[1:]])
+        except SystemExit as exc:  # argparse's usage error
+            code = exc.code
+        out = capsys.readouterr().out
+        assert code == 1 and out.count("\n") == 1
+        assert strict_json(out) == {"error": "config", "detail": detail}
+
+    @pytest.mark.parametrize("command, value", [
+        ("rate", "-1e8"), ("rate", "-1E+8"), ("rate", "-.5"), ("rate", "-inf"),
+        ("mc-validate", "-inf"), ("mc-validate", "-nan"), ("mc-validate", "-1e8"),
+    ])
+    def test_negative_flag_value_after_a_space(self, capsys, command, value):
+        # "--bw -1e8" is the value -1e8, as "--bw=-1e8" is: one model error
+        # line, not argparse's missing value
+        results = []
+        for flag in (["--bw", value], [f"--bw={value}"]):
+            code = main([command, *flag, "--m", "64"])
+            results.append((code, capsys.readouterr().out))
+        assert results[0] == results[1]
+        assert_model_error(*results[0])
+
     def test_non_finite_input_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "gamma_ref_db = nan\n")
         huge = write_config(tmp_path, "gamma_ref_db = 4000\n", "huge.cfg")  # 10**400

@@ -46,13 +46,44 @@ def pilot_phase(plan, rng):
     cfg, m_ant = plan.config, plan.M
     ((b, mode, lmmse_gain),) = plan.rows
     h = draw_channel(rng, m_ant, cfg.K, plan.pdp)
-    y = plan.noise_std * complex_normal(rng, (m_ant, cfg.n_pilot), montecarlo.RAIL_DTYPE)
-    y += h.reshape(m_ant, -1).astype(montecarlo.PIPELINE_DTYPE) @ plan.pilot_shift
+    taps = h.transpose(2, 1, 0).reshape(-1, m_ant)  # (L*K, M), tap-major as the plan
+    y = plan.noise_std * complex_normal(rng, (cfg.n_pilot, m_ant), montecarlo.RAIL_DTYPE)
+    y += plan.pilot_shift @ taps.astype(montecarlo.PIPELINE_DTYPE)
     assert y.dtype == montecarlo.PIPELINE_DTYPE
     rails = y.view(montecarlo.RAIL_DTYPE)
     quantize_block(rails, b, cfg.X_int, mode, rng.random(rails.shape, montecarlo.RAIL_DTYPE))
-    h_hat = (y @ plan.correlator).reshape(h.shape) * lmmse_gain
+    h_hat = (plan.correlator @ y).reshape(cfg.L, cfg.K, m_ant).transpose(2, 1, 0) * lmmse_gain
     return h, h_hat
+
+
+def block_peak(cfg, m_ant, bits, modes):
+    """Traced peak of the plan and one block at (C_f/M, M) for the rows
+    bits x modes, after an untraced block has set up what numpy keeps."""
+    designs = [DesignPoint(B_w=cfg.C_f / m_ant, M=m_ant, b=b) for b in bits]
+    simulate_block(plan_block(cfg, designs, modes), np.random.default_rng(1))
+    tracemalloc.start()
+    try:
+        simulate_block(plan_block(cfg, designs, modes), np.random.default_rng(0))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def block_memory_bound(cfg, rows):
+    """Bytes a plan and its block of ``rows`` rows may hold at any M: the
+    rows' (N_d, L*K) products, the gathered symbols and one more product;
+    and five arrays of one full chunk's (N, ANTENNA_CHUNK) received samples,
+    three of them the plan's scratch."""
+    itemsize = montecarlo.PIPELINE_DTYPE.itemsize
+    product = cfg.n_data * cfg.K * cfg.L * itemsize
+    chunk = cfg.N * montecarlo.ANTENNA_CHUNK * itemsize
+    return (rows + 2) * product + 5 * chunk
+
+
+def matched_filter(y, h_hat):
+    """MRC of the (M, N_d) data y with the (M, K, L) estimates h_hat, through
+    ``mrc_combine``: shape (N_d, K)."""
+    return mrc_combine(np.einsum("mkl,mn->nlk", h_hat.conj(), y))
 
 
 class TestPowerDelayProfile:
@@ -71,6 +102,37 @@ class TestPowerDelayProfile:
         h = draw_channel(rng, 500, 200, pdp)  # 1e5 draws per tap
         emp = np.mean(np.abs(h) ** 2, axis=(0, 1))
         assert np.all(np.abs(emp / pdp.sigma2 - 1.0) < 0.03)
+
+
+class TestBoxMuller:
+    def test_moments_and_tail_bound(self):
+        # 2**22 float32 normals: mean 0, variance 1 and fourth moment 3, each
+        # within about six standard errors, and the tail bound; std scales
+        # the same draws
+        rails = np.empty(2**22, dtype=np.float32)
+        montecarlo._box_muller(np.random.default_rng(5), rails, 1.0)
+        z = rails.astype(np.float64)
+        assert abs(z.mean()) < 3e-3
+        assert abs(z.var() - 1.0) < 5e-3
+        assert abs(np.mean(z**4) - 3.0) < 0.03
+        assert np.max(np.abs(z)) <= math.sqrt(48.0 * math.log(2.0))
+        std_one, std_half = np.empty((2, 2**10), dtype=np.float32)
+        montecarlo._box_muller(np.random.default_rng(6), std_one, 1.0)
+        montecarlo._box_muller(np.random.default_rng(6), std_half, 0.5)
+        assert np.allclose(std_half, 0.5 * std_one, rtol=1e-6, atol=0.0)
+
+    def test_largest_uniform_gives_the_bound(self):
+        # a float32 uniform is at most 1 - 2**-24, so no value passes
+        # std*sqrt(-2 ln 2**-24) = std*sqrt(48 ln 2), about 5.77 std
+        class Largest:
+            def random(self, out, dtype):
+                out[:] = np.nextafter(dtype.type(1.0), dtype.type(0.0))
+
+        rails = np.empty(4, dtype=np.float32)
+        montecarlo._box_muller(Largest(), rails, 2.0)
+        bound = 2.0 * math.sqrt(48.0 * math.log(2.0))
+        assert rails[0] == pytest.approx(bound, rel=1e-6)
+        assert np.all(np.abs(rails) <= bound * (1.0 + 1e-6))
 
 
 class TestPilots:
@@ -286,8 +348,8 @@ class TestMrc:
         x = (rng.standard_normal(n_d) + 1j * rng.standard_normal(n_d)) / np.sqrt(2)
         h = np.array([[[0.8 - 0.3j]]])  # (M=1, K=1, L=1)
         y = h[0, 0, 0] * x[None, :]
-        c = mrc_combine(y, h, n_d)
-        ratio = c[0] / x
+        c = matched_filter(y, h)
+        ratio = c[:, 0] / x
         assert np.allclose(ratio, abs(h[0, 0, 0]) ** 2, atol=1e-12)
 
     def test_time_and_frequency_paths_agree(self):
@@ -297,45 +359,28 @@ class TestMrc:
         n_d = 116
         y = complex_normal(rng, (6, n_d))
         h_hat = complex_normal(rng, (6, 2, 3))
-        freq = np.fft.fft(mrc_combine(y, h_hat, n_d), axis=1) / np.sqrt(n_d)
+        freq = np.fft.fft(matched_filter(y, h_hat).T, axis=1) / np.sqrt(n_d)
         time = mrc_combine_time(y, h_hat, n_d)
         assert np.max(np.abs(freq - time)) < 1e-9
 
-    def test_block_memory_below_one_antenna_user_subcarrier_array(self):
-        # paper-scale block: the peak stays within five (M, N_d) arrays of
-        # the block's dtype
+    def test_block_memory_flat_in_antennas(self):
+        # paper-scale block, one row: the peak at M=1024 (eight chunks) is
+        # no higher than at M=256 (two), and within the bound of
+        # block_memory_bound
         cfg = SystemConfig.from_reference_snr(15.0)
-        itemsize = montecarlo.PIPELINE_DTYPE.itemsize
-        for m_ant in (256, 1024):
-            design = DesignPoint(B_w=cfg.C_f / m_ant, M=m_ant, b=1)
-            for mode in ("uniform", "pqn"):
-                plan = plan_block(cfg, [design], [mode])
-                tracemalloc.start()
-                try:
-                    simulate_block(plan, np.random.default_rng(0))
-                    peak = tracemalloc.get_traced_memory()[1]
-                finally:
-                    tracemalloc.stop()
-                assert peak < 5 * m_ant * cfg.n_data * itemsize, (m_ant, mode, peak)
+        for mode in ("uniform", "pqn"):
+            peaks = [block_peak(cfg, m_ant, (1,), [mode]) for m_ant in (256, 1024)]
+            assert peaks[1] <= 1.01 * peaks[0], (mode, peaks)
+            assert peaks[1] < block_memory_bound(cfg, rows=1), (mode, peaks)
 
-    def test_group_block_memory_one_working_copy_above_lone_bound(self):
+    def test_group_block_memory_flat_in_antennas(self):
         # three resolutions x two modes share one paper-scale block: the
-        # peak stays within the lone-call bound above plus one working copy
-        # of the received array
+        # peak does not grow with M either, and only the rows' products add
+        # to the lone row's bound
         cfg = SystemConfig.from_reference_snr(15.0)
-        for m_ant in (256, 1024):
-            designs = [DesignPoint(B_w=cfg.C_f / m_ant, M=m_ant, b=b) for b in (1, 2, 3)]
-            plan = plan_block(cfg, designs, ["pqn", "uniform"])
-            tracemalloc.start()
-            try:
-                simulate_block(plan, np.random.default_rng(0))
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            itemsize = montecarlo.PIPELINE_DTYPE.itemsize
-            lone_bound = 5 * m_ant * cfg.n_data * itemsize
-            working = m_ant * (cfg.n_pilot + cfg.n_data) * itemsize
-            assert peak < lone_bound + working, (m_ant, peak)
+        peaks = [block_peak(cfg, m_ant, (1, 2, 3), ["pqn", "uniform"]) for m_ant in (256, 1024)]
+        assert peaks[1] <= 1.01 * peaks[0], peaks
+        assert peaks[1] < block_memory_bound(cfg, rows=6), peaks
 
     def test_plan_sizes_the_block_before_allocating(self):
         # M = 6021, the largest one-bit optimum over SNR {0, 15, 30} dB x C_f
@@ -423,48 +468,56 @@ class TestEmpiricalRate:
 
     def test_stage_calls(self, monkeypatch):
         # the plan is built once per group, and each trial simulates one
-        # block for all of the group's rows: three Gaussian draws (x, taps,
-        # the (M, N) noise) per block, however many rows share it.  Every
-        # row quantizes the one received array through the public quantizer
-        # stages, a pqn row too
+        # block for all of the group's rows, chunk by chunk: x is drawn once
+        # per block, and the taps (Gaussian) and the noise (Box-Muller) once
+        # per chunk, however many rows share them.  Every row quantizes each
+        # chunk through the public quantizer stages, a pqn row too, and
+        # combines once per block
         cfg = small_config()
-        designs = [DesignPoint(B_w=100e6, M=8, b=b) for b in (1, 2)]
         trials = 3
         stages = {name: getattr(montecarlo, name) for name in
                   ("quantize_block", "midrise_quantize", "lmmse_estimate", "generate_pilots",
-                   "simulate_block", "draw_channel", "_complex_normal")}
-        for group, modes, rows, n_uniform, n_designs in (
-            (designs[:1], ["uniform"], 1, 1, 1),
-            (designs[:1], ["pqn"], 1, 0, 1),
-            (designs, ["pqn", "uniform"], 4, 2, 2),
-        ):
-            calls = dict.fromkeys(stages, 0)
-            for name, fn in stages.items():
-                def counted(*args, _name=name, _fn=fn, **kwargs):
-                    calls[_name] += 1
-                    return _fn(*args, **kwargs)
+                   "simulate_block", "draw_channel", "mrc_combine", "_complex_normal",
+                   "_box_muller")}
+        for m_ant, chunks in ((8, 1), (montecarlo.ANTENNA_CHUNK + 8, 2)):
+            designs = [DesignPoint(B_w=100e6, M=m_ant, b=b) for b in (1, 2)]
+            for group, modes, rows, n_uniform, n_designs in (
+                (designs[:1], ["uniform"], 1, 1, 1),
+                (designs[:1], ["pqn"], 1, 0, 1),
+                (designs, ["pqn", "uniform"], 4, 2, 2),
+            ):
+                calls = dict.fromkeys(stages, 0)
+                for name, fn in stages.items():
+                    def counted(*args, _name=name, _fn=fn, **kwargs):
+                        calls[_name] += 1
+                        return _fn(*args, **kwargs)
 
-                monkeypatch.setattr(montecarlo, name, counted)
-            empirical_rate(cfg, group, trials=trials, seed=4, modes=modes)
-            assert calls == {
-                "quantize_block": rows * trials,
-                "midrise_quantize": n_uniform * trials,
-                "lmmse_estimate": n_designs,
-                "generate_pilots": 1,
-                "simulate_block": trials,
-                "draw_channel": trials,
-                "_complex_normal": 3 * trials,
-            }, modes
+                    monkeypatch.setattr(montecarlo, name, counted)
+                empirical_rate(cfg, group, trials=trials, seed=4, modes=modes)
+                assert calls == {
+                    "quantize_block": rows * chunks * trials,
+                    "midrise_quantize": n_uniform * chunks * trials,
+                    "lmmse_estimate": n_designs,
+                    "generate_pilots": 1,
+                    "simulate_block": trials,
+                    "draw_channel": chunks * trials,
+                    "mrc_combine": rows * trials,
+                    "_complex_normal": (1 + chunks) * trials,
+                    "_box_muller": chunks * trials,
+                }, (m_ant, modes)
 
     def test_group_rows_equal_lone_calls(self):
-        cfg = small_config(K=4, L=4, N=256)
-        designs = [DesignPoint(B_w=200e6, M=64, b=b) for b in (1, 2, 3)]
-        modes = ("pqn", "uniform")
-        group = empirical_rate(cfg, designs, trials=5, seed=8, modes=modes)
-        rows = [(d, m) for d in designs for m in modes]
-        assert len(group) == len(rows)
-        for (design, mode), shared in zip(rows, group):
-            assert [shared] == empirical_rate(cfg, [design], trials=5, seed=8, modes=[mode])
+        # one chunk, and three: a lone uniform row draws no pqn uniforms, yet
+        # its later chunks draw what the group's do
+        for cfg, m_ant in ((small_config(K=4, L=4, N=256), 64),
+                           (small_config(N=64), 2 * montecarlo.ANTENNA_CHUNK + 1)):
+            designs = [DesignPoint(B_w=200e6, M=m_ant, b=b) for b in (1, 2, 3)]
+            modes = ("pqn", "uniform")
+            group = empirical_rate(cfg, designs, trials=5, seed=8, modes=modes)
+            rows = [(d, m) for d in designs for m in modes]
+            assert len(group) == len(rows)
+            for (design, mode), shared in zip(rows, group):
+                assert [shared] == empirical_rate(cfg, [design], trials=5, seed=8, modes=[mode])
 
     def test_group_needs_one_antenna_count_and_bandwidth(self):
         cfg = small_config()

@@ -39,14 +39,20 @@ bound bandwidth beyond the float range; a
 seeded Monte Carlo ``sweep`` along ``s`` (``sweep_s_trials2.csv``, the
 curve run's simulated cells); three non-finite input lines
 (``rate_err_*.json`` and ``optimize_err_*.json``, exit 2): ``--bw inf``,
-``gamma_ref_db = nan`` and ``C_f = inf``; two path error lines
+``gamma_ref_db = nan`` and ``C_f = inf``; two non-finite literals given to
+integer keys (``config_err_k_inf.json`` and ``config_err_seed_nan.json``,
+exit 1); two negative flag values after a space (exit 2): ``rate --bw
+-1e8`` and ``mc-validate --bw -inf`` (``rate_err_bw_minus_1e8.json`` and
+``mc_validate_err_bw_minus_inf.json``); two path error lines
 (``path_err_*.json``, exit 1): a config that cannot be read and an
 ``--out`` that cannot be written; and a sweep with no ``M`` at any point
 (``config_err_sweep_no_design.json``, exit 1).
 
 A command that raises out of ``main`` (a tree that prints a traceback
 where this one prints an error line) is recorded in ``exit_codes.txt`` as
-``raised`` and the exception's type, and its output file stays empty.
+``raised`` and the exception's type, and its output file stays empty.  A
+usage error, which ``main`` ends with ``SystemExit`` as argparse does, is
+recorded with its exit code and its output line.
 """
 
 from __future__ import annotations
@@ -161,6 +167,13 @@ def commands(cfg_dir: str, out_dir: str) -> list[tuple[str, list[str]]]:
     for name, keys in (("gamma_nan", dict(gamma_ref_db="nan")), ("cf_inf", dict(C_f="inf"))):
         path = _config(cfg_dir, "non_finite_" + name, **keys)
         cmds.append((f"optimize_err_{name}.json", ["optimize", "--config", path]))
+    for name, keys in (("k_inf", dict(K="inf")), ("seed_nan", dict(seed="nan"))):
+        path = _config(cfg_dir, "non_finite_" + name, **keys)
+        cmds.append((f"config_err_{name}.json", ["optimize", "--config", path]))
+    # a negative flag value with an exponent, or an infinity, after a space
+    cmds.append(("rate_err_bw_minus_1e8.json", ["rate", "--bw", "-1e8", "--m", "64"]))
+    cmds.append(("mc_validate_err_bw_minus_inf.json",
+                 ["mc-validate", "--bw", "-inf", "--m", "64"]))
     # fixed paths, so that the error lines of two runs compare byte for byte
     cmds.append(("path_err_config.json", ["optimize", "--config", "/nonexistent/fhmimo.cfg"]))
     cmds.append(("path_err_out.json", ["preset", "fig2", "--out", "/nonexistent/fhmimo.csv"]))
@@ -188,6 +201,8 @@ def write_set(outdir: str, src: str) -> int:
             try:
                 with contextlib.redirect_stdout(buf):
                     code = cli.main(argv)
+            except SystemExit as exc:  # a usage error: argparse's line, then exit 1
+                code = exc.code
             except Exception as exc:
                 code, buf = f"raised {type(exc).__name__}", io.StringIO()
             if not name.endswith(".csv"):
