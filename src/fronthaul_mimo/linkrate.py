@@ -16,8 +16,6 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import ConfigValueError
 from .sysmodel import Design, SystemConfig, link_budget
 
@@ -54,12 +52,14 @@ def sinqr(config: SystemConfig, design: Design) -> float:
 
 def rate_from_sinqr(config: SystemConfig, B_w: float, gamma: float) -> float:
     """Per-user rate in bit/s after bandwidth and pilot-overhead scaling."""
-    array = isinstance(gamma, np.ndarray)
+    array = getattr(gamma, "ndim", 0) > 0  # a numpy scalar has ndim 0
     if (gamma < 0).any() if array else gamma < 0:
         raise ConfigValueError(f"gamma must be non-negative, got {gamma}")
-    # math.log1p, per element of an array: numpy's log1p differs from it in
-    # the last bit on some inputs, and the rate would move with it
-    log1p = np.array([math.log1p(g) for g in gamma.tolist()]) if array else math.log1p(gamma)
+    if array:  # math.log1p per element, the log of every rate in the package
+        log1p = gamma.copy()
+        log1p[...] = [math.log1p(g) for g in gamma.tolist()]
+    else:
+        log1p = math.log1p(gamma)
     return B_w * (config.n_data / config.N) * log1p / _LN2
 
 

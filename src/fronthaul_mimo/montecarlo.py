@@ -270,8 +270,9 @@ class BlockPlan:
     are: one row per sample, one column per antenna or per tap and user
     (l, k), tap-major.
 
-    ``scratch`` is the working memory of one chunk: its received rails, the
-    rows' working copy and the ``pqn`` unit uniforms.  Every block of the
+    ``scratch`` is the working memory of one chunk: its received rails, then
+    the ``pqn`` unit uniforms when a ``pqn`` row runs, and last the rows'
+    working copy when the group has more than one row.  Every block of the
     group reuses it, so that no block allocates and frees these arrays (which
     made the allocator return and refetch their pages on every block), and
     a plan simulates one block at a time.
@@ -287,7 +288,7 @@ class BlockPlan:
     data_index: np.ndarray  # (N_d, L) gather index (n - l) mod N_d
     data_gain: float  # ADC-domain amplitude of a standard complex normal symbol
     noise_std: float
-    scratch: np.ndarray  # (3, 2*N*chunk) RAIL_DTYPE: received, working copy, unit uniforms
+    scratch: np.ndarray  # (1 to 3, 2*N*chunk) RAIL_DTYPE: received[, unit uniforms][, copy]
 
 
 def plan_block(
@@ -336,7 +337,8 @@ def plan_block(
         data_index=(np.arange(n_d)[:, None] - np.arange(n_taps)) % n_d,
         data_gain=amp / math.sqrt(2.0),  # the symbols are drawn with variance 2
         noise_std=agc * math.sqrt(0.5),  # unit noise, half per rail
-        scratch=np.empty((3, 2 * config.N * min(m_ant, ANTENNA_CHUNK)), RAIL_DTYPE),
+        scratch=np.empty((1 + ("pqn" in modes) + (len(designs) * len(modes) > 1),
+                          2 * config.N * min(m_ant, ANTENNA_CHUNK)), RAIL_DTYPE),
     )
 
 
@@ -378,7 +380,9 @@ def simulate_block(
         taps = draw_channel(rng, m_chunk, k_users, plan.pdp).transpose(2, 1, 0)
         taps = taps.astype(PIPELINE_DTYPE, order="C").reshape(-1, m_chunk)  # (L*K, chunk)
         # time-major (N, chunk) views of the plan's scratch: pilots, then data
-        rails, work, unit = plan.scratch[:, : 2 * config.N * m_chunk].reshape(3, config.N, -1)
+        rails, *slots = plan.scratch[:, : 2 * config.N * m_chunk].reshape(-1, config.N, 2 * m_chunk)
+        unit = slots[0] if draws_unit else None
+        work = slots[-1] if last else None
         y = rails.view(PIPELINE_DTYPE)
         _box_muller(rng, rails, plan.noise_std)
         y[:n_p] += plan.pilot_shift @ taps
@@ -386,7 +390,6 @@ def simulate_block(
         if draws_unit:
             rng.random(out=unit, dtype=RAIL_DTYPE)
         else:  # as if drawn, so the next chunk's draws do not depend on the modes
-            unit = None
             rng.bit_generator.advance(rails.size // 2)  # two float32 per 64-bit output
         for row, (b, mode, lmmse_gain) in enumerate(plan.rows):
             out = work if row < last else None

@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import ConfigValueError, InfeasibleError
 from .linkrate import RateBreakdown, achievable_rate
 from .sysmodel import (
@@ -131,9 +129,7 @@ def curve_bandwidth(config: SystemConfig, s: float, b: int) -> float:
 def rate_of_s(config: SystemConfig, s: float, b: int) -> float:
     """Per-user rate (bit/s) on the constraint curve M=1/s, B_w=(C_f/b)*s."""
     curve = _in_domain(constraint_curve(config, b), s)
-    # numpy's log1p, not math.log1p: the two differ in the last bit on some
-    # inputs, and the reported relaxed rate would move with it
-    return curve.upsilon * s * float(np.log1p(_omega(curve, s)))
+    return curve.upsilon * s * math.log1p(_omega(curve, s))
 
 
 def _omega(curve: ConstraintCurve, s: float) -> float:
@@ -157,7 +153,7 @@ def rate_of_s_derivative(curve: ConstraintCurve, s: float) -> float:
     g = s * denom
     omega = a / g
     omega_dot = -omega * (denom + s * denom_dot) / g  # not a/g^2: g^2 overflows
-    return upsilon * (float(np.log1p(omega)) + s * omega_dot / (1.0 + omega))
+    return upsilon * (math.log1p(omega) + s * omega_dot / (1.0 + omega))
 
 
 def maximize_over_s(config: SystemConfig, b: int) -> float:
@@ -240,7 +236,7 @@ def unquantized_bound_below(config: SystemConfig, b: int, best_bps: float) -> bo
     """
     curve = _curve(config, b, 0.0)
     lo, hi = 1.0 / curve.slope, 1.0
-    log_lo = float(np.log1p(_omega(curve, lo)))
+    log_lo = math.log1p(_omega(curve, lo))
     while True:
         bound = curve.upsilon * hi * log_lo
         if bound < _INF and best_bps >= bound * (1.0 + 1e-12):
@@ -248,7 +244,7 @@ def unquantized_bound_below(config: SystemConfig, b: int, best_bps: float) -> bo
         if not (hi - lo > S_TOLERANCE or hi - lo > 1e-6 * lo):
             return False
         mid = 0.5 * (lo + hi)
-        log_mid = float(np.log1p(_omega(curve, mid)))
+        log_mid = math.log1p(_omega(curve, mid))
         if curve.upsilon * mid * log_mid > best_bps:
             return False
         d = rate_of_s_derivative(curve, mid)

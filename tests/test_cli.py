@@ -1,4 +1,5 @@
 import collections
+import csv
 import dataclasses
 import itertools
 import json
@@ -32,6 +33,7 @@ from fronthaul_mimo.errors import ConfigSyntaxError, ConfigValueError, SweepPoin
 from fronthaul_mimo.linkrate import achievable_rate
 from fronthaul_mimo import montecarlo
 from fronthaul_mimo.montecarlo import empirical_rate
+from fronthaul_mimo.optimizer import S_TOLERANCE
 from fronthaul_mimo.sysmodel import DesignPoint, SystemConfig, reference_snr_from_power
 
 from conftest import (
@@ -1108,6 +1110,127 @@ class TestMcInputGrid:
         assert not failures, failures
         # the grid reaches the simulator in both commands, not only errors
         assert outcomes["sweep", 0] and outcomes["mc-validate", 0], outcomes
+
+
+# scale exponents k of the 2**k rescalings, from far below to far above 1
+SCALES = (-20, -3, 1, 7, 30)
+# the outputs that scale with (C_f, P, B_w); snr_db shifts by 10*k*log10(2) dB
+SCALED = {"C_f_bps", "B_w_hz", "fronthaul_load_bps", "rate_bps", "sum_rate_bps",
+          "closed_form_bps", "mc_bps", "stderr_bps", "mc_rate_bps", "mc_stderr_bps"}
+
+
+def random_link(rng):
+    """A config's keys at a random link: SNR -10 to 40 dB in 1 MHz, C_f 1 to
+    10**4 Gbit/s, where every 2**k rescaling of SCALES stays in the float
+    range and the search resolves an integer optimum."""
+    return dict(
+        K=rng.randint(1, 20), L=rng.randint(1, 10), N=rng.choice((1000, 2000, 4000)),
+        theta=rng.choice((0.5, 1.0, 1.37, 2.0, 4.0)), X_int=rng.choice((0.5, 1.0, 2.5, 4.0)),
+        P=10 ** rng.uniform(5.0, 10.0), C_f=10 ** rng.uniform(9.0, 13.0),
+    )
+
+
+class TestScaleInvariance:
+    """Every closed form, the search and the simulator read the power P and
+    a bandwidth B_w only through P/B_w, and the cap as B_w*M*b = C_f.  So
+    scaling (C_f, P), and a given B_w, by 2**k poses the same problem, and
+    floating point scales by a power of two exactly: through ``main``, every
+    design, count, c, gamma, condition and clip rate is the same, and every
+    bandwidth and rate exactly 2**k times larger.  Only the relaxed search
+    may move, within its bisection width, since its bracket starts at b/C_f."""
+
+    @staticmethod
+    def run(tmp_path, capsys, argv, keys, k):
+        """Stdout, or the CSV that ``--out`` names, of ``main`` on a config of
+        ``keys`` with C_f, P and B_w scaled by 2**k."""
+        text = "".join(f"{key} = {math.ldexp(value, k) if key in ('C_f', 'P', 'B_w') else value}\n"
+                       for key, value in keys.items())
+        cfg = write_config(tmp_path, text, f"scaled{k}.cfg")
+        out = tmp_path / f"scaled{k}.csv"
+        extra = ["--out", str(out)] if argv[0] == "sweep" else []
+        assert main([argv[0], "--config", cfg, *argv[1:], *extra]) == 0
+        return out.read_text(encoding="utf-8") if extra else capsys.readouterr().out
+
+    def assert_scaled(self, base, scaled, k, key=None):
+        if isinstance(base, dict):
+            assert base.keys() == scaled.keys()
+            for name in base:
+                self.assert_scaled(base[name], scaled[name], k, name)
+        elif isinstance(base, list):
+            assert len(base) == len(scaled)
+            for item, scaled_item in zip(base, scaled):
+                self.assert_scaled(item, scaled_item, k, key)
+        elif key in SCALED:
+            assert scaled == math.ldexp(base, k), (key, k)
+        else:
+            assert (type(scaled), scaled) == (type(base), base), (key, k)
+
+    def test_optimize(self, tmp_path, capsys):
+        rng = random.Random(2027)
+        for _ in range(40):
+            keys = random_link(rng)
+            base = strict_json(self.run(tmp_path, capsys, ["optimize"], keys, 0))
+            relaxed = base.pop("relaxed")
+            for k in SCALES:
+                scaled = strict_json(self.run(tmp_path, capsys, ["optimize"], keys, k))
+                moved = scaled.pop("relaxed")
+                self.assert_scaled(base, scaled, k)
+                # within the width at which maximize_over_s stops
+                width = min(S_TOLERANCE, 1e-6 * relaxed["s"])
+                assert abs(moved["s"] - relaxed["s"]) <= width, (keys, k)
+                assert math.ldexp(moved["rate_bps"], -k) == pytest.approx(
+                    relaxed["rate_bps"], rel=1e-12, abs=0.0), (keys, k)
+
+    def test_rate(self, tmp_path, capsys):
+        rng = random.Random(2028)
+        for _ in range(30):
+            keys = dict(random_link(rng), B_w=10 ** rng.uniform(3.0, 12.0),
+                        M=rng.randint(1, 10**6), b=rng.randint(1, 12))
+            base = strict_json(self.run(tmp_path, capsys, ["rate"], keys, 0))
+            for k in SCALES:
+                scaled = strict_json(self.run(tmp_path, capsys, ["rate"], keys, k))
+                self.assert_scaled(base, scaled, k)
+
+    def sweep_rows(self, tmp_path, capsys, keys, k):
+        """The rows of a scaled ``sweep`` CSV, below its version line."""
+        text = self.run(tmp_path, capsys, ["sweep"], keys, k)
+        return list(csv.DictReader(text.splitlines()[1:]))
+
+    @pytest.mark.parametrize("axis", ["s", "M"])
+    def test_curve_sweep(self, tmp_path, capsys, axis):
+        rng = random.Random(2029)
+        for _ in range(6):
+            keys = random_link(rng)
+            b = rng.randint(1, 12)
+            if axis == "s":  # on the curve at every scale: s >= b/(C_f*2**-20)
+                low = math.log10(b * 2.0**20 / keys["C_f"])
+                grid = [10 ** rng.uniform(low, 0.0) for _ in range(8)]
+            else:
+                grid = rng.sample(range(1, 10**5), 8)
+                keys.update(bind="bandwidth")
+            keys.update(b=b, sweep_axis=axis, sweep_values=",".join(map(repr, sorted(set(grid)))))
+            base = self.sweep_rows(tmp_path, capsys, keys, 0)
+            for k in SCALES:
+                scaled = self.sweep_rows(tmp_path, capsys, keys, k)
+                assert len(scaled) == len(base)
+                for row, scaled_row in zip(base, scaled):
+                    for name, cell in row.items():
+                        if name in SCALED and cell:  # not an empty Monte Carlo cell
+                            assert float(scaled_row[name]) == math.ldexp(float(cell), k), name
+                        elif name != "snr_db":
+                            assert scaled_row[name] == cell, (name, k)
+
+    def test_seeded_mc_validate(self, tmp_path, capsys):
+        rng = random.Random(2030)
+        argv = ["mc-validate", "--bits", "1,2", "--mode", "both", "--trials", "3"]
+        for seed in range(3):
+            keys = dict(random_link(rng), K=rng.randint(1, 4), L=2, N=rng.choice((64, 128)),
+                        theta=1.0, B_w=10 ** rng.uniform(6.0, 9.0), M=rng.choice((8, 16, 32)),
+                        seed=seed)
+            base = strict_json(self.run(tmp_path, capsys, argv, keys, 0))
+            for k in SCALES:
+                scaled = strict_json(self.run(tmp_path, capsys, argv, keys, k))
+                self.assert_scaled(base, scaled, k)
 
 
 class TestParserReuse:

@@ -110,6 +110,43 @@ class TestSinqr:
             assert sinqr(cfg, design) == pytest.approx(form_a, rel=1e-12)
 
 
+class TestMonotonicity:
+    """The two monotonicities the search rests on, over random designs far
+    beyond the paper's: the optimum lies on the constraint curve because the
+    rate rises with M at fixed (B_w, b), and
+    ``optimizer.unquantized_bound_below`` bounds every design at b bits by
+    the E = 0 rate because the rate falls as E grows at fixed (B_w, M)."""
+
+    @staticmethod
+    def wide_setup(rng):
+        cfg = SystemConfig.from_reference_snr(
+            float(rng.uniform(-10, 40)), K=int(rng.integers(1, 40)), L=int(rng.integers(1, 12)),
+            N=4000, theta=float(rng.uniform(1.0, 3.0)),
+        )
+        return cfg, 10.0 ** float(rng.uniform(5, 11)), int(rng.integers(1, 13))
+
+    def test_rate_rises_with_antennas(self):
+        rng = np.random.default_rng(151)
+        for _ in range(200):
+            cfg, b_w, b = self.wide_setup(rng)
+            cfg = cfg.replace(X_int=10.0 ** float(rng.uniform(-1, 1)))
+            antennas = np.unique(np.round(10.0 ** rng.uniform(0, 9, 8))).astype(int).tolist()
+            rates = [achievable_rate(cfg, DesignPoint(B_w=b_w, M=m, b=b)).rate_bps
+                     for m in antennas]
+            assert all(0.0 < r < r_next for r, r_next in zip(rates, rates[1:])), (cfg, b_w, b)
+
+    def test_rate_falls_as_distortion_grows(self):
+        rng = np.random.default_rng(152)
+        for _ in range(200):
+            cfg, b_w, b = self.wide_setup(rng)
+            design = DesignPoint(B_w=b_w, M=int(10.0 ** rng.uniform(0, 7)), b=b)
+            # E = (X_int*2**(1 - b))**2/12 grows with X_int at fixed b; an
+            # X_int of 1e-30 has E = 0 in every sum the rate takes
+            x_ints = [1e-30, *np.sort(10.0 ** rng.uniform(-1, 1.5, 6)).tolist()]
+            rates = [achievable_rate(cfg.replace(X_int=x), design).rate_bps for x in x_ints]
+            assert all(r > r_next > 0.0 for r, r_next in zip(rates, rates[1:])), (cfg, design)
+
+
 class TestAchievableRate:
     def test_zero_sinqr_zero_rate(self, base_config):
         assert rate_from_sinqr(base_config, 1e8, 0.0) == 0.0

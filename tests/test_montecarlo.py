@@ -73,7 +73,7 @@ def block_memory_bound(cfg, rows):
     """Bytes a plan and its block of ``rows`` rows may hold at any M: the
     rows' (N_d, L*K) products, the gathered symbols and one more product;
     and five arrays of one full chunk's (N, ANTENNA_CHUNK) received samples,
-    three of them the plan's scratch."""
+    up to three of them the plan's scratch."""
     itemsize = montecarlo.PIPELINE_DTYPE.itemsize
     product = cfg.n_data * cfg.K * cfg.L * itemsize
     chunk = cfg.N * montecarlo.ANTENNA_CHUNK * itemsize
@@ -381,6 +381,20 @@ class TestMrc:
         peaks = [block_peak(cfg, m_ant, (1, 2, 3), ["pqn", "uniform"]) for m_ant in (256, 1024)]
         assert peaks[1] <= 1.01 * peaks[0], peaks
         assert peaks[1] < block_memory_bound(cfg, rows=6), peaks
+
+    @pytest.mark.parametrize("bits, modes, slots", [
+        ((1,), ["uniform"], 1),
+        ((1,), ["pqn"], 2),
+        ((1, 2), ["uniform"], 2),
+        ((1,), ["pqn", "uniform"], 3),
+        ((1, 2, 3), ["pqn"], 3),
+    ])
+    def test_scratch_holds_what_the_rows_use(self, bits, modes, slots):
+        # the received rails; the unit uniforms only when a pqn row runs; the
+        # working copy only when more than one row reads the received rails
+        cfg = small_config()
+        plan = plan_block(cfg, [DesignPoint(B_w=1e8, M=16, b=b) for b in bits], modes)
+        assert plan.scratch.shape == (slots, 2 * cfg.N * 16)
 
     def test_plan_sizes_the_block_before_allocating(self):
         # M = 6021, the largest one-bit optimum over SNR {0, 15, 30} dB x C_f

@@ -248,13 +248,13 @@ def reference_upsilon(config, b):
 
 def reference_rate_of_s(config, s, b):
     omega, _ = reference_omega_terms(config, s, b)
-    return reference_upsilon(config, b) * s * float(np.log1p(omega))
+    return reference_upsilon(config, b) * s * math.log1p(omega)
 
 
 def reference_rate_of_s_derivative(config, s, b):
     omega, omega_dot = reference_omega_terms(config, s, b)
     return reference_upsilon(config, b) * (
-        float(np.log1p(omega)) + s * omega_dot / (1.0 + omega)
+        math.log1p(omega) + s * omega_dot / (1.0 + omega)
     )
 
 

@@ -16,7 +16,9 @@ closed form, and Monte Carlo (``mc_validate*.json`` and ``*trials*.csv``,
 whose seeded values a change to the simulator's draws may move).  Then it
 prints one line per differing ``.json`` file that both sets hold as JSON,
 naming the keys whose values differ (``optimize_grid07.json:
-trace_points``; a nested key as ``points[0].mc_bps``).  It exits 1 when a
+trace_points``; a nested key as ``points[0].mc_bps``), and for two floats
+their distance in units in the last place of OTHER's value
+(``optimize_grid05.json: relaxed.rate_bps (1 ulp)``).  It exits 1 when a
 closed-form file differs, and 0 otherwise.
 
 The set: the 72 paper-grid ``optimize`` runs (SNR {0, 15, 30} dB x C_f
@@ -63,6 +65,7 @@ import filecmp
 import fnmatch
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -215,14 +218,19 @@ def write_set(outdir: str, src: str) -> int:
 
 
 def differing_keys(a, b, path: str = "") -> list[str]:
-    """Paths of the values that differ between two parsed JSON documents."""
+    """Paths of the values that differ between two parsed JSON documents,
+    each of two floats with its distance in ulps of ``b``'s value."""
     if isinstance(a, dict) and isinstance(b, dict):
         return [key for k in sorted(a.keys() | b.keys())
                 for key in differing_keys(a.get(k), b.get(k), f"{path}.{k}" if path else k)]
     if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
         return [key for i, (x, y) in enumerate(zip(a, b))
                 for key in differing_keys(x, y, f"{path}[{i}]")]
-    return [] if a == b and type(a) is type(b) else [path or "(document)"]
+    if a == b and type(a) is type(b):
+        return []
+    if type(a) is float and type(b) is float:
+        return [f"{path or '(document)'} ({abs(a - b) / math.ulp(b):g} ulp)"]
+    return [path or "(document)"]
 
 
 def _load_json(path: str):
