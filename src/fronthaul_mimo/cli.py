@@ -11,10 +11,10 @@ Exit codes: 0 success, 1 usage/parse error, 2 infeasible or model error.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import contextlib
 import dataclasses
 import functools
+import importlib.util
 import json
 import math
 import os
@@ -22,9 +22,7 @@ import re
 import sys
 from typing import NamedTuple
 
-import numpy as np
-
-from . import montecarlo, optimizer
+from . import optimizer
 from .errors import (
     ConfigError,
     ConfigSyntaxError,
@@ -34,6 +32,7 @@ from .errors import (
 )
 from .linkrate import achievable_rate
 from .sysmodel import (
+    QUANTIZE_MODES,
     Design,
     DesignPoint,
     SystemConfig,
@@ -41,6 +40,21 @@ from .sysmodel import (
     reference_snr_to_power,
     require_finite,
 )
+
+
+def _lazy_submodule(name: str):
+    """Submodule ``name`` bound as ``import`` binds it, run on its first attribute read."""
+    full_name = f"{__package__}.{name}"
+    if full_name not in sys.modules:
+        spec = importlib.util.find_spec(full_name)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        sys.modules[full_name] = module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return sys.modules[full_name]
+
+
+montecarlo = _lazy_submodule("montecarlo")  # numpy with it: an MC row or mc-validate loads it
 
 CSV_VERSION = "fhmimo-sweep-csv v1"
 
@@ -103,10 +117,8 @@ class SweepSpec:
         require_finite(self)
         if self.bind not in BIND_MODES:
             raise ConfigValueError(f"bind must be one of {BIND_MODES}, got {self.bind!r}")
-        if self.mc_mode not in montecarlo.QUANTIZE_MODES:
-            raise ConfigValueError(
-                f"mc_mode must be one of {montecarlo.QUANTIZE_MODES}, got {self.mc_mode!r}"
-            )
+        if self.mc_mode not in QUANTIZE_MODES:
+            raise ConfigValueError(f"mc_mode must be one of {QUANTIZE_MODES}, got {self.mc_mode!r}")
         if self.trials is not None and self.trials < 0:
             raise ConfigValueError(f"trials must be >= 0, got {self.trials}")
         if self.seed < 0:
@@ -362,7 +374,7 @@ def _point_design(
 def _column(value):
     """An array as a list of Python numbers, one per row; anything else as
     it is, one value that every row shares."""
-    return value.tolist() if isinstance(value, np.ndarray) else value
+    return value.tolist() if getattr(value, "ndim", 0) > 0 else value
 
 
 def _closed_form_run(
@@ -384,7 +396,7 @@ def _closed_form_run(
         "K": cfg.K,
         "C_f_bps": cfg.C_f,
         "B_w_hz": _column(design.B_w),
-        "M": list(map(int, m.tolist())) if isinstance(m, np.ndarray) else int(m),
+        "M": list(map(int, m.tolist())) if getattr(m, "ndim", 0) > 0 else int(m),
         "b": design.b,
         "s": s,
         "N": cfg.N,
@@ -429,6 +441,7 @@ def _curve_run(config: SystemConfig, spec: SweepSpec, preset: str | None) -> Swe
     float range (numpy flags what Python raises on, or rounds to inf or
     NaN): the row path then names the first failing point in grid order.
     """
+    import numpy as np
     b = 1 if spec.b is None else spec.b
     grid = np.array(spec.values, dtype=float)
     b_w = grid if spec.axis == "B_w" else spec.B_w
@@ -473,6 +486,7 @@ def _monte_carlo(
 ) -> tuple[float, float | None, float]:
     """A design's Monte Carlo cells (rate, standard error, clip rate),
     simulated on the grid index's substream."""
+    import numpy as np
     seq = np.random.SeedSequence(entropy=spec.seed, spawn_key=(index,))
     [mc] = montecarlo.empirical_rate(cfg, [design], spec.trials, seq, [spec.mc_mode])
     if not math.isfinite(mc.rate_bps):  # few symbols can zero the ratio's denominator
@@ -529,6 +543,9 @@ def run_sweep(
     if threads <= 1 or not spec.trials:
         results = [job(i) for i in indices]
     else:
+        import concurrent.futures
+        # LazyLoader runs a module in the first thread to read it, unlocked before 3.12
+        montecarlo.empirical_rate  # noqa: B018  (loads the simulator in this thread)
         with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(job, indices))
     if curve is None:
@@ -545,6 +562,7 @@ _AT_200_MHZ = dict(axis="b", values=_BITS, bind="antennas", B_w=200e6)
 
 # name -> (SystemConfig overrides, one config per curve; the sweep).  Curve i
 # runs its Monte Carlo at seed + i; fig3 pins trials to 0 (closed form only).
+# An s grid is 200 points of np.logspace over ``log_grid``, built on use.
 _PRESET_TABLE = {
     "fig2": (({},), _AT_200_MHZ),
     "fig3": (({},), dict(_AT_200_MHZ, trials=0, seed=0)),
@@ -554,19 +572,22 @@ _PRESET_TABLE = {
     # one-bit optimum near M* ~ 250, B_w* ~ 200 MHz.
     "fig5": (
         ({"C_f": 50e9, "X_int": 4.0},),
-        dict(axis="s", b=1,
-             values=tuple(np.logspace(math.log10(2e-4), math.log10(0.1), 200).tolist())),
+        dict(axis="s", b=1, log_grid=(math.log10(2e-4), math.log10(0.1))),
     ),
     "fig6": (_SNRS, _AT_200_MHZ),
     "fig7": (_SNRS, dict(axis="b", values=_BITS, bind="bandwidth", M=1000)),
     "fig8": (
         tuple({"theta": theta} for theta in (1.0, 2.0, 4.0, 8.0)),
-        dict(axis="s", values=tuple(np.logspace(-4, -1, 200).tolist()), b=1),
+        dict(axis="s", log_grid=(-4, -1), b=1),
     ),
 }
 
 
 def _preset(curves, sweep, trials, seed) -> list[tuple[SystemConfig, SweepSpec]]:
+    sweep = dict(sweep)
+    if "log_grid" in sweep:  # numpy is imported here, not with the CLI
+        import numpy as np
+        sweep["values"] = tuple(np.logspace(*sweep.pop("log_grid"), 200).tolist())
     out = []
     for i, overrides in enumerate(curves):
         config = SystemConfig.from_reference_snr(**overrides)
@@ -805,9 +826,7 @@ def main(argv=None) -> int:
             config, design, _ = _point_design(config, spec, None)
             _emit_json(rate_report(config, design), args.out)
         elif args.command == "optimize":
-            config, _ = _load(args)
-            report = optimize_report(config)
-            _emit_json(report, args.out)
+            _emit_json(optimize_report(_load(args)[0]), args.out)
         elif args.command == "sweep":
             config, spec = _load(args)
             runs = run_sweep(config, spec, threads=args.threads)

@@ -65,6 +65,7 @@ its design and mode alone at the same seed: a group of one.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -72,9 +73,8 @@ import numpy as np
 
 from .errors import ConfigValueError
 from .linkrate import estimation_quality, rate_from_sinqr
-from .sysmodel import Design, SystemConfig, link_budget, quantizer_step
+from .sysmodel import QUANTIZE_MODES, Design, SystemConfig, link_budget, quantizer_step
 
-QUANTIZE_MODES = ("uniform", "pqn")
 N_BATCHES = 10  # trial batches behind the standard error
 PIPELINE_DTYPE = np.dtype(np.complex64)  # every (M, .) array of a block
 RAIL_DTYPE = np.finfo(PIPELINE_DTYPE).dtype  # of its real rails, float32
@@ -451,35 +451,35 @@ def empirical_rate(
     block (common random numbers), and each row is bit for bit the estimate
     of a call with its design and mode alone at the same seed.
     """
-    if trials < 1:
-        raise ConfigValueError(f"trials must be >= 1, got {trials}")
+    if not 1 <= trials <= sys.maxsize:
+        raise ConfigValueError(f"trials must be in [1, {sys.maxsize}], got {trials}")
     plan = plan_block(config, designs, modes)
     seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    children = seq.spawn(trials)
 
     n_rows = len(plan.rows)
     n_batches = min(N_BATCHES, trials)
     s1 = np.zeros((n_rows, n_batches), dtype=complex)
     s2 = np.zeros((n_rows, n_batches))
-    batch = np.arange(trials) * n_batches // trials
+    n_obs = [0] * n_batches  # symbols per batch
     clipped = [0] * n_rows
-    for i, child in zip(batch, children):
+    for i in (trial * n_batches // trials for trial in range(trials)):
+        n_obs[i] += config.K * config.n_data
+        # one child at a time, none kept: spawn(1) n times gives spawn(n)'s children
         for row, (cross, power, n_clipped) in enumerate(
-            simulate_block(plan, np.random.default_rng(child))
+            simulate_block(plan, np.random.default_rng(seq.spawn(1)[0]))
         ):
             s1[row, i] += cross
             s2[row, i] += power
             clipped[row] += n_clipped
-    n_obs = np.bincount(batch) * (config.K * config.n_data)  # symbols per batch
 
     n_rails = trials * 2 * plan.M * (config.n_pilot + config.n_data)
     rates = []
     for row_s1, row_s2, row_clipped in zip(s1, s2, clipped):
-        gamma = _gamma_from_moments(row_s1.sum(), row_s2.sum(), int(n_obs.sum()))
+        gamma = _gamma_from_moments(row_s1.sum(), row_s2.sum(), sum(n_obs))
         # single-trial batches at high SINR can land on a non-finite ratio estimate
         batch_rates = np.array(
             [
-                rate_from_sinqr(config, plan.B_w, _gamma_from_moments(c, p, int(n)))
+                rate_from_sinqr(config, plan.B_w, _gamma_from_moments(c, p, n))
                 for c, p, n in zip(row_s1, row_s2, n_obs)
             ]
         )

@@ -32,6 +32,7 @@ FEASIBILITY_REL_TOL = 1e-9
 # bound of the (b, X_int) memos: a figure preset has at most 12 distinct
 # pairs, and the bound keeps outside input from growing them without limit
 QUANTIZER_MEMO_SIZE = 256
+QUANTIZE_MODES = ("uniform", "pqn")  # the simulator's true quantizer and its noise surrogate
 
 
 def require_finite(obj) -> None:
@@ -40,8 +41,8 @@ def require_finite(obj) -> None:
     # getattr, not vars(): materializing __dict__ slows every later attribute read
     for f in dataclasses.fields(obj):
         value = getattr(obj, f.name)
-        if isinstance(value, (int, float)):
-            finite = math.isfinite(value)
+        if isinstance(value, (int, float)):  # an int is finite, even beyond the float range
+            finite = isinstance(value, int) or math.isfinite(value)
         else:
             finite = not isinstance(value, tuple) or all(map(math.isfinite, value))
         if not finite:

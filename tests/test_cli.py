@@ -789,6 +789,23 @@ class TestDeterminism:
         b4 = Path(out4).read_bytes()
         assert b1 == b4
 
+    def test_threaded_first_load_byte_identical(self, tmp_path, capsys):
+        # the CLI loads the simulator on first use; a fresh process whose
+        # first Monte Carlo rows run in a pool must load it before the pool
+        # starts, or a thread reads a half-executed module
+        cfg = write_config(tmp_path, SWEEP_MC)
+        argvs = (["sweep", "--config", cfg], ["preset", "fig4", "--trials", "1"])
+        env = dict(os.environ, PYTHONPATH=str(Path(fronthaul_mimo.__file__).parent.parent))
+        fresh = [subprocess.Popen([sys.executable, "-m", "fronthaul_mimo", *argv,
+                                   "--threads", "3"], stdout=subprocess.PIPE,
+                                  stderr=subprocess.PIPE, text=True, env=env)
+                 for argv in argvs]
+        for argv, proc in zip(argvs, fresh):
+            assert main([*argv, "--threads", "1"]) == 0
+            out, err = proc.communicate(timeout=120)
+            assert (proc.returncode, err) == (0, "")
+            assert out == capsys.readouterr().out
+
     def test_repeat_run_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, SWEEP_MC)
         out1 = str(tmp_path / "r1.csv")
@@ -928,6 +945,19 @@ class TestMcValidate:
         assert captured.err == ""
         if "--bw" in argv:
             assert "B_w=1.0, M=" in strict_json(captured.out)["detail"]
+
+    @pytest.mark.parametrize("trials", [10**20, 10**400], ids=["above_maxsize", "above_float"])
+    def test_trial_count_beyond_range_named(self, tmp_path, capsys, trials):
+        # a count no index holds ends in one line naming trials, before any
+        # block, whether or not a float holds it
+        sweep = write_config(tmp_path, f"B_w = 1e8\nM = 4\nsweep_axis = b\nsweep_values = 1\n"
+                                       f"trials = {trials}\n")
+        for argv in (["mc-validate", "--bw", "1e8", "--m", "4", "--trials", str(trials)],
+                     ["sweep", "--config", sweep]):
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert_model_error(code, captured.out)
+            assert "trials must be in [1, " in strict_json(captured.out)["detail"]
 
     def test_block_beyond_budget_exits_2_before_allocating(self, tmp_path, capsys):
         # 10^8 antennas at the default block need terabytes: mc-validate and

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -538,6 +539,31 @@ class TestEmpiricalRate:
         for other in (DesignPoint(B_w=1e8, M=8, b=2), DesignPoint(B_w=2e8, M=4, b=2)):
             with pytest.raises(ConfigValueError):
                 empirical_rate(cfg, [DesignPoint(B_w=1e8, M=4, b=1), other], 2, 0, ["pqn"])
+
+    def test_memory_flat_in_trials(self, monkeypatch):
+        # each trial's SeedSequence child is spawned when the trial runs and
+        # dropped after it: a child holds about 440 B, so children spawned up
+        # front would make the peak grow by 1.2 MB from 300 to 3,000 trials
+        # (and 10^8 trials ask for 44 GB); the block is stubbed, since only
+        # the loop's own memory is measured
+        monkeypatch.setattr(montecarlo, "simulate_block", lambda plan, rng: [(1j, 2.0, 0)])
+        cfg = small_config()
+        design = DesignPoint(B_w=1e8, M=4, b=1)
+        peaks = []
+        for trials in (300, 3000):
+            tracemalloc.start()
+            try:
+                empirical_rate(cfg, [design], trials, seed=0, modes=["pqn"])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < peaks[0] + 50_000
+
+    def test_rejects_trial_count_out_of_range(self):
+        cfg = small_config()
+        for trials in (0, sys.maxsize + 1):
+            with pytest.raises(ConfigValueError, match="trials must be in"):
+                empirical_rate(cfg, [DesignPoint(B_w=1e8, M=4, b=1)], trials, 0, ["pqn"])
 
     def test_rejects_bad_mode(self):
         cfg = small_config()

@@ -1,6 +1,9 @@
-"""The package as its readers import it: the closed forms and the search
-without numpy, and every Python example of the README."""
+"""The package as its readers import it: the closed forms, the search and
+the closed-form commands without numpy, and every Python example of the
+README."""
 
+import contextlib
+import io
 import json
 import os
 import re
@@ -8,7 +11,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import fronthaul_mimo
+from fronthaul_mimo import cli
 
 SRC = Path(fronthaul_mimo.__file__).resolve().parent.parent
 README = SRC.parent / "README.md"
@@ -35,6 +41,60 @@ def test_closed_forms_and_search_import_no_numpy():
     )
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == "True 1 True True\n"
+
+
+# runs each argv through cli.main and prints the exit codes and outputs as
+# JSON, then whether numpy was imported and the simulator was executed (a
+# module that LazyLoader has not run yet is not yet a plain module)
+RUN_MAIN = (
+    "import contextlib, io, json, sys, types\n"
+    "from fronthaul_mimo import cli\n"
+    "results = []\n"
+    "for argv in json.load(sys.stdin):\n"
+    "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+    "        results.append([cli.main(argv), out.getvalue()])\n"
+    "simulator = sys.modules['fronthaul_mimo.montecarlo']\n"
+    "print(json.dumps([results, 'numpy' in sys.modules,\n"
+    "                  type(simulator) is types.ModuleType]))\n"
+)
+
+
+def test_closed_form_commands_import_no_numpy(tmp_path):
+    sweep = tmp_path / "sweep.cfg"
+    sweep.write_text("B_w = 2e8\nM = 64\nsweep_axis = b\nsweep_values = 1,2,3\n",
+                     encoding="utf-8")
+    argvs = [["optimize"], ["rate", "--bw", "2e8", "--m", "64", "--b", "2"],
+             ["preset", "fig2"], ["sweep", "--config", str(sweep)]]
+    expected = []
+    for argv in argvs:
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            expected.append([cli.main(argv), out.getvalue()])
+    assert [code for code, _ in expected] == [0] * len(argvs)
+    blocked = run_python("import sys\nsys.modules['numpy'] = None\n" + RUN_MAIN,
+                         stdin=json.dumps(argvs))
+    assert (blocked.returncode, blocked.stderr) == (0, ""), blocked.stderr
+    assert json.loads(blocked.stdout)[0] == expected
+    proc = run_python(RUN_MAIN, stdin=json.dumps(argvs))
+    assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+    assert json.loads(proc.stdout) == [expected, False, False]
+
+
+@pytest.mark.parametrize("code", [
+    # imported before the CLI, the simulator is the module the CLI uses
+    "import fronthaul_mimo.montecarlo as simulator\n"
+    "from fronthaul_mimo import cli\n"
+    "print(cli.montecarlo is simulator)\n",
+    # registered by the CLI, it is the package's attribute and what an
+    # import returns, as after an import
+    "import fronthaul_mimo\n"
+    "from fronthaul_mimo import cli\n"
+    "bound = fronthaul_mimo.montecarlo\n"
+    "import fronthaul_mimo.montecarlo as simulator\n"
+    "print(bound is cli.montecarlo is simulator and callable(simulator.empirical_rate))\n",
+], ids=["imported_first", "registered_first"])
+def test_cli_simulator_is_the_imported_module(code):
+    proc = run_python(code)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "True\n")
 
 
 def test_readme_python_blocks_run_in_order():
