@@ -782,11 +782,12 @@ _FLAG_KEYS = {"bw": "B_w", "m": "M", "b": "b", "seed": "seed", "trials": "trials
 
 def _load(args, **changes) -> tuple[SystemConfig, SweepSpec]:
     """The config with every given flag applied; ``changes`` set spec fields
-    first (``rate`` and ``mc-validate`` clear the grid)."""
+    first (``rate`` and ``mc-validate`` clear the grid).  The spec is
+    rebuilt, and checked again, only when something changes it."""
     config, spec = parse_config(args.config) if args.config else parse_config_text("")
     changes.update({key: value for flag, key in _FLAG_KEYS.items()
                     if (value := getattr(args, flag, None)) is not None})
-    return config, dataclasses.replace(spec, **changes)
+    return config, dataclasses.replace(spec, **changes) if changes else spec
 
 
 def _emit(text: str, out_path: str | None, echo: str | None = None) -> None:

@@ -51,7 +51,9 @@ because gamma divides by power - |cross|^2, which cancels at high SINR.
 leaves float32, and a block whose draws and kept products pass
 ``BLOCK_BUDGET``, before anything of size M is allocated.  A block holds one
 chunk at a time, so its memory does not grow with M; the budget bounds the
-work of a block, which does.
+work of a block, which does.  ``empirical_rate`` bounds the work of a run
+the same way before its first block: the trials times a block's draws and
+kept products must fit ``RUN_BUDGET``.
 
 Rows that share (B_w, M) -- every resolution b and both modes of an
 ``mc-validate`` point -- share each trial's block: none of these draws
@@ -85,6 +87,11 @@ RAIL_MAX = float(np.finfo(RAIL_DTYPE).max)
 # size X_int stay finite.
 RAIL_HEADROOM = 2.0**10
 BLOCK_BUDGET = 2**30  # bytes: the largest draws and kept products plan_block admits
+# bytes: the most that all the blocks of one empirical_rate call draw and
+# keep; about an hour of blocks on one core of a 2-vCPU x86-64 host, which
+# runs them at about 4 GB/s (the default config's M = 4 block, 21 MB at six
+# rows, takes about 5.4 ms)
+RUN_BUDGET = 2**44
 ANTENNA_CHUNK = 128  # antennas per chunk of a block, so its memory is flat in M
 
 
@@ -289,6 +296,7 @@ class BlockPlan:
     data_gain: float  # ADC-domain amplitude of a standard complex normal symbol
     noise_std: float
     scratch: np.ndarray  # (1 to 3, 2*N*chunk) RAIL_DTYPE: received[, unit uniforms][, copy]
+    block_bytes: float  # what one block draws and keeps, within BLOCK_BUDGET
 
 
 def plan_block(
@@ -339,6 +347,7 @@ def plan_block(
         noise_std=agc * math.sqrt(0.5),  # unit noise, half per rail
         scratch=np.empty((1 + ("pqn" in modes) + (len(designs) * len(modes) > 1),
                           2 * config.N * min(m_ant, ANTENNA_CHUNK)), RAIL_DTYPE),
+        block_bytes=drawn + kept,
     )
 
 
@@ -449,11 +458,19 @@ def empirical_rate(
 
     The designs must share (B_w, M).  The rows then share every trial's
     block (common random numbers), and each row is bit for bit the estimate
-    of a call with its design and mode alone at the same seed.
+    of a call with its design and mode alone at the same seed.  A run whose
+    trials times ``BlockPlan.block_bytes`` pass ``RUN_BUDGET`` is refused
+    before its first block.
     """
     if not 1 <= trials <= sys.maxsize:
         raise ConfigValueError(f"trials must be in [1, {sys.maxsize}], got {trials}")
     plan = plan_block(config, designs, modes)
+    if trials * plan.block_bytes > RUN_BUDGET:
+        raise ConfigValueError(
+            f"{trials} trials of a block at B_w={plan.B_w}, M={plan.M} need "
+            f"{trials * plan.block_bytes:.3g} bytes, above the simulator's run budget "
+            f"of {RUN_BUDGET}"
+        )
     seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
 
     n_rows = len(plan.rows)

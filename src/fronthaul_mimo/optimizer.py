@@ -7,6 +7,13 @@ B_w = (C_f/b)*s.  R(s) is unimodal in s, concave through the ascent to its
 maximizer (convex only in the far noise-limited decay), so the maximizer
 is found by bisection on the sign of the closed-form derivative; the
 integer optimum is then the floor or the ceiling of 1/s* (``optimize_full``).
+The bisection does each piece of work once: Halley steps on a well-scaled
+function of log s with the derivative's sign locate the root
+(``_locate``), the derivative confirms its sign at the two edges of a
+narrow window around it, and the bisection is then replayed, deciding each
+midpoint outside the window by its side and evaluating the derivative only
+inside; where the root cannot be located with a resolved sign, every
+midpoint is evaluated.  Either way s* is the plain bisection's, bit for bit.
 The search over b stops once the E = 0 rate on the curve of capacity C_f/b
 shows that no design at b bits or more can win (``unquantized_bound_below``).
 """
@@ -34,6 +41,18 @@ _INF = math.inf
 
 B_MAX = 12
 S_TOLERANCE = 1e-10
+# The located root: at most LOCATE_STEPS steps (a root found took at most
+# 10 over 14,000 random and extreme searches, 4 on the paper grid), the
+# last one shorter than LAST_STEP in log s, which leaves an error near its
+# cube (about 1e-12).  dR/ds is evaluated only within WINDOW (relative) of
+# it, and only where omega there exceeds OMEGA_RESOLVED: below it the sign
+# of dR/ds near the root is rounding noise, which only the plain bisection
+# reproduces.
+LOCATE_STEPS = 16
+LAST_STEP = 1e-4
+WINDOW = 1e-9
+OMEGA_RESOLVED = 1e-6
+LOG_RESOLVED = math.log1p(OMEGA_RESOLVED)
 
 
 @functools.lru_cache(maxsize=QUANTIZER_MEMO_SIZE)
@@ -129,21 +148,20 @@ def curve_bandwidth(config: SystemConfig, s: float, b: int) -> float:
 def rate_of_s(config: SystemConfig, s: float, b: int) -> float:
     """Per-user rate (bit/s) on the constraint curve M=1/s, B_w=(C_f/b)*s."""
     curve = _in_domain(constraint_curve(config, b), s)
-    return curve.upsilon * s * math.log1p(_omega(curve, s))
-
-
-def _omega(curve: ConstraintCurve, s: float) -> float:
-    """SINQR on the curve: omega = a/(s*(1+E)u*((theta_eff - 1)KP + (1+E)u)), u = KP + slope*s."""
-    ou = curve.one * (curve.kp + curve.slope * s)
-    return curve.a / (s * (ou * (curve.te_kp + ou)))
+    return curve.upsilon * s * _log_rate_and_slope(curve, s)[0]
 
 
 def rate_of_s_derivative(curve: ConstraintCurve, s: float) -> float:
     """Closed-form dR/ds on a curve from ``constraint_curve``; its sign gives
-    the ascent direction.  The bisection's inner step: only the terms that
-    depend on s are computed here.
+    the ascent direction.  Only the terms that depend on s are computed here.
     """
-    slope, kp, one, te_kp, a, upsilon, _ = _in_domain(curve, s)
+    return _log_rate_and_slope(_in_domain(curve, s), s)[1]
+
+
+def _log_rate_and_slope(curve: ConstraintCurve, s: float) -> tuple[float, float]:
+    """log1p(omega) and dR/ds at s, from one omega: the SINQR on the curve,
+    omega = a/(s*(1+E)u*((theta_eff - 1)KP + (1+E)u)), u = KP + slope*s."""
+    slope, kp, one, te_kp, a, upsilon, _ = curve
     u = kp + slope * s
     ou = one * u
     # omega = a/(s*denom), denom = tau(theta, s) + (1+E)^2 u^2,
@@ -153,7 +171,76 @@ def rate_of_s_derivative(curve: ConstraintCurve, s: float) -> float:
     g = s * denom
     omega = a / g
     omega_dot = -omega * (denom + s * denom_dot) / g  # not a/g^2: g^2 overflows
-    return upsilon * (math.log1p(omega) + s * omega_dot / (1.0 + omega))
+    log_omega = math.log1p(omega)
+    return log_omega, upsilon * (log_omega + s * omega_dot / (1.0 + omega))
+
+
+def _ascent(curve: ConstraintCurve, t: float) -> tuple[float, float, float]:
+    """G(t) and its first two derivatives in t = log s, where G has the sign
+    of dR/ds.
+
+    dR/ds = upsilon*omega/(1+omega)*(h - q) with h = log1p(omega)(1+omega)/omega - 1
+    and q = s*D'/D, D = ou*(te_kp + ou); q = p1 + p2 with p1 = y/ou,
+    p2 = y/(te_kp + ou), y = (1+E)*slope*s, and dp/dt = p(1 - p).  G =
+    log(h/q) falls in t with a slope between about -1 and -4 over the whole
+    curve, where h - q flattens as omega vanishes, so steps on G stay near
+    the root.  Where omega is at most ``OMEGA_RESOLVED``, G is -inf: s lies
+    beyond any root ``_locate`` accepts, since omega falls in s.
+    """
+    s = math.exp(t)
+    ou = curve.one * (curve.kp + curve.slope * s)
+    tou = curve.te_kp + ou
+    omega = curve.a / (s * (ou * tou))
+    if omega <= OMEGA_RESOLVED:
+        return -_INF, 0.0, 0.0
+    y = curve.one * curve.slope * s
+    p1, p2 = y / ou, y / tou
+    r1, r2 = p1 * (1.0 - p1), p2 * (1.0 - p2)
+    q, q_dot, q_ddot = p1 + p2, r1 + r2, r1 * (1.0 - 2.0 * p1) + r2 * (1.0 - 2.0 * p2)
+    log_omega = math.log1p(omega)
+    h = log_omega * (1.0 + omega) / omega - 1.0
+    k = 1.0 - log_omega / omega  # dh/dlog(omega); dlog(omega)/dt = -(1 + q)
+    h_dot = -(1.0 + q) * k
+    h_ddot = (1.0 + q) ** 2 * (log_omega / omega - 1.0 / (1.0 + omega)) - q_dot * k
+    hr, qr = h_dot / h, q_dot / q
+    return math.log(h / q), hr - qr, h_ddot / h - hr * hr - q_ddot / q + qr * qr
+
+
+def _locate(curve: ConstraintCurve, lo: float, hi: float) -> float | None:
+    """The root of ``_ascent``'s G in (lo, hi) by Halley steps in t = log s
+    inside a sign bracket, or a bisection in t where a step leaves it; None
+    when a term leaves the float range, ``LOCATE_STEPS`` steps pass, or
+    omega at the root is too small for the sign of dR/ds to be resolved."""
+    t_lo, t_hi = math.log(lo), math.log(hi)
+    one_kp = curve.one * curve.kp
+    try:  # where h = q while slope*s << KP and omega >> 1: log omega = 1
+        t = math.log(curve.a) - math.log(one_kp) - math.log(curve.te_kp + one_kp) - 1.0
+    except ValueError:
+        t = 0.5 * (t_lo + t_hi)
+    for _ in range(LOCATE_STEPS):
+        if not t_lo < t < t_hi:
+            t = 0.5 * (t_lo + t_hi)
+        try:
+            g, g_dot, g_ddot = _ascent(curve, t)
+        except ArithmeticError:  # a term left the float range
+            return None
+        if g > 0.0:
+            t_lo = t
+        elif g <= 0.0:
+            t_hi = t
+        else:
+            return None
+        if not g_dot < 0.0:  # omega is unresolved at t, and so beyond it
+            if _log_rate_and_slope(curve, lo)[0] <= LOG_RESOLVED:  # and at lo: everywhere
+                return None
+            t = 0.5 * (t_lo + t_hi)
+            continue
+        halley = 2.0 * g_dot * g_dot - g * g_ddot
+        step = -2.0 * g * g_dot / halley if halley > 0.0 else -g / g_dot
+        if abs(step) < LAST_STEP:
+            return math.exp(t + step)
+        t += step
+    return None
 
 
 def maximize_over_s(config: SystemConfig, b: int) -> float:
@@ -165,6 +252,16 @@ def maximize_over_s(config: SystemConfig, b: int) -> float:
     tighter, so a tiny s* (a huge capacity) still converges.  Raises
     ConfigValueError when the derivative is not finite, which only C_f or
     P far beyond any physical system causes.
+
+    The bisection is replayed from a located root, not run blind.
+    ``_locate`` finds the root first, and dR/ds at the two edges of a
+    window of ``WINDOW`` (relative) around it confirms its sign there: > 0
+    below, <= 0 above.  The bisection then runs as ever, but decides a
+    midpoint outside the window by its side and evaluates dR/ds only
+    inside it, so s* is the plain bisection's, bit for bit.  Where the root
+    is not located (a term leaves the float range, or omega at the root is
+    at most ``OMEGA_RESOLVED``) or an edge's sign is not confirmed, it
+    evaluates every midpoint, as the plain bisection does.
     """
     curve = constraint_curve(config, b)
     hi = 1.0
@@ -179,9 +276,23 @@ def maximize_over_s(config: SystemConfig, b: int) -> float:
         return lo
     if d_lo >= 0.0 and d_hi >= 0.0:
         return hi
+    below, above = 0.0, _INF  # every midpoint between the two is evaluated
+    root = _locate(curve, lo, hi) if d_lo > 0.0 else None  # an ascent, then a descent
+    if root is not None:
+        edge_lo, edge_hi = root * (1.0 - WINDOW), root * (1.0 + WINDOW)
+        if (lo < edge_lo and edge_hi < hi
+                and 0.0 < rate_of_s_derivative(curve, edge_lo) < _INF
+                and -_INF < rate_of_s_derivative(curve, edge_hi) <= 0.0):
+            below, above = edge_lo, edge_hi
     # comparisons, not min() and isfinite() calls: this loop is the hot path
     while hi - lo > S_TOLERANCE or hi - lo > 1e-6 * lo:
         mid = 0.5 * (lo + hi)
+        if mid < below:
+            lo = mid
+            continue
+        if mid > above:
+            hi = mid
+            continue
         d = rate_of_s_derivative(curve, mid)
         if 0.0 < d < _INF:
             lo = mid
@@ -236,7 +347,7 @@ def unquantized_bound_below(config: SystemConfig, b: int, best_bps: float) -> bo
     """
     curve = _curve(config, b, 0.0)
     lo, hi = 1.0 / curve.slope, 1.0
-    log_lo = math.log1p(_omega(curve, lo))
+    log_lo = _log_rate_and_slope(curve, lo)[0]
     while True:
         bound = curve.upsilon * hi * log_lo
         if bound < _INF and best_bps >= bound * (1.0 + 1e-12):
@@ -244,10 +355,9 @@ def unquantized_bound_below(config: SystemConfig, b: int, best_bps: float) -> bo
         if not (hi - lo > S_TOLERANCE or hi - lo > 1e-6 * lo):
             return False
         mid = 0.5 * (lo + hi)
-        log_mid = math.log1p(_omega(curve, mid))
+        log_mid, d = _log_rate_and_slope(curve, mid)
         if curve.upsilon * mid * log_mid > best_bps:
             return False
-        d = rate_of_s_derivative(curve, mid)
         if 0.0 < d < _INF:
             lo, log_lo = mid, log_mid
         elif -_INF < d <= 0.0:

@@ -974,6 +974,27 @@ class TestMcValidate:
             assert captured.err == ""
             assert "M=100000000 needs" in strict_json(captured.out)["detail"]
 
+    def test_run_beyond_budget_exits_2_before_the_first_block(self, tmp_path, capsys,
+                                                               monkeypatch):
+        # 10^8 trials of the default config's M = 4 block would run for
+        # days: mc-validate and a sweep's MC row refuse the run, naming the
+        # trials and the bytes, before any block is simulated
+        def no_block(plan, rng):
+            raise AssertionError("a block ran")
+
+        monkeypatch.setattr(montecarlo, "simulate_block", no_block)
+        sweep = write_config(tmp_path, "B_w = 2e8\nM = 4\nsweep_axis = b\nsweep_values = 1\n"
+                                       "trials = 100000000\n")
+        for argv in (["mc-validate", "--bw", "2e8", "--m", "4", "--trials", "100000000"],
+                     ["sweep", "--config", sweep]):
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert_model_error(code, captured.out)
+            assert captured.err == ""
+            detail = strict_json(captured.out)["detail"]
+            assert "100000000 trials of a block at B_w=200000000.0, M=4 need" in detail
+            assert f"run budget of {montecarlo.RUN_BUDGET}" in detail
+
     @pytest.mark.parametrize("x_int", [1e39, 1e-39], ids=["x_int_too_large", "step_too_small"])
     def test_quantizer_range_beyond_rails_exit_2(self, tmp_path, capsys, x_int):
         # float32 rails cannot hold X_int = 1e39, and at X_int = 1e-39 a

@@ -565,6 +565,20 @@ class TestEmpiricalRate:
             with pytest.raises(ConfigValueError, match="trials must be in"):
                 empirical_rate(cfg, [DesignPoint(B_w=1e8, M=4, b=1)], trials, 0, ["pqn"])
 
+    def test_run_budget_bounds_trials_times_block(self, monkeypatch):
+        # the most trials a block admits run; one more is refused before the
+        # first block (the block is stubbed: only the count is checked)
+        monkeypatch.setattr(montecarlo, "simulate_block", lambda plan, rng: [(1j, 2.0, 0)])
+        cfg = small_config()
+        design = DesignPoint(B_w=1e8, M=4, b=1)
+        block = plan_block(cfg, [design], ["pqn"]).block_bytes
+        most = int(montecarlo.RUN_BUDGET // block)
+        monkeypatch.setattr(montecarlo, "RUN_BUDGET", 3 * block)
+        assert most > 10**6
+        empirical_rate(cfg, [design], 3, seed=0, modes=["pqn"])
+        with pytest.raises(ConfigValueError, match="4 trials of a block at B_w=100000000.0, M=4"):
+            empirical_rate(cfg, [design], 4, seed=0, modes=["pqn"])
+
     def test_rejects_bad_mode(self):
         cfg = small_config()
         with pytest.raises(ConfigValueError):

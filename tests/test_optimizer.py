@@ -1,4 +1,5 @@
 import collections
+import contextlib
 import itertools
 import math
 
@@ -259,22 +260,117 @@ def reference_rate_of_s_derivative(config, s, b):
 
 
 def reference_maximize_over_s(config, b):
-    """The plain bisection on the per-call reference derivative."""
+    """The plain bisection on the per-call reference derivative, every
+    midpoint evaluated; a derivative that is not finite raises as the
+    search does."""
+
+    def derivative(s):
+        d = reference_rate_of_s_derivative(config, s, b)
+        if not math.isfinite(d):
+            raise ConfigValueError(
+                f"dR/ds at s={s}, b={b} is not finite: C_f={config.C_f} or "
+                f"P={config.P} is beyond the float range of the constraint-curve search"
+            )
+        return d
+
     hi = 1.0
     lo = min(hi, 1.0 / (config.C_f / b) * (1.0 + 1e-9))
-    d_lo = reference_rate_of_s_derivative(config, lo, b)
-    d_hi = reference_rate_of_s_derivative(config, hi, b)
+    d_lo, d_hi = derivative(lo), derivative(hi)
     if d_lo <= 0.0 and d_hi <= 0.0:
         return lo
     if d_lo >= 0.0 and d_hi >= 0.0:
         return hi
     while hi - lo > min(1e-10, 1e-6 * lo):
         mid = 0.5 * (lo + hi)
-        if reference_rate_of_s_derivative(config, mid, b) > 0.0:
+        if derivative(mid) > 0.0:
             lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def reference_unquantized_bound_below(config, b, best_bps):
+    """The capacity bound with omega and dR/ds computed apart."""
+    curve = optimizer._curve(config, b, 0.0)
+
+    def log_rate(s):
+        ou = curve.one * (curve.kp + curve.slope * s)
+        return math.log1p(curve.a / (s * (ou * (curve.te_kp + ou))))
+
+    lo, hi = 1.0 / curve.slope, 1.0
+    log_lo = log_rate(lo)
+    while True:
+        bound = curve.upsilon * hi * log_lo
+        if bound < math.inf and best_bps >= bound * (1.0 + 1e-12):
+            return True
+        if not hi - lo > min(1e-10, 1e-6 * lo):
+            return False
+        mid = 0.5 * (lo + hi)
+        log_mid = log_rate(mid)
+        if curve.upsilon * mid * log_mid > best_bps:
+            return False
+        d = rate_of_s_derivative(curve, mid)
+        if 0.0 < d < math.inf:
+            lo, log_lo = mid, log_mid
+        elif -math.inf < d <= 0.0:
+            hi = mid
+        else:
+            return False
+
+
+def outcome(function, *args):
+    """A call's value, or its exception's type and message; repr keeps every bit."""
+    try:
+        return repr(function(*args))
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+def random_configs(seed, count):
+    """Seeded configs beyond the paper grid, every fourth one extreme: SNR
+    to +-300 dB, C_f to 1e300, X_int 1e+-30."""
+    rng = np.random.default_rng(seed)
+    configs = []
+    while len(configs) < count:
+        extreme = len(configs) % 4 == 0
+        keys = dict(
+            K=int(rng.integers(1, 50)),
+            L=int(rng.integers(1, 20)),
+            N=int(rng.integers(2000, 5000)),
+            theta=float(rng.uniform(1.0, 10.0)),
+        )
+        if extreme:
+            snr = float(rng.uniform(-300.0, 300.0))
+            keys.update(C_f=10.0 ** rng.uniform(0.0, 300.0), X_int=10.0 ** rng.uniform(-30, 30))
+        else:
+            snr = float(rng.uniform(-20.0, 50.0))
+            keys.update(C_f=10.0 ** rng.uniform(8.0, 13.0), X_int=float(rng.uniform(0.5, 5.0)))
+        with contextlib.suppress(ConfigValueError):
+            configs.append(SystemConfig.from_reference_snr(snr, **keys))
+    return configs
+
+
+def gamma_band_configs(seed, count):
+    """Configs whose relaxed optimum often has a SINQR near 1e-16, where
+    dR/ds near the root is rounding noise: SNR 100-140 dB, X_int 1e4-1e7."""
+    rng = np.random.default_rng(seed)
+    return [
+        SystemConfig.from_reference_snr(
+            float(rng.uniform(100.0, 140.0)),
+            C_f=10.0 ** rng.uniform(4.0, 13.0),
+            X_int=10.0 ** rng.uniform(4.0, 7.0),
+            theta=float(rng.uniform(1.0, 4.0)),
+        )
+        for _ in range(count)
+    ]
+
+
+def relaxed_sinqr(config, b, s):
+    ou = (1.0 + quantization_distortion_variance(b, config.X_int)) * (
+        config.K * config.P + config.C_f / b * s
+    )
+    te_kp = (config.theta_eff - 1.0) * config.K * config.P
+    return config.P * config.P * config.n_pilot / config.L / (s * ou * (te_kp + ou))
 
 
 class TestCurveKernelBitExact:
@@ -320,6 +416,63 @@ class TestCurveKernelBitExact:
             )
             for b in range(1, 13):
                 assert maximize_over_s(cfg, b) == reference_maximize_over_s(cfg, b), (cfg, b)
+
+
+class TestReplayedSearch:
+    """``maximize_over_s`` replays the plain bisection from a located root:
+    the same s*, bit for bit, and the same error, everywhere."""
+
+    def test_matches_plain_bisection_on_random_configs(self):
+        configs = random_configs(29, 2400)
+        for cfg in configs:
+            for b in (1, 2, 3, 7, 12):
+                if cfg.C_f / b >= 1.0:
+                    assert outcome(maximize_over_s, cfg, b) == outcome(
+                        reference_maximize_over_s, cfg, b
+                    ), (cfg, b)
+
+    def test_matches_plain_bisection_where_the_sign_is_noise(self):
+        in_band = 0
+        for cfg in gamma_band_configs(31, 400):
+            for b in (1, 2, 3):
+                want = outcome(reference_maximize_over_s, cfg, b)
+                assert outcome(maximize_over_s, cfg, b) == want, (cfg, b)
+                s = float(want)
+                if 1e-18 < relaxed_sinqr(cfg, b, s) < 1e-14 and b / cfg.C_f < s < 1.0:
+                    in_band += 1
+        assert in_band >= 100  # the band is covered, not only near it
+
+    def test_optimize_full_matches_plain_search(self, monkeypatch):
+        configs = random_configs(37, 400) + gamma_band_configs(41, 100)
+        new = [outcome(optimize_full, cfg) for cfg in configs]
+        monkeypatch.setattr(optimizer, "maximize_over_s", reference_maximize_over_s)
+        monkeypatch.setattr(optimizer, "unquantized_bound_below", reference_unquantized_bound_below)
+        plain = [outcome(optimize_full, cfg) for cfg in configs]
+        for cfg, got, want in zip(configs, new, plain):
+            assert got == want, cfg
+        assert sum(isinstance(o, str) for o in new) >= 300  # most are designs, not errors
+
+    def test_few_derivatives_on_the_paper_grid(self, monkeypatch):
+        # every paper-grid search locates its root: two ends, two window
+        # edges and the few midpoints inside the window, not 36 midpoints
+        calls = []
+
+        def counted(curve, s):
+            calls.append(s)
+            return rate_of_s_derivative(curve, s)
+
+        monkeypatch.setattr(optimizer, "rate_of_s_derivative", counted)
+        per_search = []
+        for snr, c_f, theta, x_int in itertools.product(
+            (0.0, 15.0, 30.0), (50e9, 500e9), (1.0, 2.0, 4.0, 8.0), (1.0, 2.5, 4.0)
+        ):
+            cfg = SystemConfig.from_reference_snr(snr, C_f=c_f, theta=theta, X_int=x_int)
+            for b in range(1, 13):
+                before = len(calls)
+                maximize_over_s(cfg, b)
+                per_search.append(len(calls) - before)
+        assert max(per_search) <= 10
+        assert sum(per_search) <= 6 * len(per_search)
 
 
 class TestDerivative:

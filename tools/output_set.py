@@ -45,14 +45,18 @@ curve run's simulated cells); three non-finite input lines
 integer keys (``config_err_k_inf.json`` and ``config_err_seed_nan.json``,
 exit 1); two negative flag values after a space (exit 2): ``rate --bw
 -1e8`` and ``mc-validate --bw -inf`` (``rate_err_bw_minus_1e8.json`` and
-``mc_validate_err_bw_minus_inf.json``); two path error lines
+``mc_validate_err_bw_minus_inf.json``); an ``mc-validate`` of 10^8 trials
+that passes the simulator's run budget (``mc_validate_err_run_budget.json``,
+exit 2); two path error lines
 (``path_err_*.json``, exit 1): a config that cannot be read and an
 ``--out`` that cannot be written; and a sweep with no ``M`` at any point
 (``config_err_sweep_no_design.json``, exit 1).
 
 A command that raises out of ``main`` (a tree that prints a traceback
 where this one prints an error line) is recorded in ``exit_codes.txt`` as
-``raised`` and the exception's type, and its output file stays empty.  A
+``raised`` and the exception's type, and its output file stays empty.  So
+is one that runs past ``COMMAND_TIMEOUT_S`` (a tree without the run budget
+would simulate the 10^8 blocks for days), recorded as ``timed out``.  A
 usage error, which ``main`` ends with ``SystemExit`` as argparse does, is
 recorded with its exit code and its output line.
 """
@@ -67,6 +71,7 @@ import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -82,6 +87,7 @@ PAPER_GRID = [
 ]
 PRESETS = ("fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8")
 MONTE_CARLO = ("mc_validate*.json", "*trials*.csv")
+COMMAND_TIMEOUT_S = 10  # every command of the set runs in well under a second
 # (axis, grid, {bind: fixed keys}) of the sweeps along the axes no preset sweeps
 SWEEP_AXES = (
     ("B_w", "1e7,5e7,2e8,1e9,5e9", {"none": dict(M=256, b=2), "antennas": dict(b=1)}),
@@ -177,6 +183,9 @@ def commands(cfg_dir: str, out_dir: str) -> list[tuple[str, list[str]]]:
     cmds.append(("rate_err_bw_minus_1e8.json", ["rate", "--bw", "-1e8", "--m", "64"]))
     cmds.append(("mc_validate_err_bw_minus_inf.json",
                  ["mc-validate", "--bw", "-inf", "--m", "64"]))
+    # 10^8 blocks pass the simulator's run budget: refused before the first
+    cmds.append(("mc_validate_err_run_budget.json",
+                 ["mc-validate", "--bw", "2e8", "--m", "4", "--trials", "100000000"]))
     # fixed paths, so that the error lines of two runs compare byte for byte
     cmds.append(("path_err_config.json", ["optimize", "--config", "/nonexistent/fhmimo.cfg"]))
     cmds.append(("path_err_out.json", ["preset", "fig2", "--out", "/nonexistent/fhmimo.csv"]))
@@ -186,6 +195,15 @@ def commands(cfg_dir: str, out_dir: str) -> list[tuple[str, list[str]]]:
         (name, argv + ["--out", os.path.join(out_dir, name)] if name.endswith(".csv") else argv)
         for name, argv in cmds
     ]
+
+
+class TimedOut(BaseException):
+    """A command ran past ``COMMAND_TIMEOUT_S``; a BaseException, so that no
+    ``except Exception`` of the program under test swallows it."""
+
+
+def _time_out(signum, frame):
+    raise TimedOut
 
 
 def write_set(outdir: str, src: str) -> int:
@@ -198,16 +216,22 @@ def write_set(outdir: str, src: str) -> int:
         return 2
     os.makedirs(outdir, exist_ok=True)
     codes = []
+    signal.signal(signal.SIGALRM, _time_out)
     with tempfile.TemporaryDirectory() as cfg_dir:
         for name, argv in commands(cfg_dir, outdir):
             buf = io.StringIO()
+            signal.setitimer(signal.ITIMER_REAL, COMMAND_TIMEOUT_S)
             try:
                 with contextlib.redirect_stdout(buf):
                     code = cli.main(argv)
             except SystemExit as exc:  # a usage error: argparse's line, then exit 1
                 code = exc.code
+            except TimedOut:
+                code, buf = "timed out", io.StringIO()
             except Exception as exc:
                 code, buf = f"raised {type(exc).__name__}", io.StringIO()
+            finally:
+                signal.setitimer(signal.ITIMER_REAL, 0)
             if not name.endswith(".csv"):
                 with open(os.path.join(outdir, name), "w", encoding="utf-8") as fh:
                     fh.write(buf.getvalue())
