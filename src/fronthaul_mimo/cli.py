@@ -349,7 +349,7 @@ def _point_design(
         b = 1
     if s is not None:
         b_w = optimizer.curve_bandwidth(cfg, s, b)
-        m = max(1, round(1.0 / s))
+        m = round(1.0 / s)
     if spec.bind == "antennas" and b_w is not None:
         m = math.floor(cfg.C_f / (b_w * b))
         if m < 1:
@@ -456,7 +456,7 @@ def _curve_run(config: SystemConfig, spec: SweepSpec, preset: str | None) -> Swe
                 curve = optimizer.constraint_curve(config, b)
                 ok = (1.0 / curve.slope <= s) & (s <= 1.0)
                 b_w = curve.slope * s
-                m = np.maximum(1.0, np.rint(1.0 / s))
+                m = np.rint(1.0 / s)
             if spec.bind == "antennas":
                 m = np.floor(config.C_f / (b_w * b))
             elif spec.bind == "bandwidth":

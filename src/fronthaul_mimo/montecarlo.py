@@ -15,9 +15,10 @@ and the LMMSE gain is the closed form's c times this domain's least-squares
 gain, so the closed-form predictions apply unchanged.  The block pipeline
 never forms the unscaled received signal: the AGC factor and the amplitude
 sqrt(P/B_w) sit in the small shift matrices and in the noise scale.  Both
-quantizers work in place on real rails, the received array on its
-interleaved real view.  Blocks use the uniform power delay profile, as the
-closed form does.
+quantizers read real rails, the received array's interleaved real view, and
+write one output array, which may be the input they have finished reading.
+Blocks use the uniform power delay profile, as the closed form does, and
+it is the only one the simulator has.
 
 Reproducibility: each trial draws from its own counter-derived substream
 (SeedSequence spawn keyed by trial index) and aggregates are reduced in
@@ -38,8 +39,8 @@ uniform is a multiple of 2**-24, so the noise is cut at sqrt(48 ln 2), about
 and the cut lowers the noise variance by about 3e-7 relative, far below the
 statistic's MC standard error.
 
-Precision: every array of a chunk -- the received array and its working
-buffer, the ``pqn`` unit uniforms, the taps, the channel estimates -- and
+Precision: every array of a chunk -- the received array, the rows'
+output, the ``pqn`` unit uniforms, the taps, the channel estimates -- and
 the plan's shift matrix and correlator, the gathered symbols and the
 rows' matched-filter products have the dtype ``PIPELINE_DTYPE``, complex64
 on float32 rails: the statistic's MC standard error, near 1%, is far above
@@ -97,25 +98,15 @@ ANTENNA_CHUNK = 128  # antennas per chunk of a block, so its memory is flat in M
 
 @dataclass(frozen=True)
 class PowerDelayProfile:
-    """Per-tap variances of the multipath channel, normalized to sum to 1."""
+    """The uniform power delay profile of the closed form: per-tap variances
+    1/L, normalized to sum to 1; ``uniform`` builds it."""
 
     sigma2: np.ndarray
 
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.sigma2, dtype=float)
-        if arr.ndim != 1 or arr.size < 1:
-            raise ConfigValueError("power delay profile must be a 1-D tap vector")
-        if np.any(arr < 0) or arr.sum() <= 0:
-            raise ConfigValueError("tap powers must be non-negative with positive sum")
-        object.__setattr__(self, "sigma2", arr / arr.sum())
-
     @classmethod
     def uniform(cls, n_taps: int) -> "PowerDelayProfile":
-        return cls(np.full(n_taps, 1.0 / n_taps))
-
-    @property
-    def n_taps(self) -> int:
-        return self.sigma2.size
+        sigma2 = np.full(n_taps, 1.0 / n_taps)
+        return cls(sigma2 / sigma2.sum())
 
 
 def _complex_normal(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
@@ -158,7 +149,7 @@ def draw_channel(
 ) -> np.ndarray:
     """Draw i.i.d. circular Gaussian taps h[m, k, l] with the profile's
     per-tap variance."""
-    h = _complex_normal(rng, (n_antennas, n_users, pdp.n_taps))
+    h = _complex_normal(rng, (n_antennas, n_users, pdp.sigma2.size))
     h *= np.sqrt(pdp.sigma2 / 2.0)
     return h
 
@@ -181,56 +172,47 @@ def generate_pilots(n_users: int, n_taps: int, n_pilot: int) -> np.ndarray:
     return np.stack([np.roll(root, -(k * stride)) for k in range(n_users)])
 
 
-def midrise_quantize(rails: np.ndarray, b: int, x_int: float) -> int:
+def midrise_quantize(rails: np.ndarray, b: int, x_int: float, out: np.ndarray) -> int:
     """Uniform midrise quantizer of step ``quantizer_step(b, x_int)`` over
-    [-x_int, x_int], in place on a real float32 or float64 array.  Inputs
-    beyond the interval saturate to the outermost level and are counted as
-    clip events.  Returns the clip count."""
+    [-x_int, x_int] of a real float32 or float64 array, written into
+    ``out``, which may be ``rails`` itself.  Inputs beyond the interval
+    saturate to the outermost level and are counted as clip events.
+    Returns the clip count."""
     step = quantizer_step(b, x_int)
     top = x_int - 0.5 * step
     n_clipped = int(np.count_nonzero(rails >= x_int) + np.count_nonzero(rails <= -x_int))
-    rails /= step
-    np.floor(rails, out=rails)
-    rails += 0.5
-    rails *= step
-    np.clip(rails, -top, top, out=rails)
+    np.divide(rails, step, out=out)  # the last read of the rails
+    np.floor(out, out=out)
+    out += 0.5
+    out *= step
+    np.clip(out, -top, top, out=out)
     return n_clipped
 
 
 def quantize_block(
-    rails: np.ndarray,
-    b: int,
-    x_int: float,
-    mode: str,
-    unit: np.ndarray | None = None,
-    out: np.ndarray | None = None,
+    rails: np.ndarray, b: int, x_int: float, mode: str, unit: np.ndarray | None, out: np.ndarray
 ) -> int:
-    """Quantize ADC-domain real rails, in place or into ``out``, and return
-    the clip count.
+    """Quantize ADC-domain real rails into ``out`` and return the clip count.
 
     The rails are already scaled to unit variance (a complex array passes
     its interleaved real view, float32 for a complex64 array).  ``uniform``
-    applies the midrise quantizer per rail; ``pqn`` adds uniform noise of
-    variance E per rail instead, (step/2)*(2u - 1) from the unit-uniform draws
-    ``unit`` of the rails' shape, and clips nothing.  In place, the noise is
-    formed in ``unit``, which it overwrites; into ``out``, the draws are kept.
+    applies the midrise quantizer per rail and does not read ``unit``;
+    ``pqn`` adds uniform noise of variance E per rail instead,
+    (step/2)*(2u - 1) from the unit-uniform draws ``unit`` of the rails'
+    shape, and clips nothing.  ``out`` has the rails' shape and dtype and
+    may be the input that the mode has finished reading when it first
+    writes: the rails for ``uniform``, the draws for ``pqn``, over which
+    the noise is formed before the rails are added.  No other input is
+    written.
     """
     if mode == "uniform":
-        if out is not None:
-            np.copyto(out, rails)
-            rails = out
-        return midrise_quantize(rails, b, x_int)
+        return midrise_quantize(rails, b, x_int, out)
     if mode != "pqn":
         raise ConfigValueError(f"mode must be one of {QUANTIZE_MODES}, got {mode!r}")
-    if unit is None:
-        raise ConfigValueError("pqn mode needs unit-uniform draws")
-    noise = np.multiply(unit, 2.0, out=unit if out is None else out)
-    noise -= 1.0  # exact: u is a multiple of eps/2 of its dtype in [0, 1)
-    noise *= quantizer_step(b, x_int) / 2.0  # uniform over one step: variance E
-    if out is None:
-        rails += noise
-    else:
-        out += rails  # the same sum as in place: IEEE addition commutes
+    np.multiply(unit, 2.0, out=out)
+    out -= 1.0  # exact: u is a multiple of eps/2 of its dtype in [0, 1)
+    out *= quantizer_step(b, x_int) / 2.0  # uniform over one step: variance E
+    out += rails
     return 0
 
 
@@ -278,11 +260,12 @@ class BlockPlan:
     (l, k), tap-major.
 
     ``scratch`` is the working memory of one chunk: its received rails, then
-    the ``pqn`` unit uniforms when a ``pqn`` row runs, and last the rows'
-    working copy when the group has more than one row.  Every block of the
-    group reuses it, so that no block allocates and frees these arrays (which
-    made the allocator return and refetch their pages on every block), and
-    a plan simulates one block at a time.
+    the ``pqn`` unit uniforms when a ``pqn`` row runs, and last the output
+    that every row but the last writes, when the group has more than one
+    row (``simulate_block`` says where the last row writes).  Every block
+    of the group reuses it, so that no block allocates and frees these
+    arrays (which made the allocator return and refetch their pages on
+    every block), and a plan simulates one block at a time.
     """
 
     config: SystemConfig
@@ -295,7 +278,7 @@ class BlockPlan:
     data_index: np.ndarray  # (N_d, L) gather index (n - l) mod N_d
     data_gain: float  # ADC-domain amplitude of a standard complex normal symbol
     noise_std: float
-    scratch: np.ndarray  # (1 to 3, 2*N*chunk) RAIL_DTYPE: received[, unit uniforms][, copy]
+    scratch: np.ndarray  # (1 to 3, 2*N*chunk) RAIL_DTYPE: received[, unit uniforms][, output]
     block_bytes: float  # what one block draws and keeps, within BLOCK_BUDGET
 
 
@@ -363,10 +346,13 @@ def simulate_block(
     (N, chunk) noise array, onto whose pilot and data rows the two cyclic
     convolutions are added, each one matrix product of an (N_p, L*K) or
     (N_d, L*K) matrix of shifted sequences with the chunk's (L*K, chunk)
-    taps.  Every row but the last quantizes the chunk into one working
-    buffer shared by the rows; the last row quantizes it in place.  Each row
-    adds its chunk's matched-filter product to its own (N_d, L*K) sum, and
-    the lag combine runs once per row, after the last chunk.
+    taps.  Each row reads the chunk's rails (and a ``pqn`` row its unit
+    uniforms) and writes one output: every row but the last the plan's
+    shared output, and the last row the array its mode has finished
+    reading, the rails for ``uniform`` and the uniforms for ``pqn``, so no
+    row copies the chunk.  Each row adds its chunk's matched-filter product
+    to its own (N_d, L*K) sum, and the lag combine runs once per row, after
+    the last chunk.
 
     Returns, per row, the moment sums sum(conj(x) * c) and sum(|c|^2) over
     the block's K*N_d unit-power symbols x and matched-filter outputs c, in
@@ -401,9 +387,9 @@ def simulate_block(
         else:  # as if drawn, so the next chunk's draws do not depend on the modes
             rng.bit_generator.advance(rails.size // 2)  # two float32 per 64-bit output
         for row, (b, mode, lmmse_gain) in enumerate(plan.rows):
-            out = work if row < last else None
+            out = work if row < last else unit if mode == "pqn" else rails
             clipped[row] += quantize_block(rails, b, config.X_int, mode, unit, out)
-            y_q = (rails if out is None else out).view(PIPELINE_DTYPE)
+            y_q = out.view(PIPELINE_DTYPE)
             # MRC weights: the conjugate (L*K, chunk) channel estimates
             weights = plan.correlator @ y_q[:n_p]
             np.conjugate(weights, out=weights)

@@ -321,7 +321,7 @@ def one_bit_always_optimal(config: SystemConfig, s: float) -> bool:
     """
     if config.theta < 1.0:
         return False
-    design = Design(B_w=curve_bandwidth(config, s, 1), M=max(1, round(1.0 / s)), b=1)
+    design = Design(B_w=curve_bandwidth(config, s, 1), M=round(1.0 / s), b=1)
     return bandwidth_condition(config, design)
 
 

@@ -52,8 +52,11 @@ def pilot_phase(plan, rng):
     y += plan.pilot_shift @ taps.astype(montecarlo.PIPELINE_DTYPE)
     assert y.dtype == montecarlo.PIPELINE_DTYPE
     rails = y.view(montecarlo.RAIL_DTYPE)
-    quantize_block(rails, b, cfg.X_int, mode, rng.random(rails.shape, montecarlo.RAIL_DTYPE))
-    h_hat = (plan.correlator @ y).reshape(cfg.L, cfg.K, m_ant).transpose(2, 1, 0) * lmmse_gain
+    unit = rng.random(rails.shape, montecarlo.RAIL_DTYPE)
+    out = unit if mode == "pqn" else rails  # the input the mode has finished reading
+    quantize_block(rails, b, cfg.X_int, mode, unit, out)
+    y_q = out.view(montecarlo.PIPELINE_DTYPE)
+    h_hat = (plan.correlator @ y_q).reshape(cfg.L, cfg.K, m_ant).transpose(2, 1, 0) * lmmse_gain
     return h, h_hat
 
 
@@ -88,21 +91,16 @@ def matched_filter(y, h_hat):
 
 
 class TestPowerDelayProfile:
-    def test_normalized_on_construction(self):
-        pdp = PowerDelayProfile(np.array([3.0, 1.0]))
-        assert pdp.sigma2.sum() == pytest.approx(1.0, rel=1e-15)
-        assert pdp.sigma2[0] == pytest.approx(0.75, rel=1e-15)
-
-    def test_rejects_negative_taps(self):
-        with pytest.raises(ConfigValueError):
-            PowerDelayProfile(np.array([1.0, -0.1]))
-
     def test_empirical_tap_variance(self):
+        # the uniform profile: every tap 1/L, the taps' variances summing to 1
         rng = np.random.default_rng(0)
-        pdp = PowerDelayProfile(np.array([0.5, 0.3, 0.2]))
+        pdp = PowerDelayProfile.uniform(3)
+        assert pdp.sigma2.sum() == pytest.approx(1.0, rel=1e-15)
+        assert np.allclose(pdp.sigma2, 1.0 / 3.0, rtol=1e-15, atol=0.0)
         h = draw_channel(rng, 500, 200, pdp)  # 1e5 draws per tap
+        assert h.dtype == np.complex128
         emp = np.mean(np.abs(h) ** 2, axis=(0, 1))
-        assert np.all(np.abs(emp / pdp.sigma2 - 1.0) < 0.03)
+        assert np.all(np.abs(emp / (1.0 / 3.0) - 1.0) < 0.03)
 
 
 class TestBoxMuller:
@@ -165,20 +163,23 @@ class TestPilots:
 
 
 class TestQuantizer:
-    # both quantizers work in place; each case quantizes a copy
+    # each case quantizes a copy of its input over that copy, or into a
+    # fresh buffer
     def test_high_resolution_transparent(self):
         rng = np.random.default_rng(2)
         y = complex_normal(rng, 4000) * 0.2
         scaled = np.sqrt(2.0 / np.mean(np.abs(y) ** 2)) * y  # unit-variance rails
         y_q = scaled.copy()
-        quantize_block(y_q.view(np.float64), 24, 3.0, "uniform")
+        rails = y_q.view(np.float64)
+        quantize_block(rails, 24, 3.0, "uniform", None, rails)
         keep = (np.abs(scaled.real) < 3.0) & (np.abs(scaled.imag) < 3.0)
         assert np.max(np.abs(y_q[keep] - scaled[keep])) < 1e-6
 
     def test_one_bit_two_levels(self):
         rng = np.random.default_rng(3)
         y_q = complex_normal(rng, 1000)
-        quantize_block(y_q.view(np.float64), 1, 1.0, "uniform")
+        rails = y_q.view(np.float64)
+        quantize_block(rails, 1, 1.0, "uniform", None, rails)
         assert set(np.round(np.unique(y_q.real), 12)) == {-0.5, 0.5}
         assert set(np.round(np.unique(y_q.imag), 12)) == {-0.5, 0.5}
 
@@ -187,7 +188,7 @@ class TestQuantizer:
         u = rng.uniform(-1.0, 1.0, 10**6)
         for b in (1, 3, 5):
             q = u.copy()
-            n_clip = midrise_quantize(q, b, 1.0)
+            n_clip = midrise_quantize(q, b, 1.0, q)
             emp = np.mean((q - u) ** 2)
             model = (1.0 / 3.0) * 4.0**-b
             assert emp == pytest.approx(model, rel=0.05)
@@ -199,7 +200,7 @@ class TestQuantizer:
         prev = None
         for b in range(1, 8):
             q = u.copy()
-            midrise_quantize(q, b, 2.0)
+            midrise_quantize(q, b, 2.0, q)
             emp = np.mean((q - u) ** 2)
             if prev is not None:
                 assert 0.23 < emp / prev < 0.27
@@ -207,34 +208,41 @@ class TestQuantizer:
 
     def test_clipping_counted(self):
         q = np.array([-5.0, -0.2, 0.2, 5.0])
-        assert midrise_quantize(q, 2, 1.0) == 2
+        assert midrise_quantize(q, 2, 1.0, q) == 2
         assert q[0] == -0.75 and q[3] == 0.75
 
     def test_interleaved_rails_match_per_rail_quantizer(self):
         rng = np.random.default_rng(7)
         y = 1.5 * complex_normal(rng, (6, 500))
         for b in (1, 2, 4):
-            y_q, q_re, q_im = y.copy(), y.real.copy(), y.imag.copy()
-            n_clip = quantize_block(y_q.view(np.float64), b, 1.7, "uniform")
-            c_re = midrise_quantize(q_re, b, 1.7)
-            c_im = midrise_quantize(q_im, b, 1.7)
+            y_q, q_re, q_im = np.empty_like(y), y.real.copy(), y.imag.copy()
+            n_clip = quantize_block(y.view(np.float64), b, 1.7, "uniform", None,
+                                    y_q.view(np.float64))
+            c_re = midrise_quantize(q_re, b, 1.7, q_re)
+            c_im = midrise_quantize(q_im, b, 1.7, q_im)
             assert np.array_equal(y_q.real, q_re) and np.array_equal(y_q.imag, q_im)
             assert n_clip == c_re + c_im > 0
 
     def test_into_out_equals_in_place(self):
-        # quantizing into a buffer leaves the rails and the draws as they
-        # were and gives the in-place result bit for bit
+        # each mode reads the rails (pqn the draws too) and writes out: into
+        # a fresh buffer it leaves both inputs as they were, and over the
+        # input it has finished reading (the rails for uniform, the draws
+        # for pqn) it writes the same bits and clip count and leaves the
+        # other input as it was
         rng = np.random.default_rng(8)
-        rails = 1.5 * rng.standard_normal((4, 300))
-        unit = rng.random(rails.shape)
-        kept_rails, kept_unit = rails.copy(), unit.copy()
-        for mode in ("uniform", "pqn"):
-            out = np.empty_like(rails)
-            n_out = quantize_block(rails, 2, 1.7, mode, unit, out)
-            assert np.array_equal(rails, kept_rails) and np.array_equal(unit, kept_unit)
-            in_place, spent = rails.copy(), unit.copy()
-            assert quantize_block(in_place, 2, 1.7, mode, spent) == n_out
-            assert np.array_equal(out, in_place), mode
+        for dtype in (np.float32, np.float64):
+            rails = (1.5 * rng.standard_normal((4, 300))).astype(dtype)
+            unit = rng.random(rails.shape, dtype)
+            kept = rails.copy(), unit.copy()
+            for mode, spent in (("uniform", 0), ("pqn", 1)):
+                fresh = np.empty_like(rails)
+                n_fresh = quantize_block(rails, 2, 1.7, mode, unit, fresh)
+                assert np.array_equal(rails, kept[0]) and np.array_equal(unit, kept[1])
+                assert (n_fresh > 0) == (mode == "uniform")
+                inputs = [rails.copy(), unit.copy()]
+                assert quantize_block(inputs[0], 2, 1.7, mode, inputs[1], inputs[spent]) == n_fresh
+                assert np.array_equal(inputs[spent], fresh), (dtype, mode)
+                assert np.array_equal(inputs[1 - spent], kept[1 - spent]), (dtype, mode)
 
     def test_float32_rails_quantize_to_float64_levels(self):
         # away from the cell edges, +-X_int among them, a float32 rail and
@@ -247,7 +255,7 @@ class TestQuantizer:
             cell = rails / step - np.floor(rails / step)
             rails = rails[np.minimum(cell, 1.0 - cell) * step > 1e-5 * x_int]
             q64, q32 = rails.copy(), rails.astype(np.float32)
-            n64, n32 = midrise_quantize(q64, b, x_int), midrise_quantize(q32, b, x_int)
+            n64, n32 = midrise_quantize(q64, b, x_int, q64), midrise_quantize(q32, b, x_int, q32)
             assert q32.dtype == np.float32
             assert n32 == n64 > 0, b
             assert np.array_equal(np.round(q32 / step - 0.5), np.round(q64 / step - 0.5)), b
@@ -258,16 +266,17 @@ class TestQuantizer:
         # half-width the float32 noise equals the exact float64 value
         unit = np.random.default_rng(15).random(10**5, dtype=np.float32)
         unit[:2] = 0.0, 1.0 - 2.0**-24  # the ends of the draw's range
-        rails = np.zeros_like(unit)
-        quantize_block(rails, 3, 2.0, "pqn", unit.copy())
-        assert rails.dtype == np.float32
-        assert np.array_equal(rails, (2.0 * unit.astype(np.float64) - 1.0) * 0.25)
+        noise = np.empty_like(unit)
+        quantize_block(np.zeros_like(unit), 3, 2.0, "pqn", unit, noise)
+        assert noise.dtype == np.float32
+        assert np.array_equal(noise, (2.0 * unit.astype(np.float64) - 1.0) * 0.25)
 
     def test_pqn_noise_variance(self):
         for b in (1, 2):
             y_q = np.zeros(200000, dtype=complex)
             unit = np.random.default_rng(b).random(2 * y_q.size)
-            n_clip = quantize_block(y_q.view(np.float64), b, 2.5, "pqn", unit)
+            n_clip = quantize_block(np.zeros_like(unit), b, 2.5, "pqn", unit,
+                                    y_q.view(np.float64))
             e = (2.5**2) * 4.0**-b / 3.0
             assert n_clip == 0
             assert np.var(y_q.real) == pytest.approx(e, rel=0.02)

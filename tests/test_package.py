@@ -109,3 +109,27 @@ def test_readme_python_blocks_run_in_order():
         stdin=json.dumps(blocks),
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def readme_config_table() -> dict[str, str]:
+    """Each key of the README's config table and its default cell, the
+    backticks stripped; a row may name several keys."""
+    text = README.read_text(encoding="utf-8")
+    table = text.split("| key | default | meaning |\n|---|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    rows = {}
+    for line in table.splitlines():
+        keys, default = line.split("|")[1:3]
+        for key in re.findall(r"`([^`]+)`", keys):
+            rows[key] = default.strip().strip("`")
+    return rows
+
+
+def test_readme_config_table_matches_the_dataclasses():
+    # the table is written by hand: every key the parser knows has a row,
+    # and each literal default is the dataclass field's
+    rows = readme_config_table()
+    assert sorted(cli.KNOWN_KEYS - rows.keys()) == []
+    defaults = {**vars(fronthaul_mimo.SystemConfig()), **vars(cli.SweepSpec())}
+    for key in ("K", "C_f", "N", "L", "theta", "X_int", "bind", "seed", "mc_mode"):
+        default = defaults[key]
+        assert type(default)(rows[key]) == default, key

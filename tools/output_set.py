@@ -49,8 +49,12 @@ exit 1); two negative flag values after a space (exit 2): ``rate --bw
 that passes the simulator's run budget (``mc_validate_err_run_budget.json``,
 exit 2); two path error lines
 (``path_err_*.json``, exit 1): a config that cannot be read and an
-``--out`` that cannot be written; and a sweep with no ``M`` at any point
-(``config_err_sweep_no_design.json``, exit 1).
+``--out`` that cannot be written; a sweep with no ``M`` at any point
+(``config_err_sweep_no_design.json``, exit 1); and three syntax error lines
+(exit 1): the usage error of an unknown flag, ``rate --bogus``
+(``config_err_usage.json``), a config that sets a key twice
+(``config_err_duplicate_key.json``) and a config line without ``=``
+(``config_err_no_equals.json``).
 
 A command that raises out of ``main`` (a tree that prints a traceback
 where this one prints an error line) is recorded in ``exit_codes.txt`` as
@@ -115,12 +119,16 @@ SWEEP_ERRORS = {
 }
 
 
-def _config(cfg_dir: str, name: str, **keys) -> str:
+def _config_text(cfg_dir: str, name: str, text: str) -> str:
     path = os.path.join(cfg_dir, name + ".cfg")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("".join(f"{k} = {v if isinstance(v, str) else repr(v)}\n"
-                         for k, v in keys.items()))
+        fh.write(text)
     return path
+
+
+def _config(cfg_dir: str, name: str, **keys) -> str:
+    return _config_text(cfg_dir, name, "".join(f"{k} = {v if isinstance(v, str) else repr(v)}\n"
+                                               for k, v in keys.items()))
 
 
 def commands(cfg_dir: str, out_dir: str) -> list[tuple[str, list[str]]]:
@@ -191,6 +199,12 @@ def commands(cfg_dir: str, out_dir: str) -> list[tuple[str, list[str]]]:
     cmds.append(("path_err_out.json", ["preset", "fig2", "--out", "/nonexistent/fhmimo.csv"]))
     path = _config(cfg_dir, "sweep_no_design", sweep_axis="b", sweep_values="1,2", B_w=2e8)
     cmds.append(("config_err_sweep_no_design.json", ["sweep", "--config", path]))
+    # the command line's own syntax errors: an unknown flag, and two config
+    # lines the parser refuses, whose details name the line, not the path
+    cmds.append(("config_err_usage.json", ["rate", "--bogus"]))
+    for name, text in (("duplicate_key", "K = 4\nK = 5\n"), ("no_equals", "K 4\n")):
+        path = _config_text(cfg_dir, "syntax_" + name, text)
+        cmds.append((f"config_err_{name}.json", ["optimize", "--config", path]))
     return [
         (name, argv + ["--out", os.path.join(out_dir, name)] if name.endswith(".csv") else argv)
         for name, argv in cmds
